@@ -27,7 +27,7 @@ from .complexity import (
 )
 from .core import CoordinateSubset, FunctionClass, InputError, RngStream, SizeCapError
 from .entropy import entropy_inequality_audit
-from .orlicz import psi_norm
+from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
 from .selector import almost_isometry_experiment, tail_experiment
 from .shatter import dual_ball_class, l1_domination, vc_convex_hull, vc_dimension
@@ -200,17 +200,12 @@ def _constant_json(c) -> dict:
 # ----------------------------------------------------------------- commands
 
 def _run_psi(args, data, rng):
-    rows = []
-    csv_rows = []
-    for i, vec in enumerate(data):
-        res = psi_norm(vec, args.p, tol=args.tol)
-        rows.append({
-            "index": i + 1,
-            "psi": res.value,
-            "iterations": res.iterations,
-            "residual": res.residual,
-        })
-        csv_rows.append((i + 1, res.value))
+    res = psi_norms(data, args.p, tol=args.tol)
+    rows = [
+        {"index": i + 1, "psi": float(v), "iterations": res.iterations, "residual": float(r)}
+        for i, (v, r) in enumerate(zip(res.values, res.residuals))
+    ]
+    csv_rows = [(row["index"], row["psi"]) for row in rows]
     results = {"p": args.p, "rows": rows}
     return results, [], [], (["index", "psi"], csv_rows)
 
@@ -446,7 +441,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("psi", help="psi_p Orlicz norm of each input row")
     _add_common(sp)
     sp.add_argument("--p", type=float, default=2.0, help="Orlicz exponent, p >= 1")
-    sp.add_argument("--tol", type=float, default=1e-10, help="bisection tolerance")
+    sp.add_argument("--tol", type=float, default=1e-10,
+                    help="bisection tolerance, relative to each psi value")
 
     sp = sub.add_parser("project", help="selector-projection experiments per row")
     _add_common(sp)

@@ -17,8 +17,6 @@ import numpy as np
 
 from .core import InputError, as_vector
 
-_MAX_ITER = 200
-
 
 @dataclass(frozen=True)
 class PsiNormResult:
@@ -28,66 +26,75 @@ class PsiNormResult:
     residual: float
 
 
-def _log_mean_exp(z: np.ndarray) -> float:
-    # shift by the max so the largest exponent is 0; immune to overflow
-    m = float(z.max())
-    return m + math.log(float(np.mean(np.exp(z - m))))
+@dataclass(frozen=True)
+class PsiNormBatch:
+    """psi_p norms of the rows of a matrix, with one bisection for all rows."""
+
+    values: np.ndarray
+    residuals: np.ndarray
+    iterations: int
+
+
+def psi_norms(rows, p: float, tol: float = 1e-10) -> PsiNormBatch:
+    """psi_p norm of every row of a 2-d array, by one batched bisection.
+
+    psi(c f) = c psi(f), so each row is divided by its peak.  The root on the
+    normalized row lies in [ln(n(e-1)+1)^(-1/p), 1]: the lower end is the
+    one-spike closed form, and at the upper end every term is at most e.
+    No exponent exceeds ln(n(e-1)+1), so nothing overflows at any scale.
+
+    Args:
+        rows: m-by-n array, one function per row.
+        p: Orlicz exponent, finite and p >= 1.
+        tol: final bracket width relative to the psi value, floored at the
+            machine epsilon, below which the bracket cannot shrink.
+
+    Returns:
+        PsiNormBatch with the norms, the residuals |mean exp(|f|^p/lam^p) - e|
+        at the returned values, and the bisection steps.  Every row takes the
+        same steps, so its value does not depend on the other rows.
+    """
+    a = np.abs(np.asarray(rows, dtype=float))
+    if a.ndim != 2 or a.shape[1] == 0:
+        raise InputError("DIMENSION",
+                         f"psi norm needs rows of at least one value, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise InputError("BAD_INPUT", "vector entries must be finite")
+    if not 1.0 <= p < math.inf:
+        raise InputError("BAD_EXPONENT", f"exponent must be finite with p >= 1, got {p}")
+    if not 0.0 < tol < math.inf:
+        raise InputError("BAD_INPUT", f"tolerance must be positive and finite, got {tol}")
+
+    peak = a.max(axis=1)
+    live = peak > 0.0
+    y = (a[live] / peak[live, None]) ** p
+    bottom = min(1.0, math.log1p(a.shape[1] * (math.e - 1.0)) ** (-1.0 / p))
+    lo = np.full(y.shape[0], bottom)
+    width, goal = 1.0 - bottom, max(tol, np.finfo(float).eps) * bottom
+    iterations = 0
+    while width > goal and y.shape[0]:
+        width *= 0.5
+        mid = lo + width
+        lo = np.where(np.exp(y / (mid**p)[:, None]).mean(axis=1) > math.e, mid, lo)
+        iterations += 1
+
+    lam = lo + 0.5 * width
+    values, residuals = np.zeros((2, a.shape[0]))
+    values[live] = peak[live] * lam
+    residuals[live] = np.abs(np.exp(y / (lam**p)[:, None]).mean(axis=1) - math.e)
+    return PsiNormBatch(values, residuals, iterations)
 
 
 def psi_norm(f, p: float, tol: float = 1e-10) -> PsiNormResult:
-    """psi_p norm by bisection.
-
-    Args:
-        f: vector of function values.
-        p: Orlicz exponent, p >= 1.
-        tol: absolute width of the final bisection bracket on lam.
+    """psi_p norm of one vector: the one-row case of psi_norms.
 
     Returns:
         PsiNormResult with the norm, iteration count, and the residual
         |mean exp(|f|^p/lam^p) - e| at the returned value.
     """
-    v = as_vector(f)
-    if v.size == 0:
-        raise InputError("DIMENSION", "psi norm needs at least one value")
-    if p < 1:
-        raise InputError("BAD_EXPONENT", f"exponent must satisfy p >= 1, got {p}")
-    if tol <= 0:
-        raise InputError("BAD_INPUT", "tolerance must be positive")
-
-    a = np.abs(v)
-    peak = float(a.max())
-    if peak == 0.0:
-        return PsiNormResult(0.0, float(p), 0, 0.0)
-
-    n = v.size
-    log_fill = math.log(n * (math.e - 1.0) + 1.0)
-
-    def excess(lam: float) -> float:
-        return _log_mean_exp((a / lam) ** p) - 1.0
-
-    # the one-spike closed form scales the lower bracket; 1e-3 / 1e3 padding
-    lo = 1e-3 * peak / log_fill ** (1.0 / p)
-    hi = 1e3 * peak
-    guard = 0
-    while excess(lo) <= 0.0 and guard < 60:
-        lo *= 0.5
-        guard += 1
-    while excess(hi) > 0.0 and guard < 120:
-        hi *= 2.0
-        guard += 1
-
-    iterations = 0
-    while hi - lo > tol and iterations < _MAX_ITER:
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-
-    lam = 0.5 * (lo + hi)
-    residual = abs(math.exp(_log_mean_exp((a / lam) ** p)) - math.e)
-    return PsiNormResult(lam, float(p), iterations, residual)
+    batch = psi_norms(as_vector(f)[None, :], p, tol)
+    return PsiNormResult(float(batch.values[0]), float(p), batch.iterations,
+                         float(batch.residuals[0]))
 
 
 def psi_power_identity_check(a, p: float, tol: float = 1e-8) -> bool:

@@ -20,7 +20,7 @@ from .core import (
     RngStream,
     digest_inputs,
 )
-from .orlicz import psi_norm
+from .orlicz import psi_norms
 from .selector import draw_selectors
 
 # Default compression constant, fitted by fit_jl_constant() with its
@@ -71,13 +71,10 @@ def rotated_psi2_tail(
         raise InputError("BAD_INPUT", "need at least one rotation")
 
     n = v.size
-    root_n = math.sqrt(n)
-    if operators is not None:
-        mats = operators
-    else:
-        mats = (haar_orthogonal(n, rng.substream(i)) for i in range(rotations))
-    out = [root_n * psi_norm(o @ v, 2.0).value for o in mats]
-    return np.asarray(out)
+    if operators is None:
+        operators = (haar_orthogonal(n, rng.substream(i)) for i in range(rotations))
+    rotated = np.array([o @ v for o in operators]).reshape(-1, n)
+    return math.sqrt(n) * psi_norms(rotated, 2.0).values
 
 
 @dataclass(frozen=True)
@@ -91,7 +88,27 @@ class DistortionReport:
     delta: float | None = None
     target_cardinality: int | None = None
     flags: tuple[str, ...] = ()
-    operator: np.ndarray | None = None
+
+
+def _report(v: np.ndarray, rotated: np.ndarray, subset: CoordinateSubset, psi2_max: float,
+            **extra) -> DistortionReport:
+    """Ratios |P_sigma O f| / |f| from the rows f of v and their rotations O f."""
+    norms_in = np.sqrt(np.mean(v**2, axis=1))
+    if np.any(norms_in == 0):
+        raise InputError("BAD_INPUT", "vectors must be nonzero")
+    if subset.size > 0:
+        sel = rotated[:, subset.zero_based()]
+        norms_out = np.sqrt(np.mean(sel**2, axis=1))
+    else:
+        norms_out = np.zeros(v.shape[0])
+    ratios = norms_out / norms_in
+    return DistortionReport(
+        per_vector_ratio=ratios,
+        max_deviation=float(np.abs(ratios - 1.0).max()),
+        sigma=subset,
+        psi2_max=psi2_max,
+        **extra,
+    )
 
 
 def distortion_report(vectors, operator: np.ndarray, subset: CoordinateSubset) -> DistortionReport:
@@ -102,23 +119,7 @@ def distortion_report(vectors, operator: np.ndarray, subset: CoordinateSubset) -
     """
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     rotated = v @ operator.T
-    norms_in = np.sqrt(np.mean(v**2, axis=1))
-    if np.any(norms_in == 0):
-        raise InputError("BAD_INPUT", "vectors must be nonzero")
-    if subset.size > 0:
-        sel = rotated[:, subset.zero_based()]
-        norms_out = np.sqrt(np.mean(sel**2, axis=1))
-    else:
-        norms_out = np.zeros(v.shape[0])
-    ratios = norms_out / norms_in
-    psi2_max = max(psi_norm(row, 2.0).value for row in rotated)
-    return DistortionReport(
-        per_vector_ratio=ratios,
-        max_deviation=float(np.abs(ratios - 1.0).max()),
-        sigma=subset,
-        psi2_max=psi2_max,
-        operator=np.array(operator, copy=True),
-    )
+    return _report(v, rotated, subset, float(psi_norms(rotated, 2.0).values.max()))
 
 
 def coordinate_jl(
@@ -156,7 +157,7 @@ def coordinate_jl(
 
     o = operator if operator is not None else haar_orthogonal(n, rng.substream(0))
     rotated = v @ o.T
-    m_psi = max(psi_norm(row, 2.0).value for row in rotated)
+    m_psi = float(psi_norms(rotated, 2.0).values.max())
 
     if force_delta is not None:
         delta = float(force_delta)
@@ -171,19 +172,10 @@ def coordinate_jl(
         delta = target / n
 
     draw = draw_selectors(n, delta, rng.substream(1))
-    report = distortion_report(v, o, draw.subset)
     if draw.subset.size == 0:
         flags.append("EMPTY_SUBSET")
-    return DistortionReport(
-        per_vector_ratio=report.per_vector_ratio,
-        max_deviation=report.max_deviation,
-        sigma=report.sigma,
-        psi2_max=report.psi2_max,
-        delta=delta,
-        target_cardinality=target,
-        flags=tuple(flags),
-        operator=report.operator,
-    )
+    return _report(v, rotated, draw.subset, m_psi, delta=delta, target_cardinality=target,
+                   flags=tuple(flags))
 
 
 def scaled_basis(n: int) -> np.ndarray:

@@ -232,6 +232,37 @@ class TestPsiCommand:
         assert rows[0]["psi"] == pytest.approx(3.0, abs=1e-9)
         assert rows[0]["index"] == 1
 
+    @pytest.mark.parametrize("flag,value,code", [
+        ("--p", "nan", "BAD_EXPONENT"),
+        ("--p", "inf", "BAD_EXPONENT"),
+        ("--tol", "nan", "BAD_INPUT"),
+        ("--tol", "inf", "BAD_INPUT"),
+    ])
+    def test_non_finite_arguments_rejected(self, tmp_path, capsys, flag, value, code):
+        path = write_csv(tmp_path / "spike.csv", np.array([[1.0, 0.0]]))
+        assert main(["psi", "--input", path, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == code
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_row_rejected(self, tmp_path, capsys, entry):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"1,2\n3,{entry}\n", encoding="utf-8")
+        assert main(["psi", "--input", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["code"] == "BAD_INPUT"
+
+    def test_extreme_spikes_match_closed_form(self, tmp_path, capsys):
+        # the 1e-300 and 5e307 spikes were once printed far off and as Infinity
+        peaks = [1e-300, 1e-12, 1.0, 1e8, 5e307]
+        data = np.zeros((len(peaks), 2))
+        data[:, 0] = peaks
+        assert main(["psi", "--input", write_csv(tmp_path / "s.csv", data)]) == 0
+        rows = json.loads(capsys.readouterr().out)["results"]["rows"]
+        fill = math.log(2.0 * (math.e - 1.0) + 1.0)
+        for peak, row in zip(peaks, rows):
+            assert row["psi"] == pytest.approx(peak / math.sqrt(fill), rel=1e-9)
+
 
 class TestProjectCommand:
     def test_tail_fields_and_flags(self, tmp_path, capsys):

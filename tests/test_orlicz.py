@@ -2,15 +2,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from coordproj.core import InputError, normalized_lp
 from coordproj.orlicz import (
     psi_norm,
+    psi_norms,
     psi_power_identity_check,
     tail_to_psi2_bound,
 )
+
+# fixed examples keep the tier-1 run reproducible
+_PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
 
 def spike_closed_form(n: int, p: float) -> float:
@@ -74,12 +81,109 @@ class TestPsiNorm:
         assert got == pytest.approx(oracle, rel=1e-9)
 
     def test_rejects_bad_arguments(self):
-        with pytest.raises(InputError):
-            psi_norm(np.ones(3), 0.5)
-        with pytest.raises(InputError):
-            psi_norm(np.ones(3), 2.0, tol=0.0)
+        for p in (0.5, math.nan, math.inf):
+            with pytest.raises(InputError, match="exponent"):
+                psi_norm(np.ones(3), p)
+        for tol in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError, match="tolerance"):
+                psi_norm(np.ones(3), 2.0, tol=tol)
         with pytest.raises(InputError):
             psi_norm(np.zeros(0), 2.0)
+        with pytest.raises(InputError):
+            psi_norm(np.ones((2, 2)), 2.0)
+
+    def test_batch_rejects_non_finite_rows_and_bad_shapes(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="finite"):
+                psi_norms([[1.0, 2.0], [3.0, bad]], 2.0)
+        for shape in ((3,), (2, 0), (1, 2, 2)):
+            with pytest.raises(InputError):
+                psi_norms(np.ones(shape), 2.0)
+
+    def test_batch_zero_rows_and_shared_iterations(self):
+        res = psi_norms([[0.0, 0.0], [1.0, 0.0], [3.0, -3.0]], 2.0)
+        assert res.values[0] == 0.0 and res.residuals[0] == 0.0
+        assert res.values[1] == pytest.approx(spike_closed_form(2, 2.0), rel=1e-9)
+        assert res.values[2] == pytest.approx(3.0, rel=1e-9)
+        assert 0 < res.iterations <= 60
+
+
+_SPIKE_PEAKS = (1e-300, 1e-12, 1.0, 1e8, 1e10, 5e307)
+
+
+class TestPsiKernelProperties:
+    @pytest.mark.parametrize("peak", _SPIKE_PEAKS)
+    @pytest.mark.parametrize("n,p", [(2, 2.0), (3, 1.0), (64, 3.0), (1024, 2.0)])
+    def test_spike_closed_form_at_every_scale(self, peak, n, p):
+        v = np.zeros(n)
+        v[n // 2] = -peak
+        res = psi_norm(v, p)
+        assert res.value == pytest.approx(peak * spike_closed_form(n, p), rel=1e-9)
+        assert res.iterations <= 60
+
+    def test_two_peaks_at_the_top_of_the_float_range(self):
+        # (2 exp(c^2 / lam^2) + 1) / 3 = e; c^2 itself would overflow
+        got = psi_norm([1e308, 1e308, 0.0], 2.0).value
+        assert math.isfinite(got)
+        assert got == pytest.approx(1e308 / math.sqrt(math.log((3.0 * math.e - 1.0) / 2.0)),
+                                    rel=1e-9)
+
+    @_PROPERTY
+    @given(
+        v=arrays(np.float64, st.integers(1, 30),
+                 elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+        exponent=st.floats(-300.0, 300.0),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_scale_equivariance(self, v, exponent, p):
+        assume(np.abs(v).max() >= 1e-3)
+        c = 10.0**exponent
+        assert psi_norm(c * v, p).value == pytest.approx(c * psi_norm(v, p).value, rel=1e-9)
+
+    @_PROPERTY
+    @given(
+        rows=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 40)),
+                    elements=st.floats(-1e300, 1e300)),
+        p=st.floats(1.0, 8.0),
+    )
+    def test_batched_rows_equal_one_row_calls(self, rows, p):
+        batch = psi_norms(rows, p)
+        for i, row in enumerate(rows):
+            one = psi_norm(row, p)
+            assert batch.values[i] == one.value
+            assert batch.residuals[i] == one.residual
+            if one.value > 0.0:
+                assert batch.iterations == one.iterations
+
+    @_PROPERTY
+    @given(
+        n=st.integers(1, 4096),
+        exponent=st.floats(-300.0, 300.0),
+        p=st.floats(1.0, 50.0),
+        log_tol=st.floats(-300.0, -1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_at_most_60_iterations_at_every_scale(self, n, exponent, p, log_tol, seed):
+        v = 10.0**exponent * np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+        v[0] = 10.0**exponent
+        res = psi_norm(v, p, tol=10.0**log_tol)
+        assert res.iterations <= 60
+        assert 0.0 < res.value <= 10.0**exponent
+
+    @_PROPERTY
+    @given(
+        v=arrays(np.float64, st.integers(2, 40),
+                 elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
+        p=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    )
+    def test_agrees_with_brentq_oracle(self, v, p):
+        peak = float(np.abs(v).max())
+        assume(peak >= 1e-3)
+        bottom = peak * spike_closed_form(v.size, p)
+        oracle = brentq(
+            lambda lam: float(np.mean(np.exp((np.abs(v) / lam) ** p))) - math.e,
+            0.5 * bottom, 2.0 * peak, xtol=1e-15 * peak, rtol=1e-15)
+        assert psi_norm(v, p).value == pytest.approx(oracle, rel=1e-9)
 
 
 class TestPsiComparisons:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from coordproj import orlicz, rotation
 from coordproj.core import CoordinateSubset, InputError, RngStream
+from coordproj.orlicz import psi_norm
 from coordproj.rotation import (
     coordinate_jl,
     distortion_report,
@@ -45,7 +47,6 @@ class TestRotatedPsi2:
         x = np.zeros(16)
         x[0] = 1.0
         out = rotated_psi2_tail(x, 1, RngStream(0), operators=[np.eye(16)])
-        from coordproj.orlicz import psi_norm
         assert out[0] == pytest.approx(4.0 * psi_norm(x, 2.0).value)
 
     def test_rotation_flattens_a_spike(self):
@@ -137,6 +138,22 @@ class TestCoordinateJl:
             if rep.max_deviation <= 0.3:
                 hits += 1
         assert hits >= 8
+
+    def test_psi2_of_rotated_rows_computed_once(self, monkeypatch):
+        kernel = orlicz.psi_norms
+        seen = []
+
+        def counting(rows, *args, **kwargs):
+            seen.append(np.shape(rows))
+            return kernel(rows, *args, **kwargs)
+
+        monkeypatch.setattr(orlicz, "psi_norms", counting)
+        monkeypatch.setattr(rotation, "psi_norms", counting)
+        rep = coordinate_jl(scaled_basis(32), 0.3, RngStream(11), c_fit=0.8)
+        assert seen == [(32, 32)]
+        monkeypatch.undo()
+        q = haar_orthogonal(32, RngStream(11).substream(0))
+        assert rep.psi2_max == max(psi_norm(row, 2.0).value for row in scaled_basis(32) @ q.T)
 
     def test_rejects_bad_eps(self):
         with pytest.raises(InputError):
