@@ -2,7 +2,8 @@
 
 Reads vector or function-class data from CSV, runs one experiment per
 subcommand, and writes a JSON report plus optional plot-ready CSV.
-Exit codes: 0 success, 2 validation error, 3 size cap, 4 I/O error.
+Exit codes: 0 success, 2 validation error, 3 size cap, 4 I/O error,
+5 failed certificate.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from .complexity import (
     t_parameter,
     type_infratype_report,
 )
-from .core import CoordinateSubset, FunctionClass, InputError, RngStream, SizeCapError
+from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError,
+                   RngStream, SizeCapError)
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
@@ -38,6 +40,7 @@ _EXIT_OK = 0
 _EXIT_VALIDATION = 2
 _EXIT_SIZE_CAP = 3
 _EXIT_IO = 4
+_EXIT_CERTIFICATE = 5
 
 
 # ---------------------------------------------------------------- formatting
@@ -425,9 +428,6 @@ def _add_common(sp):
     sp.add_argument("--csv-out", default=None, help="write plot-ready CSV here")
     sp.add_argument("--deterministic", action="store_true",
                     help="omit wall-clock timing from the report")
-    sp.add_argument("--threads", type=int, default=1,
-                    help="thread cap; 1 is the reference path (and the only "
-                         "one currently implemented)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -548,11 +548,6 @@ def run(args) -> dict:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads < 1:
-        print(render_report({"error": {"code": "BAD_THREADS",
-                                       "message": "--threads must be >= 1"}}),
-              file=sys.stderr, end="")
-        return _EXIT_VALIDATION
     try:
         report = run(args)
         text = render_report(report)
@@ -566,6 +561,8 @@ def main(argv=None) -> int:
         code, message, exit_code = exc.code, str(exc), _EXIT_VALIDATION
     except SizeCapError as exc:
         code, message, exit_code = "SIZE_CAP", str(exc), _EXIT_SIZE_CAP
+    except CertificateError as exc:
+        code, message, exit_code = exc.code, str(exc), _EXIT_CERTIFICATE
     except OSError as exc:
         code, message, exit_code = "IO", str(exc), _EXIT_IO
     print(render_report({"error": {"code": code, "message": message}}),

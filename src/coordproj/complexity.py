@@ -25,32 +25,15 @@ from .core import (
     as_vector,
     banach_norm,
     digest_inputs,
+    mean_and_se,
+    monte_carlo,
 )
 from .shatter import vc_dimension
-
-__all__ = [
-    "ComplexityEstimate",
-    "SignMinimumResult",
-    "TParameterResult",
-    "TypeComparisonRow",
-    "TypeInfratypeReport",
-    "EntropyIntegralAudit",
-    "gaussian_complexity",
-    "rademacher_complexity",
-    "ell_parameter",
-    "t_parameter",
-    "min_sign_norm",
-    "type_infratype_report",
-    "entropy_integral_audit",
-    "fit_gaussian_rademacher_ratio",
-]
 
 _MIN_TRIALS = 100
 _EXHAUSTIVE_TUPLE_CAP = 100_000
 _EXACT_SIGN_CAP = 24
 _SIGN_CHUNK = 1 << 16
-# rows per weight block; fixed function of the shape so reruns chunk alike
-_BLOCK_SCALARS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -138,26 +121,12 @@ def _draw_weights(gen, rows, cols, kind):
 def _sup_average(values, trials, gen, kind):
     """Mean and standard error of sup_f |sum_i w_i f(i)| over random weights."""
     m, k = values.shape
-    if k == 0 or m == 0:
+    if k == 0:
         return 0.0, 0.0
-    rows = max(1, _BLOCK_SCALARS // max(1, m))
-    total = 0.0
-    total_sq = 0.0
-    done = 0
     vt = values.T
-    while done < trials:
-        r = min(rows, trials - done)
-        w = _draw_weights(gen, r, k, kind)
-        sups = np.abs(w @ vt).max(axis=1)
-        total += float(sups.sum())
-        total_sq += float((sups * sups).sum())
-        done += r
-    mean = total / trials
-    if trials > 1:
-        var = max(0.0, (total_sq - trials * mean * mean) / (trials - 1))
-    else:
-        var = 0.0
-    return mean, math.sqrt(var / trials)
+    total, total_sq = monte_carlo(
+        trials, m, lambda rows: np.abs(_draw_weights(gen, rows, k, kind) @ vt).max(axis=1))
+    return mean_and_se(total, total_sq, trials)
 
 
 def _project_columns(F, sigma):
@@ -201,20 +170,10 @@ def _complexity(F, sigma, trials, rng, kind):
     return ComplexityEstimate(mean=mean, std_error=se, trials=trials, kind=kind)
 
 
-def _tuple_weights(gen, trials, k, kind):
-    # drawn column-major so the first k columns coincide across nested k
-    if kind == "gaussian":
-        return gen.standard_normal((k, trials)).T
-    return gen.integers(0, 2, size=(k, trials)).T.astype(np.float64) * 2.0 - 1.0
-
-
 def _tuple_mean(values, tup, weights):
     cols = values[:, list(tup)]
     sups = np.abs(weights @ cols.T).max(axis=1)
-    mean = float(sups.mean())
-    n = sups.size
-    se = float(sups.std(ddof=1)) / math.sqrt(n) if n > 1 else 0.0
-    return mean, se
+    return mean_and_se(float(sups.sum()), float((sups * sups).sum()), sups.size)
 
 
 def _tuple_mean_exact_signs(values, tup):
@@ -249,8 +208,6 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
         raise InputError("BAD_K", f"k must be a positive integer, got {k}")
     k = int(k)
     n = F.n
-    if F.m == 0 or n == 0:
-        return ComplexityEstimate(0.0, 0.0, trials, kind, method="exhaustive", support=())
     values = F.values
     exact = bool(exact_signs) and kind == "rademacher" and (1 << k) * max(1, F.m) <= 1 << 22
 
@@ -259,8 +216,9 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
             return _tuple_mean_exact_signs(values, tup)
         return _tuple_mean(values, tup, weights)
 
+    # weights are drawn k-by-trials so the first k columns coincide across nested k
     if math.comb(n + k - 1, k) <= exhaustive_cap:
-        weights = None if exact else _tuple_weights(rng.generator(), trials, k, kind)
+        weights = None if exact else _draw_weights(rng.generator(), k, trials, kind).T
         best = None
         for tup in itertools.combinations_with_replacement(range(n), k):
             mean, se = score(tup, weights)
@@ -272,7 +230,7 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
 
     # greedy coordinate ascent from a deterministic start plus random restarts
     gen = rng.generator()
-    weights = None if exact else _tuple_weights(rng.substream(0).generator(), trials, k, kind)
+    weights = None if exact else _draw_weights(rng.substream(0).generator(), k, trials, kind).T
     peak = int(np.argmax(np.abs(values).max(axis=0)))
     starts = [tuple([peak] * k)]
     for _ in range(max(0, restarts - 1)):
@@ -342,13 +300,6 @@ def _stack_unit_rows(vectors):
     return np.vstack(rows)
 
 
-def _batch_norms(sums, norm):
-    if norm == "sup":
-        return np.abs(sums).max(axis=1)
-    p = float(norm)
-    return (np.abs(sums) ** p).sum(axis=1) ** (1.0 / p)
-
-
 def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
                   max_exact=_EXACT_SIGN_CAP, restarts=16):
     """Minimizes ||sum_i eta_i v_i|| over sign choices eta_i = +-1.
@@ -365,7 +316,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
     x = _stack_unit_rows(vectors)
     count = x.shape[0]
     if count == 1:
-        return SignMinimumResult(float(banach_norm(x[0], norm)), (1,), mode)
+        return SignMinimumResult(banach_norm(x[0], norm), (1,), mode)
     if mode == "exact":
         if count > max_exact:
             raise SizeCapError(
@@ -379,7 +330,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
             hi = min(lo + _SIGN_CHUNK, 1 << (count - 1))
             idx = np.arange(lo, hi, dtype=np.int64)
             signs = ((idx[:, None] >> bits) & 1) * 2.0 - 1.0
-            vals = _batch_norms(x[0] + signs @ rest, norm)
+            vals = banach_norm(x[0] + signs @ rest, norm)
             j = int(np.argmin(vals))
             if vals[j] < best_val:
                 best_val = float(vals[j])
@@ -391,7 +342,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
     if rng is None:
         rng = RngStream(0)
     gen = rng.generator()
-    row_norms = _batch_norms(x, norm)
+    row_norms = banach_norm(x, norm)
     orders = [tuple(np.argsort(-row_norms, kind="stable").tolist())]
     for _ in range(max(0, restarts - 1)):
         orders.append(tuple(gen.permutation(count).tolist()))
@@ -406,13 +357,13 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
             s = 1.0 if plus <= minus else -1.0
             signs[i] = s
             total = total + s * x[i]
-        val = float(banach_norm(total, norm))
+        val = banach_norm(total, norm)
         improved = True
         while improved:
             improved = False
             for i in range(count):
                 cand = total - 2.0 * signs[i] * x[i]
-                cval = float(banach_norm(cand, norm))
+                cval = banach_norm(cand, norm)
                 if cval < val - 1e-15:
                     total = cand
                     signs[i] = -signs[i]
@@ -451,28 +402,17 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         raise InputError("BAD_RNG", "an RngStream is required")
     x = _stack_unit_rows(vectors)
     n = x.shape[0]
-    for i in range(n):
-        if banach_norm(x[i], norm) > 1.0 + 1e-9:
-            raise InputError("BAD_INPUT", f"vector {i + 1} lies outside the unit ball")
+    outside = np.flatnonzero(banach_norm(x, norm) > 1.0 + 1e-9)
+    if outside.size:
+        raise InputError("BAD_INPUT", f"vector {outside[0] + 1} lies outside the unit ball")
     grid = [float(d) for d in delta_grid]
     if not grid or any(not (0.0 < d <= 1.0) for d in grid) or grid != sorted(grid):
         raise InputError("BAD_GRID", "delta_grid must be increasing fractions in (0, 1]")
 
     gen_w = rng.substream(0).generator()
-    done = 0
-    total = 0.0
-    total_sq = 0.0
-    rows_per = max(1, _BLOCK_SCALARS // max(1, x.shape[1]))
-    while done < trials:
-        r = min(rows_per, trials - done)
-        sums = gen_w.standard_normal((r, n)) @ x
-        vals = _batch_norms(sums, norm)
-        total += float(vals.sum())
-        total_sq += float((vals * vals).sum())
-        done += r
-    e_mean = total / trials
-    var = max(0.0, (total_sq - trials * e_mean * e_mean) / (trials - 1)) if trials > 1 else 0.0
-    e_se = math.sqrt(var / trials)
+    total, total_sq = monte_carlo(
+        trials, x.shape[1], lambda rows: banach_norm(gen_w.standard_normal((rows, n)) @ x, norm))
+    e_mean, e_se = mean_and_se(total, total_sq, trials)
 
     gen_s = rng.substream(1).generator()
     flags = set()
@@ -525,8 +465,6 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
         raise InputError("BAD_RNG", "an RngStream is required")
     if int(grid_points) != grid_points or grid_points < 2:
         raise InputError("BAD_GRID", f"grid_points must be an integer >= 2, got {grid_points}")
-    if F.m == 0 or F.n == 0:
-        raise InputError("BAD_CLASS", "the class must be nonempty")
     if float(np.abs(F.values).max()) > 1.0 + 1e-12:
         raise InputError("BAD_CLASS", "class values must be bounded by 1")
     n = F.n

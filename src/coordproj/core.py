@@ -9,6 +9,7 @@ normalized by n, so constants stay dimension-free.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,12 @@ class SizeCapError(CoordprojError, RuntimeError):
     def __init__(self, message: str, cost_estimate: float | None = None):
         super().__init__(message)
         self.cost_estimate = cost_estimate
+
+
+class CertificateError(CoordprojError, RuntimeError):
+    """A computed certificate failed its independent check."""
+
+    code = "CERTIFICATE"
 
 
 def as_vector(x) -> np.ndarray:
@@ -167,20 +174,31 @@ def normalized_lp(f, p: float) -> float:
     v = as_vector(f)
     if v.size == 0:
         raise InputError("DIMENSION", "empty vector has no normalized L_p norm")
-    if p < 1:
-        raise InputError("BAD_EXPONENT", f"exponent must satisfy p >= 1, got {p}")
+    _check_exponent(p)
     return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
 
 
-def banach_norm(v, norm="sup") -> float:
-    """Unnormalized vector norm: "sup" or a p-norm exponent >= 1."""
-    w = np.asarray(v, dtype=float)
+def _check_exponent(p: float) -> None:
+    # also rejects nan; inf would collapse every norm to 1
+    if not 1.0 <= p < math.inf:
+        raise InputError("BAD_EXPONENT", f"exponent must be finite and >= 1, got {p}")
+
+
+def banach_norm(v, norm="sup"):
+    """Unnormalized norm over the last axis: "sup" or a p-norm exponent >= 1.
+
+    A vector gives a float; a stack of vectors gives an array of norms.
+    """
+    w = np.abs(np.asarray(v, dtype=float))
+    if w.ndim == 0 or w.shape[-1] == 0:
+        raise InputError("DIMENSION", "a norm needs a nonempty vector")
     if norm == "sup":
-        return float(np.abs(w).max())
-    p = float(norm)
-    if p < 1:
-        raise InputError("BAD_EXPONENT", f"norm exponent must be >= 1, got {p}")
-    return float(np.sum(np.abs(w) ** p) ** (1.0 / p))
+        out = w.max(axis=-1)
+    else:
+        p = float(norm)
+        _check_exponent(p)
+        out = np.sum(w**p, axis=-1) ** (1.0 / p)
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def project_class(F: FunctionClass, sigma: CoordinateSubset) -> FunctionClass:
@@ -192,6 +210,37 @@ def project_class(F: FunctionClass, sigma: CoordinateSubset) -> FunctionClass:
             "DIMENSION", f"subset lives on {sigma.ambient_n} points, class has {F.n}"
         )
     return FunctionClass(F.values[:, sigma.zero_based()], bounded_by_one=F.bounded_by_one)
+
+
+# trials per Monte-Carlo block are _BLOCK_SCALARS // width, a fixed function
+# of the shape, so reruns at one seed cut the same blocks
+_BLOCK_SCALARS = 2_000_000
+
+
+def monte_carlo(trials: int, width: int, block) -> tuple[float, float]:
+    """Sum and sum of squares of a per-trial statistic over `trials` trials.
+
+    `block(rows)` runs `rows` fresh trials and returns their statistics.
+    It is called in order on blocks of at most _BLOCK_SCALARS // width
+    rows, `width` being the scalars one trial holds in memory; a block
+    that draws from one sequential generator therefore sees the same
+    stream as a single unblocked draw.
+    """
+    rows = max(1, _BLOCK_SCALARS // max(1, width))
+    total = 0.0
+    total_sq = 0.0
+    for start in range(0, trials, rows):
+        stats = block(min(rows, trials - start))
+        total += float(stats.sum())
+        total_sq += float((stats * stats).sum())
+    return total, total_sq
+
+
+def mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:
+    """Sample mean and its standard error from a sum and a sum of squares."""
+    mean = total / n
+    var = max(0.0, (total_sq - n * mean * mean) / (n - 1)) if n > 1 else 0.0
+    return mean, math.sqrt(var / n)
 
 
 @dataclass(frozen=True)

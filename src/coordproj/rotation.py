@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    CertificateError,
     CoordinateSubset,
     FittedConstant,
     InputError,
@@ -34,7 +35,8 @@ def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
 
     QR of a standard Gaussian matrix with column signs corrected so the
     triangular factor has positive diagonal; orthogonality is verified to
-    1e-10 per entry before returning.
+    1e-10 per entry before returning, and CertificateError is raised when
+    eight draws all fail that check.
     """
     if n < 1:
         raise InputError("DIMENSION", "need n >= 1")
@@ -48,7 +50,7 @@ def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
         q = q * d
         if np.abs(q.T @ q - np.eye(n)).max() <= 1e-10:
             return q
-    raise RuntimeError("could not draw a numerically orthogonal matrix")
+    raise CertificateError("could not draw a numerically orthogonal matrix in 8 attempts")
 
 
 def rotated_psi2_tail(

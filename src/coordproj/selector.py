@@ -14,11 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CoordinateSubset, InputError, RngStream, as_vector
+from .core import CoordinateSubset, InputError, RngStream, as_vector, monte_carlo
 from .orlicz import psi_norm
-
-# fixed MC chunk size (in scalar draws) so results are bit-reproducible
-_CHUNK_SCALARS = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -207,18 +204,14 @@ def tail_experiment(a, delta: float, t: float, trials: int, rng: RngStream) -> T
 
     gen = rng.generator()
     shift = delta * v.sum()
-    chunk_rows = max(1, _CHUNK_SCALARS // n)
-    pos = 0
-    two = 0
-    done = 0
-    while done < trials:
-        rows = min(chunk_rows, trials - done)
-        z = (gen.random((rows, n)) < delta) @ v - shift
-        pos += int((z > tau).sum())
-        two += int((np.abs(z) > tau).sum())
-        done += rows
 
-    empirical = pos / trials
+    def exceed(rows):
+        # +1 above tau, -1 below -tau: the sum of squares counts both tails
+        z = (gen.random((rows, n)) < delta) @ v - shift
+        return (z > tau).astype(float) - (z < -tau)
+
+    signed, two = monte_carlo(trials, n, exceed)
+    empirical = (signed + two) / 2.0 / trials
     two_sided = two / trials
     exact = exact_tail_probability(v, delta, tau)
     bound = chernoff_tail_bound(v, delta, t)
@@ -263,16 +256,14 @@ def almost_isometry_experiment(f, delta: float, eps: float, trials: int, rng: Rn
     lo2 = ((1.0 - eps) * full) ** 2
     hi2 = ((1.0 + eps) * full) ** 2
     gen = rng.generator()
-    chunk_rows = max(1, _CHUNK_SCALARS // n)
-    hits = 0
-    done = 0
-    while done < trials:
-        rows = min(chunk_rows, trials - done)
+
+    def hit(rows):
         mask = gen.random((rows, n)) < delta
         k = mask.sum(axis=1)
         nonempty = k > 0
         mean_sq = np.zeros(rows)
         mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
-        hits += int(np.count_nonzero(nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)))
-        done += rows
+        return nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)
+
+    hits, _ = monte_carlo(trials, n, hit)
     return hits / trials

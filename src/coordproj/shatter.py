@@ -25,6 +25,7 @@ from scipy.optimize import linprog
 from scipy.sparse import coo_matrix
 
 from .core import (
+    CertificateError,
     CoordinateSubset,
     FunctionClass,
     InputError,
@@ -81,7 +82,8 @@ def is_shattered(
 
     Exact backtracking over pattern-to-function assignments, patterns
     ordered by descending +1 count, pruning on the running per-coordinate
-    high/low envelopes.
+    high/low envelopes. A found witness is checked by substitution before
+    it is returned; CertificateError is raised if it fails.
     """
     if t <= 0:
         raise InputError("BAD_INPUT", f"shattering scale must be positive, got {t}")
@@ -172,7 +174,8 @@ def is_shattered(
         assignment={pat: assign[i] for i, pat in enumerate(pats)},
         scale=float(t),
     )
-    assert verify_witness(F, witness, tol=1e-12)
+    if not verify_witness(F, witness, tol=1e-12):
+        raise CertificateError("backtracking witness failed substitution")
     return witness
 
 
@@ -290,9 +293,8 @@ def l1_domination(
     if not np.all(np.isfinite(x)):
         raise InputError("BAD_INPUT", "points must be finite")
     count, dim = x.shape
-    for row in x:
-        if banach_norm(row, norm) > 1.0 + 1e-9:
-            raise InputError("BAD_INPUT", "points must lie in the unit ball of the chosen norm")
+    if np.any(banach_norm(x, norm) > 1.0 + 1e-9):
+        raise InputError("BAD_INPUT", "points must lie in the unit ball of the chosen norm")
 
     if mode == "exact":
         if norm != "sup":
@@ -374,8 +376,10 @@ def vc_convex_hull(
     Variables: the level h(x) per point, a simplex weight vector per sign
     pattern, and a common margin s which the LP maximizes; sigma is
     shattered at scale t iff the optimal margin reaches t (within
-    feas_tol).  Raising max_sigma past the default is supported but the
-    LP grows as 2^|sigma| * |F|.
+    feas_tol).  The witness of a reached margin is checked by
+    substitution, and CertificateError is raised if it fails.  Raising
+    max_sigma past the default is supported but the LP grows as
+    2^|sigma| * |F|.
     """
     if t <= 0:
         raise InputError("BAD_INPUT", f"shattering scale must be positive, got {t}")
@@ -452,7 +456,7 @@ def vc_convex_hull(
         sigma=sigma, level=level, assignment=assignment, scale=float(t), margin=margin
     )
     if not verify_witness(F, witness, tol=10.0 * feas_tol):
-        return None
+        raise CertificateError(f"hull LP witness at margin {margin!r} failed substitution")
     return witness
 
 

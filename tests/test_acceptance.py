@@ -234,8 +234,8 @@ def test_type_comparison_desk_scale():
 
 
 def test_cli_determinism(tmp_path):
-    # repeated invocations with one thread and a fixed seed emit
-    # byte-identical reports, through the real process entry point
+    # repeated invocations with a fixed seed emit byte-identical
+    # reports, through the real process entry point
     start = time.perf_counter()
     basis = np.sqrt(32.0) * np.eye(32)
     path = tmp_path / "basis.csv"
@@ -244,9 +244,9 @@ def test_cli_determinism(tmp_path):
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
     commands = [
         ["jl", "--input", str(path), "--eps", "0.3", "--seed", "7",
-         "--deterministic", "--threads", "1"],
+         "--deterministic"],
         ["complexity", "--input", str(path), "--trials", "300", "--seed", "7",
-         "--eps", "2.0", "--kmax", "2", "--deterministic", "--threads", "1"],
+         "--eps", "2.0", "--kmax", "2", "--deterministic"],
     ]
     for argv in commands:
         runs = [

@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from coordproj import __version__
+from coordproj import __version__, shatter
 from coordproj.cli import (
     DEFAULT_SEED,
     build_parser,
@@ -129,16 +129,30 @@ class TestExitCodes:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "IO"
 
-    def test_bad_threads(self, vec_csv, capsys):
-        code = main(["psi", "--input", vec_csv, "--threads", "0"])
-        assert code == 2
-        err = json.loads(capsys.readouterr().err)
-        assert err["error"]["code"] == "BAD_THREADS"
-
     def test_argparse_rejects_unknown_flag(self, vec_csv):
         with pytest.raises(SystemExit) as exc:
             main(["psi", "--input", vec_csv, "--bogus"])
         assert exc.value.code == 2
+
+    def test_threads_flag_removed(self, vec_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["psi", "--input", vec_csv, "--threads", "1"])
+        assert exc.value.code == 2
+
+    def test_failed_certificate(self, sign_csv, capsys, monkeypatch):
+        monkeypatch.setattr(shatter, "verify_witness", lambda *a, **k: False)
+        code = main(["shatter", "--input", sign_csv, "--t", "0.5"])
+        assert code == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "CERTIFICATE"
+
+    @pytest.mark.parametrize("norm", ["nan", "inf"])
+    def test_non_finite_norm_rejected(self, tmp_path, capsys, norm):
+        path = write_csv(tmp_path / "eye.csv", np.eye(4))
+        code = main(["typecmp", "--input", path, "--norm", norm, "--trials", "100"])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "BAD_EXPONENT"
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -177,7 +191,7 @@ class TestSeedResolution:
 class TestDeterminism:
     def test_byte_identical_reports(self, sign_csv, capsys):
         argv = ["complexity", "--input", sign_csv, "--trials", "300",
-                "--seed", "11", "--deterministic", "--threads", "1"]
+                "--seed", "11", "--deterministic"]
         main(argv)
         first = capsys.readouterr().out
         main(argv)

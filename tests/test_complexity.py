@@ -197,6 +197,15 @@ class TestEllParameter:
         with pytest.raises(InputError):
             ell_parameter(F, 2, trials=200, rng=None)
 
+    def test_unknown_kind_rejected(self):
+        # exhaustive and greedy tuple searches both draw through the shared sampler
+        F = sign_class(2)
+        for cap in (100_000, 1):
+            with pytest.raises(InputError) as exc:
+                ell_parameter(F, 2, trials=200, rng=RngStream(0), kind="bogus",
+                              exhaustive_cap=cap)
+            assert exc.value.code == "BAD_KIND"
+
 
 class TestConvexHullInvariance:
     def test_midpoints_never_change_the_sup(self):
@@ -266,6 +275,9 @@ class TestTParameter:
             t_parameter(F, 0.0, 2, trials=200, rng=RngStream(0))
         with pytest.raises(InputError):
             t_parameter(F, 0.5, 0, trials=200, rng=RngStream(0))
+        with pytest.raises(InputError) as exc:
+            t_parameter(F, 0.5, 2, trials=200, rng=RngStream(0), kind="bogus")
+        assert exc.value.code == "BAD_KIND"
 
 
 class TestMinSignNorm:
@@ -419,6 +431,16 @@ class TestTypeInfratypeReport:
             type_infratype_report(np.eye(3), trials=200, rng=None)
         with pytest.raises(InputError):
             type_infratype_report(np.eye(3), trials=10, rng=RngStream(0))
+        for norm in (float("nan"), float("inf")):
+            with pytest.raises(InputError) as exc:
+                type_infratype_report(np.eye(3), norm=norm, trials=200, rng=RngStream(0))
+            assert exc.value.code == "BAD_EXPONENT"
+
+    def test_names_first_vector_outside_the_ball(self):
+        vecs = np.eye(4)
+        vecs[2, 0] = vecs[3, 1] = 1.0
+        with pytest.raises(InputError, match="vector 3 "):
+            type_infratype_report(vecs, trials=200, rng=RngStream(0))
 
 
 class TestEntropyIntegralAudit:

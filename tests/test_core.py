@@ -1,7 +1,13 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coordproj import core
 from coordproj.core import (
+    CertificateError,
     CoordinateSubset,
     FunctionClass,
     InputError,
@@ -10,6 +16,8 @@ from coordproj.core import (
     as_vector,
     banach_norm,
     digest_inputs,
+    mean_and_se,
+    monte_carlo,
     normalized_lp,
     project,
     project_class,
@@ -122,8 +130,10 @@ def test_normalized_lp_oracles():
     # mean-power form: ((9 + 16)/2)^(1/2)
     assert normalized_lp(v, 2.0) == pytest.approx(np.sqrt(12.5))
     assert normalized_lp(v, 1.0) == pytest.approx(3.5)
-    with pytest.raises(InputError):
-        normalized_lp(v, 0.5)
+    for p in (0.5, math.nan, math.inf):
+        with pytest.raises(InputError) as exc:
+            normalized_lp(v, p)
+        assert exc.value.code == "BAD_EXPONENT"
 
 
 def test_banach_norm_oracles():
@@ -131,8 +141,28 @@ def test_banach_norm_oracles():
     assert banach_norm(v, "sup") == 4.0
     assert banach_norm(v, 2.0) == pytest.approx(5.0)
     assert banach_norm(v, 1.0) == pytest.approx(7.0)
-    with pytest.raises(InputError):
-        banach_norm(v, 0.25)
+    for p in (0.25, math.nan, math.inf):
+        with pytest.raises(InputError) as exc:
+            banach_norm(v, p)
+        assert exc.value.code == "BAD_EXPONENT"
+
+
+@pytest.mark.parametrize("norm", ["sup", 1.0, 2.0, 3.5])
+def test_banach_norm_reduces_the_last_axis(norm):
+    rows = np.random.default_rng(3).standard_normal((2, 5, 7))
+    batch = banach_norm(rows, norm)
+    assert batch.shape == (2, 5)
+    for idx in np.ndindex(2, 5):
+        assert batch[idx] == banach_norm(rows[idx], norm)
+    assert isinstance(banach_norm(rows[0, 0], norm), float)
+
+
+@pytest.mark.parametrize("empty", [[], np.zeros((3, 0)), 1.0])
+def test_banach_norm_needs_a_nonempty_vector(empty):
+    for norm in ("sup", 2.0):
+        with pytest.raises(InputError) as exc:
+            banach_norm(empty, norm)
+        assert exc.value.code == "DIMENSION"
 
 
 def test_digest_sensitive_to_values_and_shape():
@@ -148,3 +178,55 @@ def test_error_types_carry_codes():
     cap = SizeCapError("too big", cost_estimate=1e9)
     assert isinstance(cap, RuntimeError) and cap.code == "SIZE_CAP"
     assert cap.cost_estimate == 1e9
+    cert = CertificateError("witness failed")
+    assert isinstance(cert, RuntimeError) and cert.code == "CERTIFICATE"
+
+
+_DRAWS = {
+    "uniform": lambda gen, rows, width: gen.random((rows, width)),
+    "normal": lambda gen, rows, width: gen.standard_normal((rows, width)),
+    "signs": lambda gen, rows, width: gen.integers(0, 2, size=(rows, width)) * 2 - 1,
+}
+
+
+@given(
+    trials=st.integers(1, 400),
+    width=st.integers(1, 12),
+    block_scalars=st.integers(1, 64),
+    kind=st.sampled_from(sorted(_DRAWS)),
+)
+def test_monte_carlo_blocks_match_one_unblocked_draw(trials, width, block_scalars, kind):
+    draw = _DRAWS[kind]
+    gen = np.random.default_rng(17)
+    seen = []
+
+    def block(rows):
+        stats = draw(gen, rows, width).sum(axis=1)
+        seen.append(stats)
+        return stats
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(core, "_BLOCK_SCALARS", block_scalars)
+        total, total_sq = monte_carlo(trials, width, block)
+    full_rows = max(1, block_scalars // width)
+    assert all(s.size == full_rows for s in seen[:-1]) and 0 < seen[-1].size <= full_rows
+    stats = draw(np.random.default_rng(17), trials, width).sum(axis=1)
+    assert np.array_equal(np.concatenate(seen), stats)
+    assert total == pytest.approx(float(stats.sum()), rel=1e-12, abs=1e-9)
+    assert total_sq == pytest.approx(float((stats * stats).sum()), rel=1e-12)
+
+
+@given(x=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))
+def test_mean_and_se_match_numpy(x):
+    a = np.asarray(x)
+    n = a.size
+    total_sq = float((a * a).sum())
+    mean, se = mean_and_se(float(a.sum()), total_sq, n)
+    assert mean == pytest.approx(float(np.mean(a)), rel=1e-12, abs=1e-300)
+    ref = float(np.std(a, ddof=1)) / math.sqrt(n)
+    # the sum-of-squares form rounds its variance by a few ulps of total_sq / (n - 1)
+    assert abs(se**2 - ref**2) <= 1e-12 * ref**2 + 1e-14 * total_sq / ((n - 1) * n)
+
+
+def test_mean_and_se_single_sample():
+    assert mean_and_se(3.0, 9.0, 1) == (3.0, 0.0)

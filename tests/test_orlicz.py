@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.integrate import quad
@@ -15,9 +15,6 @@ from coordproj.orlicz import (
     psi_power_identity_check,
     tail_to_psi2_bound,
 )
-
-# fixed examples keep the tier-1 run reproducible
-_PROPERTY = settings(deadline=None, derandomize=True, max_examples=150)
 
 
 def spike_closed_form(n: int, p: float) -> float:
@@ -128,7 +125,6 @@ class TestPsiKernelProperties:
         assert got == pytest.approx(1e308 / math.sqrt(math.log((3.0 * math.e - 1.0) / 2.0)),
                                     rel=1e-9)
 
-    @_PROPERTY
     @given(
         v=arrays(np.float64, st.integers(1, 30),
                  elements=st.floats(-10.0, 10.0, allow_subnormal=False)),
@@ -140,7 +136,6 @@ class TestPsiKernelProperties:
         c = 10.0**exponent
         assert psi_norm(c * v, p).value == pytest.approx(c * psi_norm(v, p).value, rel=1e-9)
 
-    @_PROPERTY
     @given(
         rows=arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 40)),
                     elements=st.floats(-1e300, 1e300)),
@@ -155,7 +150,6 @@ class TestPsiKernelProperties:
             if one.value > 0.0:
                 assert batch.iterations == one.iterations
 
-    @_PROPERTY
     @given(
         n=st.integers(1, 4096),
         exponent=st.floats(-300.0, 300.0),
@@ -170,7 +164,6 @@ class TestPsiKernelProperties:
         assert res.iterations <= 60
         assert 0.0 < res.value <= 10.0**exponent
 
-    @_PROPERTY
     @given(
         v=arrays(np.float64, st.integers(2, 40),
                  elements=st.floats(-10.0, 10.0, allow_subnormal=False)),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from coordproj import orlicz, rotation
-from coordproj.core import CoordinateSubset, InputError, RngStream
+from coordproj.core import CertificateError, CoordinateSubset, InputError, RngStream
 from coordproj.orlicz import psi_norm
 from coordproj.rotation import (
     coordinate_jl,
@@ -36,6 +36,11 @@ class TestHaarOrthogonal:
             q = haar_orthogonal(n, RngStream(5, i))
             acc += q[0, 0] ** 2
         assert acc / draws == pytest.approx(1.0 / n, abs=0.02)
+
+    def test_non_orthogonal_draws_raise(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", lambda g: (2.0 * np.eye(len(g)), np.eye(len(g))))
+        with pytest.raises(CertificateError):
+            haar_orthogonal(3, RngStream(1))
 
     def test_rejects_bad_n(self):
         with pytest.raises(InputError):

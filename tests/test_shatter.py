@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import hadamard
 
+from coordproj import shatter
 from coordproj.core import (
+    CertificateError,
     CoordinateSubset,
     FunctionClass,
     InputError,
@@ -107,6 +109,13 @@ class TestIsShattered:
         crowd = FunctionClass(np.ones((65, 2)))
         with pytest.raises(SizeCapError):
             is_shattered(crowd, CoordinateSubset((1,), 2), 0.5)
+
+    def test_failed_witness_raises(self, monkeypatch):
+        # the check must survive python -O, so it cannot be an assert
+        monkeypatch.setattr(shatter, "verify_witness", lambda *a, **k: False)
+        with pytest.raises(CertificateError) as exc:
+            is_shattered(sign_class(3), full_subset(3), 1.0)
+        assert exc.value.code == "CERTIFICATE"
 
 
 class TestVcDimension:
@@ -240,6 +249,13 @@ class TestVcConvexHull:
         assert w.margin >= 1.0 - 1e-9
         assert verify_witness(F, w, tol=1e-6)
         assert vc_convex_hull(F, full_subset(3), 1.0 + 1e-6) is None
+
+    def test_failed_witness_raises(self, monkeypatch):
+        # a witness failing substitution is an error, not "not shattered"
+        monkeypatch.setattr(shatter, "verify_witness", lambda *a, **k: False)
+        with pytest.raises(CertificateError):
+            vc_convex_hull(sign_class(3), full_subset(3), 1.0)
+        assert vc_convex_hull(sign_class(3), full_subset(3), 1.0 + 1e-6) is None
 
     def test_weight_vectors_on_simplex(self):
         F = sign_class(2)
