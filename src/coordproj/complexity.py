@@ -18,7 +18,6 @@ import numpy as np
 from .core import (
     CoordinateSubset,
     FittedConstant,
-    FunctionClass,
     InputError,
     RngStream,
     SizeCapError,
@@ -27,6 +26,7 @@ from .core import (
     digest_inputs,
     mean_and_se,
     monte_carlo,
+    sign_patterns,
 )
 from .shatter import vc_dimension
 
@@ -176,16 +176,6 @@ def _tuple_mean(values, tup, weights):
     return mean_and_se(float(sups.sum()), float((sups * sups).sum()), sups.size)
 
 
-def _tuple_mean_exact_signs(values, tup):
-    """Exact Rademacher mean over all sign patterns for one tuple."""
-    k = len(tup)
-    cols = values[:, list(tup)]
-    idx = np.arange(1 << k, dtype=np.uint32)
-    signs = (((idx[:, None] >> np.arange(k)) & 1) * 2.0 - 1.0)
-    sups = np.abs(signs @ cols.T).max(axis=1)
-    return float(sups.mean()), 0.0
-
-
 def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
                   exhaustive_cap=_EXHAUSTIVE_TUPLE_CAP, restarts=4, exact_signs=False):
     """Estimates ell_k(F): the largest k-point weighted-sup average.
@@ -212,13 +202,13 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
     exact = bool(exact_signs) and kind == "rademacher" and (1 << k) * max(1, F.m) <= 1 << 22
 
     def score(tup, weights):
-        if exact:
-            return _tuple_mean_exact_signs(values, tup)
-        return _tuple_mean(values, tup, weights)
+        # the 2^k sign patterns are the whole Rademacher law, so an exact mean has no error
+        mean, se = _tuple_mean(values, tup, weights)
+        return mean, 0.0 if exact else se
 
     # weights are drawn k-by-trials so the first k columns coincide across nested k
     if math.comb(n + k - 1, k) <= exhaustive_cap:
-        weights = None if exact else _draw_weights(rng.generator(), k, trials, kind).T
+        weights = sign_patterns(k) if exact else _draw_weights(rng.generator(), k, trials, kind).T
         best = None
         for tup in itertools.combinations_with_replacement(range(n), k):
             mean, se = score(tup, weights)
@@ -230,7 +220,8 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
 
     # greedy coordinate ascent from a deterministic start plus random restarts
     gen = rng.generator()
-    weights = None if exact else _draw_weights(rng.substream(0).generator(), k, trials, kind).T
+    weights = (sign_patterns(k) if exact
+               else _draw_weights(rng.substream(0).generator(), k, trials, kind).T)
     peak = int(np.argmax(np.abs(values).max(axis=0)))
     starts = [tuple([peak] * k)]
     for _ in range(max(0, restarts - 1)):
@@ -323,19 +314,17 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
                 f"exact sign search over {count} vectors needs 2^{count - 1} patterns",
                 cost_estimate=float(2 ** (count - 1)))
         rest = x[1:]
-        bits = np.arange(count - 1)
+        total = 1 << (count - 1)
         best_val = math.inf
         best_idx = 0
-        for lo in range(0, 1 << (count - 1), _SIGN_CHUNK):
-            hi = min(lo + _SIGN_CHUNK, 1 << (count - 1))
-            idx = np.arange(lo, hi, dtype=np.int64)
-            signs = ((idx[:, None] >> bits) & 1) * 2.0 - 1.0
-            vals = banach_norm(x[0] + signs @ rest, norm)
+        for lo in range(0, total, _SIGN_CHUNK):
+            hi = min(lo + _SIGN_CHUNK, total)
+            vals = banach_norm(x[0] + sign_patterns(count - 1, lo, hi) @ rest, norm)
             j = int(np.argmin(vals))
             if vals[j] < best_val:
                 best_val = float(vals[j])
                 best_idx = lo + j
-        signs = tuple([1] + [int(((best_idx >> b) & 1) * 2 - 1) for b in range(count - 1)])
+        signs = (1, *sign_patterns(count - 1, best_idx, best_idx + 1)[0].tolist())
         return SignMinimumResult(best_val, signs, "exact")
     if mode != "heuristic":
         raise InputError("BAD_MODE", f"mode must be exact or heuristic, got {mode!r}")

@@ -212,6 +212,18 @@ def project_class(F: FunctionClass, sigma: CoordinateSubset) -> FunctionClass:
     return FunctionClass(F.values[:, sigma.zero_based()], bounded_by_one=F.bounded_by_one)
 
 
+def sign_patterns(k: int, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Rows start..stop-1 of the 2^k sign patterns, as a +-1 int8 table.
+
+    Entry b of row i is +1 where bit b of i is set and -1 where it is
+    clear. Every exact enumeration of signs or selector subsets uses it.
+    """
+    ids = np.arange(start, 1 << k if stop is None else stop, dtype="<u8")
+    # little-endian bytes unpacked low bit first: column b is bit b
+    bits = np.unpackbits(ids.view(np.uint8).reshape(-1, 8), axis=1, count=k, bitorder="little")
+    return 2 * bits.view(np.int8) - 1
+
+
 # trials per Monte-Carlo block are _BLOCK_SCALARS // width, a fixed function
 # of the shape, so reruns at one seed cut the same blocks
 _BLOCK_SCALARS = 2_000_000

@@ -59,7 +59,6 @@ def _check_t(t: float) -> float:
 
 def _greedy_packing(dist: np.ndarray, t: float) -> list[int]:
     # farthest-point traversal from the lowest row index; maximal separated
-    m = dist.shape[0]
     chosen = [0]
     min_d = dist[0].copy()
     while True:
@@ -85,16 +84,16 @@ def _greedy_covering(dist: np.ndarray, t: float) -> list[int]:
     return centers
 
 
+def _ball_masks(dist: np.ndarray, t: float) -> list[int]:
+    # bit j of mask i is set where dist[i, j] <= t
+    packed = np.packbits(dist <= t, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def _exact_packing(dist: np.ndarray, t: float) -> int:
     # maximum separated set = maximum independent set of the conflict graph
     m = dist.shape[0]
-    conflict = [0] * m
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if j != i and dist[i, j] <= t:
-                mask |= 1 << j
-        conflict[i] = mask
+    conflict = [ball & ~(1 << i) for i, ball in enumerate(_ball_masks(dist, t))]
     best = 0
 
     def rec(allowed: int, size: int) -> None:
@@ -125,13 +124,7 @@ def _exact_packing(dist: np.ndarray, t: float) -> int:
 
 def _exact_covering(dist: np.ndarray, t: float, incumbent: int) -> int:
     m = dist.shape[0]
-    balls = []
-    for i in range(m):
-        mask = 0
-        for j in range(m):
-            if dist[i, j] <= t:
-                mask |= 1 << j
-        balls.append(mask)
+    balls = _ball_masks(dist, t)
     max_ball = max(bin(b).count("1") for b in balls)
     best = incumbent
 

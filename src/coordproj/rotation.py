@@ -214,7 +214,7 @@ def fit_jl_constant(
             break
         c += grid_step
     if chosen is None:
-        raise RuntimeError("no constant on the grid reached 1/2 success")
+        raise InputError("BAD_GRID", f"no constant on the grid up to {grid_max} reached 1/2 success")
     value = math.ceil(chosen * 10.0 - 1e-9) / 10.0
     protocol = (
         f"smallest C on a {grid_step}-step grid whose success fraction over "

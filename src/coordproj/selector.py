@@ -13,8 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import bdtrc
 
-from .core import CoordinateSubset, InputError, RngStream, as_vector, monte_carlo
+from .core import CoordinateSubset, InputError, RngStream, as_vector, monte_carlo, sign_patterns
 from .orlicz import psi_norm
 
 
@@ -106,27 +107,6 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
     return min(1.0, math.exp(best))
 
 
-def _binom_tail_at_least(n: int, p: float, k0: int) -> float:
-    """P{Bin(n, p) >= k0} by direct log-space summation."""
-    if k0 <= 0:
-        return 1.0
-    if k0 > n:
-        return 0.0
-    if p >= 1.0:
-        return 1.0
-    if p <= 0.0:
-        return 0.0
-    k = np.arange(k0, n + 1, dtype=float)
-    log_pmf = (
-        math.lgamma(n + 1)
-        - np.array([math.lgamma(x + 1) for x in k])
-        - np.array([math.lgamma(n - x + 1) for x in k])
-        + k * math.log(p)
-        + (n - k) * math.log1p(-p)
-    )
-    return float(min(1.0, np.exp(log_pmf).sum()))
-
-
 def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     """P{Z > threshold} exactly, where tractable; None otherwise.
 
@@ -144,16 +124,18 @@ def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
 
     uniq = np.unique(nz)
     if uniq.size == 1 and uniq[0] > 0:
-        h = float(uniq[0])
         s = int(nz.size)
-        x = threshold / h + delta * s
-        k0 = math.floor(x) + 1
-        return _binom_tail_at_least(s, delta, k0)
+        # P{Bin(s, delta) > x}; x may be infinite, and bdtrc is nan past s
+        x = threshold / float(uniq[0]) + delta * s
+        if x >= s:
+            return 0.0
+        if x < 0:
+            return 1.0
+        return float(bdtrc(math.floor(x), s, delta))
 
     if v.size <= 20:
         n = v.size
-        ids = np.arange(2**n, dtype=np.uint32)
-        masks = ((ids[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(np.uint8)
+        masks = sign_patterns(n) > 0
         sums = masks @ v - delta * v.sum()
         k = masks.sum(axis=1).astype(float)
         probs = np.exp(k * math.log(delta) + (n - k) * math.log1p(-delta))

@@ -16,13 +16,12 @@ below exploits both facts.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
-from scipy.sparse import coo_matrix
 
 from .core import (
     CertificateError,
@@ -32,6 +31,7 @@ from .core import (
     RngStream,
     SizeCapError,
     banach_norm,
+    sign_patterns,
 )
 
 _DEFAULT_MAX_SIGMA = 5
@@ -64,11 +64,16 @@ class VcResult:
     witness: ShatterWitness | None
 
 
+def _corners(k: int) -> np.ndarray:
+    # the 2^k sign patterns in lexicographic order, +1 before -1
+    return -sign_patterns(k)[:, ::-1]
+
+
 def _patterns(k: int) -> list[tuple[int, ...]]:
     # descending number of +1 entries; stable within each level
-    pats = list(itertools.product((1, -1), repeat=k))
-    pats.sort(key=lambda p: -sum(1 for v in p if v > 0))
-    return pats
+    pats = _corners(k)
+    order = np.argsort(-(pats > 0).sum(axis=1), kind="stable")
+    return [tuple(p) for p in pats[order].tolist()]
 
 
 def is_shattered(
@@ -167,7 +172,8 @@ def is_shattered(
     if not search(0):
         return None
 
-    level = np.array([(min_high[x] + max_low[x]) / 2.0 for x in range(k)])
+    # halves first: the sum of two levels near the float maximum overflows
+    level = np.array([min_high[x] / 2.0 + max_low[x] / 2.0 for x in range(k)])
     witness = ShatterWitness(
         sigma=sigma,
         level=level,
@@ -259,7 +265,6 @@ def vc_dimension(
         shattered_prev = {frozenset(c) for c in next_level}
         current = next_level
 
-    assert m < 2 or best <= math.floor(math.log2(m))
     return VcResult(best, best_witness)
 
 
@@ -307,6 +312,8 @@ def l1_domination(
             )
         best = math.inf
         best_a = None
+        # orthant sign vectors, the first sign fixed to +1 by symmetry
+        orthants = np.hstack([np.ones((1 << (count - 1), 1)), -sign_patterns(count - 1)])
         # variables: (a_1..a_count, tau); minimize tau
         c = np.zeros(count + 1)
         c[-1] = 1.0
@@ -315,11 +322,7 @@ def l1_domination(
         a_ub[dim:, :count] = -x.T
         a_ub[:, -1] = -1.0
         b_ub = np.zeros(2 * dim)
-        for bits in range(2 ** (count - 1)):
-            signs = np.ones(count)
-            for i in range(count - 1):
-                if (bits >> i) & 1:
-                    signs[i + 1] = -1.0
+        for signs in orthants:
             bounds = [(0, None) if s > 0 else (None, 0) for s in signs]
             bounds.append((0, None))
             a_eq = np.concatenate([signs, [0.0]])[None, :]
@@ -333,7 +336,7 @@ def l1_domination(
                 method="highs",
             )
             if res.status != 0:
-                raise RuntimeError(f"orthant LP failed with status {res.status}")
+                raise CertificateError(f"orthant LP failed with status {res.status}")
             if res.fun < best:
                 best = res.fun
                 best_a = res.x[:count]
@@ -342,26 +345,17 @@ def l1_domination(
 
     if mode != "sampled":
         raise InputError("BAD_INPUT", f"mode must be 'exact' or 'sampled', got {mode}")
-    dirs: list[np.ndarray] = []
-    for i in range(count):
-        e = np.zeros(count)
-        e[i] = 1.0
-        dirs.append(e)
+    # coordinate vectors, the corners of the l_1 sphere's orthants, random points
+    dirs = [np.eye(count)]
     if count <= 12:
-        for pat in itertools.product((1.0, -1.0), repeat=count):
-            dirs.append(np.asarray(pat) / count)
+        dirs.append(_corners(count) / count)
     gen = (rng or RngStream(0)).generator()
     g = gen.standard_normal((samples, count))
     g /= np.abs(g).sum(axis=1, keepdims=True)
-    dirs.extend(g)
-    best = math.inf
-    best_a = dirs[0]
-    for a in dirs:
-        val = banach_norm(a @ x, norm)
-        if val < best:
-            best = val
-            best_a = a
-    return DominationResult(float(best), np.asarray(best_a), "sampled")
+    dirs = np.vstack(dirs + [g])
+    vals = banach_norm(dirs @ x, norm)
+    i = int(np.argmin(vals))
+    return DominationResult(float(vals[i]), dirs[i], "sampled")
 
 
 def vc_convex_hull(
@@ -401,39 +395,20 @@ def vc_convex_hull(
     nvar = k + np_pat * m + 1  # h, w, s
     s_col = nvar - 1
 
-    rows_i: list[int] = []
-    cols_i: list[int] = []
-    vals: list[float] = []
-    r = 0
-    for pi, pat in enumerate(pats):
-        w0 = k + pi * m
-        for x in range(k):
-            sign = 1.0 if pat[x] > 0 else -1.0
-            # sign*(h_x - sum_j w_j F_j(x)) + s <= 0
-            rows_i.append(r)
-            cols_i.append(x)
-            vals.append(sign)
-            for j in range(m):
-                rows_i.append(r)
-                cols_i.append(w0 + j)
-                vals.append(-sign * sub[j, x])
-            rows_i.append(r)
-            cols_i.append(s_col)
-            vals.append(1.0)
-            r += 1
-    a_ub = coo_matrix((vals, (rows_i, cols_i)), shape=(r, nvar)).tocsr()
-    b_ub = np.zeros(r)
-
-    rows_e: list[int] = []
-    cols_e: list[int] = []
-    vals_e: list[float] = []
-    for pi in range(np_pat):
-        w0 = k + pi * m
-        for j in range(m):
-            rows_e.append(pi)
-            cols_e.append(w0 + j)
-            vals_e.append(1.0)
-    a_eq = coo_matrix((vals_e, (rows_e, cols_e)), shape=(np_pat, nvar)).tocsr()
+    # row (pattern pi, point x): sign * (h_x - sum_j w_j F_j(x)) + s <= 0
+    signs = np.array(pats, dtype=float)
+    a_ub = sparse.hstack([
+        sparse.diags(signs.ravel()) @ sparse.kron(np.ones((np_pat, 1)), sparse.eye(k)),
+        sparse.block_diag([-row[:, None] * sub.T for row in signs]),
+        np.ones((np_pat * k, 1)),
+    ]).tocsr()
+    b_ub = np.zeros(np_pat * k)
+    # one simplex per pattern: its weights sum to 1
+    a_eq = sparse.hstack([
+        sparse.csr_matrix((np_pat, k)),
+        sparse.kron(sparse.eye(np_pat), np.ones((1, m))),
+        sparse.csr_matrix((np_pat, 1)),
+    ]).tocsr()
     b_eq = np.ones(np_pat)
 
     c = np.zeros(nvar)
@@ -441,7 +416,7 @@ def vc_convex_hull(
     bounds = [(None, None)] * k + [(0, None)] * (np_pat * m) + [(None, None)]
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status != 0:
-        raise RuntimeError(f"hull shattering LP failed with status {res.status}")
+        raise CertificateError(f"hull shattering LP failed with status {res.status}")
 
     margin = float(res.x[s_col])
     if margin < t - feas_tol:

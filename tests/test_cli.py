@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from coordproj.cli import (
     render_report,
     write_matrix,
 )
-from coordproj.core import InputError
+from coordproj.core import CoordinateSubset, FunctionClass, InputError
+from coordproj.shatter import ShatterWitness, verify_witness
 
 
 def write_csv(path, array) -> str:
@@ -324,6 +326,23 @@ class TestShatterCommand:
         assert all(1 <= entry["function"] <= 8 for entry in w["assignment"])
 
 
+    def test_levels_near_the_float_maximum(self, tmp_path, capsys):
+        data = np.array([[1.7e308], [1.0e308]])
+        path = write_csv(tmp_path / "huge.csv", data)
+        assert main(["shatter", "--input", path, "--t", "1e307"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["dimension"] == 1
+        w = res["witness"]
+        witness = ShatterWitness(
+            sigma=CoordinateSubset(tuple(w["sigma"]), 1),
+            level=np.array(w["levels"]),
+            assignment={tuple(1 if c == "+" else -1 for c in e["pattern"]): e["function"] - 1
+                        for e in w["assignment"]},
+            scale=w["scale"],
+        )
+        assert verify_witness(FunctionClass(data), witness)
+
+
 class TestHullCommand:
     def test_agreement_both_sides(self, tmp_path, capsys):
         path = write_csv(tmp_path / "eye4.csv", np.eye(4))
@@ -334,6 +353,14 @@ class TestHullCommand:
             assert res["epsilon_star"] == pytest.approx(0.25, abs=1e-9)
             assert res["hull_shattered"] == (float(t) <= 0.25)
             assert res["agreement"] is True
+
+    def test_failed_lp_exits_with_certificate_error(self, tmp_path, capsys, monkeypatch):
+        # HiGHS status 4: numerical difficulties
+        monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+        path = write_csv(tmp_path / "eye2.csv", np.eye(2))
+        assert main(["hull", "--input", path, "--t", "0.4"]) == 5
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["code"] == "CERTIFICATE"
 
     def test_hull_witness_has_weights(self, tmp_path, capsys):
         path = write_csv(tmp_path / "eye2.csv", np.eye(2))

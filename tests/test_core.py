@@ -1,4 +1,7 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from coordproj.core import (
     normalized_lp,
     project,
     project_class,
+    sign_patterns,
 )
 
 
@@ -230,3 +234,36 @@ def test_mean_and_se_match_numpy(x):
 
 def test_mean_and_se_single_sample():
     assert mean_and_se(3.0, 9.0, 1) == (3.0, 0.0)
+
+
+@given(k=st.integers(0, 10), cuts=st.lists(st.integers(0, 1 << 10), max_size=4))
+def test_sign_pattern_chunks_concatenate(k, cuts):
+    edges = [0, *sorted(c % ((1 << k) + 1) for c in cuts), 1 << k]
+    chunks = [sign_patterns(k, lo, hi) for lo, hi in zip(edges, edges[1:])]
+    full = sign_patterns(k)
+    assert full.shape == (1 << k, k)
+    assert np.array_equal(np.concatenate(chunks), full)
+
+
+@given(k=st.integers(1, 24), i=st.integers(0, (1 << 24) - 1))
+def test_sign_pattern_rows_are_bits(k, i):
+    i %= 1 << k
+    row = sign_patterns(k, i, i + 1)[0]
+    assert row.tolist() == [1 if (i >> b) & 1 else -1 for b in range(k)]
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_reversed_negated_sign_patterns_are_product_order(k):
+    product = np.array(list(itertools.product((1, -1), repeat=k))).reshape(1 << k, k)
+    assert np.array_equal(-sign_patterns(k)[:, ::-1], product)
+
+
+def test_sources_raise_no_assert_or_bare_runtime_error():
+    # certificates are checked on paths that raise a coded error and survive python -O
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            assert not isinstance(node, ast.Assert), f"{path.name}:{node.lineno} asserts"
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None)
+                assert name != "RuntimeError", f"{path.name}:{node.lineno} raises RuntimeError"

@@ -3,10 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coordproj.core import FunctionClass, InputError, RngStream, normalized_lp
 from coordproj.entropy import (
     CoveringEstimate,
+    _ball_masks,
     covering_estimate,
     covering_number_upper,
     entropy_inequality_audit,
@@ -24,6 +27,18 @@ def random_class(rng, m, n, pm=False) -> FunctionClass:
     if pm:
         return FunctionClass(rng.choice([-1.0, 1.0], size=(m, n)))
     return FunctionClass(rng.uniform(-1.0, 1.0, size=(m, n)))
+
+
+@given(
+    m=st.integers(1, 70),
+    n=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    t=st.floats(0.01, 3.0),
+)
+def test_ball_masks_match_the_double_loop(m, n, seed, t):
+    dist = pairwise_l2_distances(random_class(np.random.default_rng(seed), m, n))
+    want = [sum(1 << j for j in range(m) if dist[i, j] <= t) for i in range(m)]
+    assert _ball_masks(dist, t) == want
 
 
 class TestPairwiseDistances:

@@ -9,6 +9,7 @@ from coordproj.orlicz import psi_norm
 from coordproj.rotation import (
     coordinate_jl,
     distortion_report,
+    fit_jl_constant,
     haar_orthogonal,
     rotated_psi2_tail,
     scaled_basis,
@@ -163,3 +164,10 @@ class TestCoordinateJl:
     def test_rejects_bad_eps(self):
         with pytest.raises(InputError):
             coordinate_jl(scaled_basis(8), 1.5, RngStream(0))
+
+
+def test_fit_jl_constant_rejects_a_grid_without_success():
+    # C = 0.025 and 0.05 keep almost no coordinates, so no seed succeeds
+    with pytest.raises(InputError) as exc:
+        fit_jl_constant(n=16, eps=0.25, seeds=4, grid_step=0.025, grid_max=0.05)
+    assert exc.value.code == "BAD_GRID"

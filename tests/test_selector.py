@@ -1,8 +1,11 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.stats import binom
 
 from coordproj.core import CoordinateSubset, InputError, RngStream
@@ -143,6 +146,41 @@ class TestExactTail:
             got = exact_tail_probability(a, delta, tau)
             assert got is not None
             assert got == pytest.approx(brute_tail(a, delta, tau), rel=1e-9, abs=1e-12)
+
+    @given(
+        s=st.integers(1, 60),
+        delta=st.floats(1e-6, 1.0, exclude_max=True),
+        h=st.floats(1e-3, 1e3),
+        k0=st.integers(-3, 64),
+    )
+    def test_binomial_path_matches_rational_oracle(self, s, delta, h, k0):
+        # k0 <= 0 and k0 > s are the edges where the tail is 1 and 0
+        a = np.zeros(s + 2)
+        a[1 : s + 1] = h
+        threshold = h * (k0 - 0.5 - delta * s)
+        got = exact_tail_probability(a, delta, threshold)
+        k0 = math.floor(threshold / h + delta * s) + 1
+        d = Fraction(delta)
+        want = sum(math.comb(s, k) * d**k * (1 - d) ** (s - k) for k in range(max(k0, 0), s + 1))
+        if want < 1e-290:  # below the normal float range
+            assert got <= 1e-290
+        else:
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+    def test_binomial_path_at_the_ends_of_the_float_range(self):
+        # threshold / weight overflows to +-inf; the tail is then 0 or 1
+        a = np.full(3, 0.5)
+        assert exact_tail_probability(a, 0.5, 1e308) == 0.0
+        assert exact_tail_probability(a, 0.5, -1e308) == 1.0
+
+    @given(
+        a=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
+        delta=st.floats(0.05, 0.95),
+        threshold=st.floats(-2.0, 2.0),
+    )
+    def test_enumeration_path_matches_product_brute_force(self, a, delta, threshold):
+        got = exact_tail_probability(a, delta, threshold)
+        assert got == pytest.approx(brute_tail(a, delta, threshold), rel=1e-9, abs=1e-12)
 
     def test_intractable_returns_none(self):
         rng = np.random.default_rng(17)

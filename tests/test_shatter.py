@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -39,6 +40,31 @@ def random_pm_class(rng, max_m=16, max_n=6) -> FunctionClass:
     m = int(rng.integers(2, max_m + 1))
     n = int(rng.integers(2, max_n + 1))
     return FunctionClass(rng.choice([-1.0, 1.0], size=(m, n)))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_patterns_sort_product_order_by_plus_count(k):
+    want = list(itertools.product((1, -1), repeat=k))
+    want.sort(key=lambda p: -sum(1 for v in p if v > 0))
+    got = shatter._patterns(k)
+    assert got == want
+    assert all(type(v) is int for pat in got for v in pat)
+
+
+@pytest.fixture
+def failing_lp(monkeypatch):
+    # HiGHS status 4: numerical difficulties
+    monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(status=4))
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: l1_domination(np.eye(3), mode="exact"),
+    lambda: vc_convex_hull(sign_class(2), full_subset(2), 0.5),
+], ids=["orthant", "hull"])
+def test_failed_lp_raises_certificate_error(failing_lp, solve):
+    with pytest.raises(CertificateError) as exc:
+        solve()
+    assert exc.value.code == "CERTIFICATE"
 
 
 class TestIsShattered:
@@ -183,6 +209,15 @@ class TestVcDimension:
         with pytest.raises(InputError):
             vc_dimension(sign_class(2), -1.0)
 
+    def test_levels_near_the_float_maximum(self):
+        # the midpoint of 1.7e308 and 1e308 must not overflow on the way
+        F = FunctionClass([[1.7e308], [1.0e308]])
+        res = vc_dimension(F, 1e307)
+        assert res.dimension == 1
+        assert np.all(np.isfinite(res.witness.level))
+        assert res.witness.level[0] == pytest.approx(1.35e308, rel=1e-15)
+        assert verify_witness(F, res.witness)
+
     def test_max_sigma_truncates(self):
         res = vc_dimension(sign_class(3), 1.0, max_sigma=2)
         assert res.dimension == 2
@@ -222,6 +257,12 @@ class TestL1Domination:
             samp = l1_domination(x, mode="sampled", rng=RngStream(206, i))
             assert samp.method == "sampled"
             assert samp.epsilon_star >= exact - 1e-12
+
+    def test_sampled_takes_the_first_minimal_direction(self):
+        # coordinate vectors score 1, the corner (+,+,+)/3 comes first at 1/3
+        res = l1_domination(np.eye(3), mode="sampled", rng=RngStream(208))
+        assert res.epsilon_star == 1.0 / 3.0
+        assert np.array_equal(res.minimizer, np.full(3, 1.0 / 3.0))
 
     def test_minimizer_normalization_sampled(self):
         res = l1_domination(np.eye(3), mode="sampled", rng=RngStream(207))
