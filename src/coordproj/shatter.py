@@ -10,12 +10,16 @@ The midpoint of that gap reconstructs h.
 
 For t > 0 two distinct patterns can never share a function (they disagree
 at some x, forcing f(x) both above and below the level), so assignments
-are injective and |F| >= 2^|sigma| is necessary.  The backtracking search
-below exploits both facts.
+are injective and |F| >= 2^|sigma| is necessary.  At each x a level acts
+only through its cut: a value lo and, as hi, the smallest value v with
+v - lo >= 2t.  Functions at or below lo are low there, at or above hi
+high, in between unusable; sigma is t-shattered iff one cut per point
+leaves every pattern a function.  `is_shattered` searches the cuts.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,6 +34,7 @@ from .core import (
     InputError,
     RngStream,
     SizeCapError,
+    _BLOCK_SCALARS,
     banach_norm,
     sign_patterns,
 )
@@ -69,11 +74,68 @@ def _corners(k: int) -> np.ndarray:
     return -sign_patterns(k)[:, ::-1]
 
 
-def _patterns(k: int) -> list[tuple[int, ...]]:
-    # descending number of +1 entries; stable within each level
+@functools.cache
+def _pattern_table(k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The 2^k sign patterns, by descending +1 count and stable within it: as
+    tuples, as a read-only +-1 table and as read-only codes (bit x set where +1)."""
     pats = _corners(k)
-    order = np.argsort(-(pats > 0).sum(axis=1), kind="stable")
-    return [tuple(p) for p in pats[order].tolist()]
+    table = pats[np.argsort(-(pats > 0).sum(axis=1), kind="stable")]
+    codes = (table > 0) @ (1 << np.arange(k))
+    table.flags.writeable = codes.flags.writeable = False
+    return tuple(map(tuple, table.tolist())), table, codes
+
+
+def _patterns(k: int) -> list[tuple[int, ...]]:
+    return list(_pattern_table(k)[0])
+
+
+def _least_carriers(sub: np.ndarray, two_t: float, order: np.ndarray) -> list[int] | None:
+    """The least first-carrier vector over the surviving cut choices, or None.
+
+    One cut per column of sub gives each row a code (bit x set where it is
+    high at x) or makes it unusable. A choice survives when every code has
+    a row; its first-carrier vector lists, for each code in `order`, the
+    first row with that code. Choices grow one column at a time, depth
+    first, in blocks of at most _BLOCK_SCALARS codes.
+    """
+    (m, k), half = sub.shape, 1 << (sub.shape[1] - 1)
+    s = np.sort(sub, axis=0)
+    gap = s[None] - s[:, None] >= two_t  # gap[i, l, x]: s[l, x] - s[i, x] clears 2t
+    top = np.where(gap[:, -1], s[gap.argmax(axis=1), np.arange(k)], np.inf)  # no hi: nothing high
+    low, high = sub.T <= s[..., None], sub.T >= top[..., None]  # [i, x, row]: the cut at s[i, x]
+    # each side of a point carries half the patterns, each with its own row; and of the
+    # values lo sharing one hi keep the largest, whose low side holds theirs
+    keep = (low.sum(axis=2) >= half) & (high.sum(axis=2) >= half)
+    keep[:-1] &= top[1:] != top[:-1]
+    # a code gains bit x where its row is high at x, and becomes -1 (all bits set) where unusable
+    dtype = np.min_scalar_type(-(1 << k))
+    bits = np.where(high, (1 << np.arange(k))[:, None], np.where(low, 0, -1)).astype(dtype)
+    steps = [bits[keep[:, x], x] for x in range(k)]
+    best = None
+    stack = [(0, np.zeros((1, m), dtype))]
+    while stack:
+        x, rows = stack.pop()
+        block = max(1, _BLOCK_SCALARS // max(1, len(steps[x]) * m))
+        if len(rows) > block:
+            stack.append((x, rows[block:]))
+            rows = rows[:block]
+        codes = (rows[:, None] | steps[x]).reshape(-1, m)
+        # bin 0 of a code row counts its unusable rows of sub, bin c + 1 its code c
+        width = (2 << x) + 1
+        bins = codes + (1 + width * np.arange(len(codes)))[:, None]
+        counts = np.bincount(bins.ravel(), minlength=width * len(codes)).reshape(-1, width)
+        # a code on x + 1 columns still spreads over 2^(k - x - 1) patterns
+        alive = (counts[:, 1:] >= 1 << (k - x - 1)).all(axis=1)
+        codes, counts = codes[alive], counts[alive]
+        if x + 1 < k and len(codes):
+            stack.append((x + 1, np.unique(codes, axis=0) if len(codes) > 1 else codes))
+        elif len(codes):
+            # in a code row sorted stably, code c starts after the unusable rows and codes below c
+            starts = np.cumsum(counts, axis=1)[:, order]
+            first = np.argsort(codes, 1, kind="stable")[np.arange(len(codes))[:, None], starts]
+            least = min(first.tolist())
+            best = least if best is None else min(best, least)
+    return best
 
 
 def is_shattered(
@@ -85,10 +147,11 @@ def is_shattered(
 ) -> ShatterWitness | None:
     """Search for a t-shattering witness of sigma; None when impossible.
 
-    Exact backtracking over pattern-to-function assignments, patterns
-    ordered by descending +1 count, pruning on the running per-coordinate
-    high/low envelopes. A found witness is checked by substitution before
-    it is returned; CertificateError is raised if it fails.
+    Exact search over the cuts of each point (see the module docstring).
+    The witness is the lexicographically least feasible assignment, with
+    patterns by descending +1 count and the level midway between the
+    assigned high and low values. It is checked by substitution before it
+    is returned; CertificateError is raised if it fails.
     """
     if t <= 0:
         raise InputError("BAD_INPUT", f"shattering scale must be positive, got {t}")
@@ -96,92 +159,28 @@ def is_shattered(
         raise InputError("EMPTY_SUBSET", "cannot shatter an empty subset")
     if sigma.ambient_n != F.n:
         raise InputError("DIMENSION", "subset and class live on different point counts")
-    k = sigma.size
-    if k > max_sigma:
-        raise SizeCapError(
-            f"|sigma| = {k} exceeds cap {max_sigma}; worst case ~ {F.m}^(2^{k}) assignments",
-            cost_estimate=F.m ** float(2**k),
-        )
-    if F.m > max_functions:
-        raise SizeCapError(
-            f"class size {F.m} exceeds cap {max_functions}",
-            cost_estimate=F.m ** float(2**k),
-        )
-
-    m = F.m
-    if 2**k > m:
-        return None
+    k, m = sigma.size, F.m
     sub = F.values[:, sigma.zero_based()]
     two_t = 2.0 * t
-    # necessary: every coordinate must offer a 2t value gap
-    if np.any(sub.max(axis=0) - sub.min(axis=0) < two_t):
+    if k > max_sigma or m > max_functions:
+        # the cuts of a column: its values that some value clears by 2t
+        cost = math.prod(float(np.count_nonzero(u[-1] - u >= two_t)) for u in map(np.unique, sub.T))
+        over = (f"|sigma| = {k} exceeds cap {max_sigma}" if k > max_sigma
+                else f"class size {m} exceeds cap {max_functions}")
+        raise SizeCapError(f"{over}; up to {cost:.3g} cut combinations", cost_estimate=cost)
+    if 2**k > m:
         return None
-
-    pats = _patterns(k)
-    min_high = [math.inf] * k
-    max_low = [-math.inf] * k
-    used = [False] * m
-    assign = [-1] * len(pats)
-
-    def search(pi: int) -> bool:
-        if pi == len(pats):
-            return True
-        pat = pats[pi]
-        for j in range(m):
-            if used[j]:
-                continue
-            row = sub[j]
-            touched: list[tuple[int, bool, float]] = []
-            ok = True
-            for x in range(k):
-                val = row[x]
-                if pat[x] > 0:
-                    if val < min_high[x]:
-                        if val - max_low[x] < two_t:
-                            ok = False
-                            break
-                        touched.append((x, True, min_high[x]))
-                        min_high[x] = val
-                    elif min_high[x] - max_low[x] < two_t:
-                        ok = False
-                        break
-                else:
-                    if val > max_low[x]:
-                        if min_high[x] - val < two_t:
-                            ok = False
-                            break
-                        touched.append((x, False, max_low[x]))
-                        max_low[x] = val
-                    elif min_high[x] - max_low[x] < two_t:
-                        ok = False
-                        break
-            if ok:
-                used[j] = True
-                assign[pi] = j
-                if search(pi + 1):
-                    return True
-                used[j] = False
-                assign[pi] = -1
-            for x, was_high, old in reversed(touched):
-                if was_high:
-                    min_high[x] = old
-                else:
-                    max_low[x] = old
-        return False
-
-    if not search(0):
+    pats, table, order = _pattern_table(k)
+    first = _least_carriers(sub, two_t, order)
+    if first is None:
         return None
-
+    min_high = np.where(table > 0, sub[first], np.inf).min(axis=0)
+    max_low = np.where(table < 0, sub[first], -np.inf).max(axis=0)
     # halves first: the sum of two levels near the float maximum overflows
-    level = np.array([min_high[x] / 2.0 + max_low[x] / 2.0 for x in range(k)])
-    witness = ShatterWitness(
-        sigma=sigma,
-        level=level,
-        assignment={pat: assign[i] for i, pat in enumerate(pats)},
-        scale=float(t),
-    )
+    level = min_high / 2.0 + max_low / 2.0
+    witness = ShatterWitness(sigma, level, dict(zip(pats, first)), scale=float(t))
     if not verify_witness(F, witness, tol=1e-12):
-        raise CertificateError("backtracking witness failed substitution")
+        raise CertificateError("cut-search witness failed substitution")
     return witness
 
 
@@ -390,13 +389,13 @@ def vc_convex_hull(
 
     m = F.m
     sub = F.values[:, sigma.zero_based()]
-    pats = _patterns(k)
+    pats, table, _ = _pattern_table(k)
     np_pat = len(pats)
     nvar = k + np_pat * m + 1  # h, w, s
     s_col = nvar - 1
 
     # row (pattern pi, point x): sign * (h_x - sum_j w_j F_j(x)) + s <= 0
-    signs = np.array(pats, dtype=float)
+    signs = table.astype(float)
     a_ub = sparse.hstack([
         sparse.diags(signs.ravel()) @ sparse.kron(np.ones((np_pat, 1)), sparse.eye(k)),
         sparse.block_diag([-row[:, None] * sub.T for row in signs]),

@@ -1,9 +1,13 @@
 import itertools
 import math
+import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
 from coordproj import shatter
@@ -49,6 +53,108 @@ def test_patterns_sort_product_order_by_plus_count(k):
     got = shatter._patterns(k)
     assert got == want
     assert all(type(v) is int for pat in got for v in pat)
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_pattern_table_is_built_once_with_matching_codes(k):
+    pats, table, codes = shatter._pattern_table(k)
+    assert shatter._pattern_table(k)[2] is codes
+    assert list(pats) == shatter._patterns(k)
+    assert table.tolist() == [list(p) for p in pats]
+    assert codes.tolist() == [sum(1 << x for x, v in enumerate(p) if v > 0) for p in pats]
+    assert not table.flags.writeable and not codes.flags.writeable
+
+
+def backtracking_witness(F: FunctionClass, sigma: CoordinateSubset, t: float):
+    """Reference oracle: depth-first assignment of rows to patterns, in _patterns order.
+
+    Returns (levels, assignment) of the lexicographically least feasible
+    assignment, or None.
+    """
+    k, m = sigma.size, F.m
+    if 2**k > m:
+        return None
+    sub = F.values[:, sigma.zero_based()]
+    two_t = 2.0 * t
+    pats = shatter._patterns(k)
+    min_high, max_low = [math.inf] * k, [-math.inf] * k
+    used, assign = [False] * m, [-1] * len(pats)
+
+    def search(pi):
+        if pi == len(pats):
+            return True
+        for j in range(m):
+            if used[j]:
+                continue
+            touched, ok = [], True
+            for x in range(k):
+                val = sub[j, x]
+                if pats[pi][x] > 0:
+                    if val < min_high[x]:
+                        if val - max_low[x] < two_t:
+                            ok = False
+                            break
+                        touched.append((x, True, min_high[x]))
+                        min_high[x] = val
+                    elif min_high[x] - max_low[x] < two_t:
+                        ok = False
+                        break
+                else:
+                    if val > max_low[x]:
+                        if min_high[x] - val < two_t:
+                            ok = False
+                            break
+                        touched.append((x, False, max_low[x]))
+                        max_low[x] = val
+                    elif min_high[x] - max_low[x] < two_t:
+                        ok = False
+                        break
+            if ok:
+                used[j], assign[pi] = True, j
+                if search(pi + 1):
+                    return True
+                used[j], assign[pi] = False, -1
+            for x, was_high, old in reversed(touched):
+                if was_high:
+                    min_high[x] = old
+                else:
+                    max_low[x] = old
+        return False
+
+    if not search(0):
+        return None
+    levels = [min_high[x] / 2.0 + max_low[x] / 2.0 for x in range(k)]
+    return levels, dict(zip(pats, assign))
+
+
+@st.composite
+def shatter_cases(draw):
+    """(F, sigma, t) with |sigma| = 1..4 and m <= 16 functions on 8 points.
+
+    The values are +-1, uniform rounded to 6 decimals, or on a dyadic grid
+    with t a multiple of half its step, where value gaps tie 2t exactly.
+    A planted class carries every sign pattern of sigma in its first 2^|sigma|
+    rows before the rows are shuffled, so that witnesses are common.
+    """
+    kind = draw(st.sampled_from(["sign", "uniform", "dyadic"]))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(2**k, 16))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sign":
+        values = g.choice([-1.0, 1.0], size=(m, 8))
+        t = draw(st.sampled_from([0.25, 0.5, 1.0]))
+    elif kind == "uniform":
+        values = np.round(g.uniform(-1.0, 1.0, size=(m, 8)), 6)
+        t = draw(st.floats(0.005, 0.5))
+    else:
+        step = 2.0 ** -draw(st.integers(0, 4))
+        values = step * g.integers(-4, 5, size=(m, 8))
+        t = draw(st.integers(1, 3)) * step / 2.0
+    cols = np.sort(g.choice(8, size=k, replace=False))
+    if draw(st.booleans()):
+        values[: 2**k, cols] = np.abs(values[: 2**k, cols]) * shatter._corners(k)
+    values = values[g.permutation(m)]
+    return FunctionClass(values), CoordinateSubset(tuple(cols + 1), 8), t
 
 
 @pytest.fixture
@@ -142,6 +248,50 @@ class TestIsShattered:
         with pytest.raises(CertificateError) as exc:
             is_shattered(sign_class(3), full_subset(3), 1.0)
         assert exc.value.code == "CERTIFICATE"
+
+    def test_cap_cost_is_the_product_of_cut_counts(self):
+        # each column offers three cuts: lo = 0, 0.25 and 0.5 each have a value 2t above
+        F = FunctionClass(np.repeat([[0.0], [0.25], [0.5], [1.0]], 3, axis=1))
+        with pytest.raises(SizeCapError) as exc:
+            is_shattered(F, full_subset(3), 0.25, max_sigma=2)
+        assert exc.value.cost_estimate == 27.0
+        assert "27 cut combinations" in str(exc.value)
+        with pytest.raises(SizeCapError) as exc:
+            is_shattered(F, full_subset(3), 0.25, max_functions=3)
+        assert exc.value.cost_estimate == 27.0
+
+    @given(case=shatter_cases(), tiny_blocks=st.booleans())
+    def test_matches_backtracking_reference(self, case, tiny_blocks):
+        # same decision, same assignment and the same level bits; one-row blocks
+        # make every expansion split
+        F, sigma, t = case
+        with pytest.MonkeyPatch.context() as mp:
+            if tiny_blocks:
+                mp.setattr(shatter, "_BLOCK_SCALARS", 1)
+            w = is_shattered(F, sigma, t)
+        want = backtracking_witness(F, sigma, t)
+        if want is None:
+            assert w is None
+        else:
+            assert w is not None
+            assert w.level.tolist() == want[0]
+            assert w.assignment == want[1]
+            assert all(type(j) is int for j in w.assignment.values())
+
+    def test_dense_uniform_class_within_time_and_memory(self):
+        # 44 to 51 cuts per column, about 2.4e8 cut choices: pruning and blocks must bound the search
+        F = FunctionClass(np.random.default_rng(0).uniform(-1.0, 1.0, (64, 8)))
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            w = is_shattered(F, CoordinateSubset((1, 2, 3, 4, 5), 8), 0.2)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert w is None
+        assert elapsed < 5.0
+        assert peak < 64e6
 
 
 class TestVcDimension:
