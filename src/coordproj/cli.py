@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 import time
 
@@ -142,18 +141,6 @@ def _parse_grid(text: str) -> tuple:
     if not vals:
         raise InputError("BAD_GRID", "grid must be nonempty")
     return vals
-
-
-def _resolve_seed(arg_seed):
-    if arg_seed is not None:
-        return int(arg_seed)
-    env = os.environ.get("COORDPROJ_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise InputError("BAD_SEED", f"COORDPROJ_SEED must be an integer, got {env!r}")
-    return DEFAULT_SEED
 
 
 def _estimate_json(est) -> dict:
@@ -422,8 +409,8 @@ _RUNNERS = {
 
 def _add_common(sp):
     sp.add_argument("--input", required=True, help="CSV file, one vector per row")
-    sp.add_argument("--seed", type=int, default=None,
-                    help=f"RNG seed (default: COORDPROJ_SEED or {DEFAULT_SEED})")
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
+                    help=f"RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--output", default=None, help="write the JSON report here")
     sp.add_argument("--csv-out", default=None, help="write plot-ready CSV here")
     sp.add_argument("--deterministic", action="store_true",
@@ -522,9 +509,8 @@ def _config_echo(args) -> dict:
 
 def run(args) -> dict:
     """Executes one parsed command and returns the report dict."""
-    seed = _resolve_seed(args.seed)
     data = read_matrix(args.input)
-    rng = RngStream(seed)
+    rng = RngStream(args.seed)
     start = time.perf_counter()
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -533,7 +519,7 @@ def run(args) -> dict:
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),
-        "seed": seed,
+        "seed": args.seed,
         "results": results,
         "fitted_constants": constants,
         "flags": flags,

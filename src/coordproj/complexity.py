@@ -23,6 +23,8 @@ from .core import (
     SizeCapError,
     as_vector,
     banach_norm,
+    check_count,
+    check_positive,
     digest_inputs,
     mean_and_se,
     monte_carlo,
@@ -32,7 +34,9 @@ from .shatter import vc_dimension
 
 _MIN_TRIALS = 100
 _EXHAUSTIVE_TUPLE_CAP = 100_000
+_ELL_RESTARTS = 4
 _EXACT_SIGN_CAP = 24
+_SIGN_RESTARTS = 16
 _SIGN_CHUNK = 1 << 16
 
 
@@ -104,12 +108,6 @@ class EntropyIntegralAudit:
     flags: tuple = ()
 
 
-def _check_trials(trials):
-    if int(trials) != trials or trials < _MIN_TRIALS:
-        raise InputError("BAD_TRIALS", f"trials must be an integer >= {_MIN_TRIALS}, got {trials}")
-    return int(trials)
-
-
 def _draw_weights(gen, rows, cols, kind):
     if kind == "gaussian":
         return gen.standard_normal((rows, cols))
@@ -162,7 +160,7 @@ def rademacher_complexity(F, sigma=None, trials=2000, rng=None):
 
 
 def _complexity(F, sigma, trials, rng, kind):
-    trials = _check_trials(trials)
+    trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     values = _project_columns(F, sigma)
@@ -176,27 +174,25 @@ def _tuple_mean(values, tup, weights):
     return mean_and_se(float(sups.sum()), float((sups * sups).sum()), sups.size)
 
 
-def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
-                  exhaustive_cap=_EXHAUSTIVE_TUPLE_CAP, restarts=4, exact_signs=False):
+def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=False):
     """Estimates ell_k(F): the largest k-point weighted-sup average.
 
     The supremum runs over k-tuples of domain points with repetition.
-    When the multiset count C(n+k-1, k) is within exhaustive_cap every
-    tuple is scored against one shared weight sample; otherwise greedy
-    coordinate ascent with restarts is used and the result is a lower
-    bound. With exact_signs and kind "rademacher" the per-tuple mean is
-    an exact average over all 2^k sign patterns instead of Monte Carlo.
+    When the multiset count C(n+k-1, k) is within _EXHAUSTIVE_TUPLE_CAP
+    every tuple is scored against one shared weight sample; otherwise
+    greedy coordinate ascent from _ELL_RESTARTS starts is used and the
+    result is a lower bound. With exact_signs and kind "rademacher" the
+    per-tuple mean is an exact average over all 2^k sign patterns instead
+    of Monte Carlo.
 
     Returns:
         ComplexityEstimate with method "exhaustive", "exhaustive-exact",
         or "greedy", and support holding the best 1-based tuple.
     """
-    trials = _check_trials(trials)
+    trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
-    if int(k) != k or k < 1:
-        raise InputError("BAD_K", f"k must be a positive integer, got {k}")
-    k = int(k)
+    k = check_count(k, "k", 1, "BAD_K")
     n = F.n
     values = F.values
     exact = bool(exact_signs) and kind == "rademacher" and (1 << k) * max(1, F.m) <= 1 << 22
@@ -207,7 +203,7 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
         return mean, 0.0 if exact else se
 
     # weights are drawn k-by-trials so the first k columns coincide across nested k
-    if math.comb(n + k - 1, k) <= exhaustive_cap:
+    if math.comb(n + k - 1, k) <= _EXHAUSTIVE_TUPLE_CAP:
         weights = sign_patterns(k) if exact else _draw_weights(rng.generator(), k, trials, kind).T
         best = None
         for tup in itertools.combinations_with_replacement(range(n), k):
@@ -224,7 +220,7 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian",
                else _draw_weights(rng.substream(0).generator(), k, trials, kind).T)
     peak = int(np.argmax(np.abs(values).max(axis=0)))
     starts = [tuple([peak] * k)]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(_ELL_RESTARTS - 1):
         starts.append(tuple(sorted(gen.integers(0, n, size=k).tolist())))
     best = None
     for start in starts:
@@ -261,13 +257,10 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_sig
     exact sign enumeration carries zero slack. Returns value 0 when no
     k qualifies and sets capped when k = k_max itself qualifies.
     """
-    if not (eps > 0.0) or not math.isfinite(eps):
-        raise InputError("BAD_EPSILON", f"eps must be positive and finite, got {eps}")
-    if int(k_max) != k_max or k_max < 1:
-        raise InputError("BAD_K", f"k_max must be a positive integer, got {k_max}")
+    eps = check_positive(eps, "eps", "BAD_EPSILON")
+    k_max = check_count(k_max, "k_max", 1, "BAD_K")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
-    k_max = int(k_max)
     rows = []
     value = 0
     for k in range(1, k_max + 1):
@@ -276,7 +269,7 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_sig
         rows.append(est)
         if est.mean >= eps * k - est.std_error:
             value = k
-    return TParameterResult(value=value, capped=(value == k_max), epsilon=float(eps),
+    return TParameterResult(value=value, capped=(value == k_max), epsilon=eps,
                             kind=kind, per_k=tuple(rows))
 
 
@@ -291,15 +284,15 @@ def _stack_unit_rows(vectors):
     return np.vstack(rows)
 
 
-def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
-                  max_exact=_EXACT_SIGN_CAP, restarts=16):
+def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
     """Minimizes ||sum_i eta_i v_i|| over sign choices eta_i = +-1.
 
     Exact mode enumerates 2^(count-1) patterns, the global sign flip
     being free, and certifies the minimum; it refuses more than
-    max_exact vectors. Heuristic mode signs vectors greedily in
+    _EXACT_SIGN_CAP vectors. Heuristic mode signs vectors greedily in
     descending norm order, runs single-flip descent, and restarts from
-    random orders, so its value is an upper bound on the minimum.
+    random orders, _SIGN_RESTARTS starts in all, so its value is an
+    upper bound on the minimum.
 
     Returns:
         SignMinimumResult; signs are normalized to signs[0] = +1.
@@ -309,7 +302,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
     if count == 1:
         return SignMinimumResult(banach_norm(x[0], norm), (1,), mode)
     if mode == "exact":
-        if count > max_exact:
+        if count > _EXACT_SIGN_CAP:
             raise SizeCapError(
                 f"exact sign search over {count} vectors needs 2^{count - 1} patterns",
                 cost_estimate=float(2 ** (count - 1)))
@@ -333,7 +326,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
     gen = rng.generator()
     row_norms = banach_norm(x, norm)
     orders = [tuple(np.argsort(-row_norms, kind="stable").tolist())]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(_SIGN_RESTARTS - 1):
         orders.append(tuple(gen.permutation(count).tolist()))
     best_val = math.inf
     best_signs = None
@@ -367,8 +360,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None,
 
 
 def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
-                          trials=2000, rng=None, subsets_per_size=8,
-                          max_exact=_EXACT_SIGN_CAP):
+                          trials=2000, rng=None, subsets_per_size=8):
     """Compares the Gaussian norm average against subset sign minima.
 
     For each lambda in delta_grid, subsets of size floor(lambda * n)
@@ -383,10 +375,13 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         delta_grid: increasing fractions in (0, 1].
         trials: Monte-Carlo sample count for the Gaussian side.
         rng: RngStream; substream 0 drives the weights, substream 1 the subsets.
-        subsets_per_size: subsets sampled per grid size.
-        max_exact: largest subset solved by exact sign enumeration.
+        subsets_per_size: subsets sampled per grid size, at least 1.
+
+    Subsets of at most _EXACT_SIGN_CAP vectors are solved by exact sign
+    enumeration, larger ones heuristically (flag HEURISTIC_MIN_SIGN).
     """
-    trials = _check_trials(trials)
+    trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
+    subsets_per_size = check_count(subsets_per_size, "subsets_per_size", 1)
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     x = _stack_unit_rows(vectors)
@@ -415,7 +410,7 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         for _ in range(draws):
             idx = np.sort(gen_s.choice(n, size=size, replace=False))
             chosen = [x[i] for i in idx]
-            if size <= max_exact:
+            if size <= _EXACT_SIGN_CAP:
                 res = min_sign_norm(chosen, norm=norm, mode="exact")
             else:
                 res = min_sign_norm(chosen, norm=norm, mode="heuristic",
@@ -449,17 +444,16 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
     bounded by 1. Flag INTEGRAL_ZERO marks a vanishing dimension
     profile, in which case the fitted value degenerates.
     """
-    trials = _check_trials(trials)
+    trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
-    if int(grid_points) != grid_points or grid_points < 2:
-        raise InputError("BAD_GRID", f"grid_points must be an integer >= 2, got {grid_points}")
+    grid_points = check_count(grid_points, "grid_points", 2, "BAD_GRID")
     if float(np.abs(F.values).max()) > 1.0 + 1e-12:
         raise InputError("BAD_CLASS", "class values must be bounded by 1")
     n = F.n
     est = gaussian_complexity(F, None, trials=trials, rng=rng.substream(0))
     lo = min(max(est.mean / n, _GRID_FLOOR), 1.0 - 1e-6)
-    grid = np.linspace(lo, 1.0, int(grid_points))
+    grid = np.linspace(lo, 1.0, grid_points)
     vc_curve = []
     for t in grid:
         vc_curve.append(vc_dimension(F, float(t)).dimension)
@@ -475,12 +469,12 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
     protocol = (
         f"K = E / (sqrt(n) * I) with E the {trials}-trial Gaussian average of the "
         f"class and I the trapezoid integral of sqrt(vc(F, t) ln(2/t)) over "
-        f"{int(grid_points)} uniform points on [max(E/n, {_GRID_FLOOR:g}), 1]; "
+        f"{grid_points} uniform points on [max(E/n, {_GRID_FLOOR:g}), 1]; "
         f"vc evaluated exactly at each point."
     )
     constant = FittedConstant(
         name="K_complexity", value=value, protocol=protocol,
-        inputs_digest=digest_inputs(F.values, trials, int(grid_points)))
+        inputs_digest=digest_inputs(F.values, trials, grid_points))
     return EntropyIntegralAudit(constant=constant, e_mean=est.mean,
                                 e_std_error=est.std_error, trials=trials,
                                 grid=tuple(float(t) for t in grid),

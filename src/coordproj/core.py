@@ -45,6 +45,24 @@ class CertificateError(CoordprojError, RuntimeError):
     code = "CERTIFICATE"
 
 
+def check_positive(x, name: str, code: str = "BAD_INPUT") -> float:
+    """x as a float when it is positive and finite; InputError(code) otherwise."""
+    if not 0.0 < x < math.inf:  # false for nan as well
+        raise InputError(code, f"{name} must be positive and finite, got {x}")
+    return float(x)
+
+
+def check_count(x, name: str, minimum: int, code: str = "BAD_INPUT") -> int:
+    """x as an int when it is an integer >= minimum; InputError(code) otherwise."""
+    try:
+        ok = int(x) == x and x >= minimum
+    except (ValueError, OverflowError):  # nan, inf
+        ok = False
+    if not ok:
+        raise InputError(code, f"{name} must be an integer >= {minimum}, got {x}")
+    return int(x)
+
+
 def as_vector(x) -> np.ndarray:
     """Coerce to a finite 1-d float array."""
     v = np.asarray(x, dtype=float)

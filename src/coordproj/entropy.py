@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FittedConstant, FunctionClass, InputError, digest_inputs
+from .core import FittedConstant, FunctionClass, InputError, check_positive, digest_inputs
 from .shatter import vc_dimension
 
 _EXACT_PACKING_MAX = 30
@@ -49,12 +49,6 @@ class CoveringEstimate:
     @property
     def exact(self) -> bool:
         return self.exact_packing is not None and self.exact_covering is not None
-
-
-def _check_t(t: float) -> float:
-    if t <= 0:
-        raise InputError("BAD_INPUT", f"scale t must be positive, got {t}")
-    return float(t)
 
 
 def _greedy_packing(dist: np.ndarray, t: float) -> list[int]:
@@ -156,34 +150,30 @@ def _exact_covering(dist: np.ndarray, t: float, incumbent: int) -> int:
     return best
 
 
-def packing_number(F: FunctionClass, t: float, exact_max: int = _EXACT_PACKING_MAX) -> CoveringEstimate:
-    """Greedy maximal t-separated subset size, exact maximum when m is small."""
-    t = _check_t(t)
+def packing_number(F: FunctionClass, t: float) -> CoveringEstimate:
+    """Greedy maximal t-separated subset size, exact maximum when m <= _EXACT_PACKING_MAX."""
+    t = check_positive(t, "scale t")
     dist = pairwise_l2_distances(F)
     greedy = len(_greedy_packing(dist, t))
-    exact = _exact_packing(dist, t) if F.m <= exact_max else None
+    exact = _exact_packing(dist, t) if F.m <= _EXACT_PACKING_MAX else None
     return CoveringEstimate(t=t, packing_lower=greedy, exact_packing=exact)
 
 
 def covering_number_upper(F: FunctionClass, t: float) -> int:
     """Greedy internal cover size (an upper bound on the covering number)."""
-    t = _check_t(t)
+    t = check_positive(t, "scale t")
     return len(_greedy_covering(pairwise_l2_distances(F), t))
 
 
-def covering_estimate(
-    F: FunctionClass,
-    t: float,
-    exact_packing_max: int = _EXACT_PACKING_MAX,
-    exact_covering_max: int = _EXACT_COVERING_MAX,
-) -> CoveringEstimate:
-    """Packing and covering bounds at scale t, exact where the caps allow."""
-    t = _check_t(t)
+def covering_estimate(F: FunctionClass, t: float) -> CoveringEstimate:
+    """Packing and covering bounds at scale t, exact where the caps allow:
+    packing for m <= _EXACT_PACKING_MAX, covering for m <= _EXACT_COVERING_MAX."""
+    t = check_positive(t, "scale t")
     dist = pairwise_l2_distances(F)
     greedy_pack = len(_greedy_packing(dist, t))
     greedy_cover = len(_greedy_covering(dist, t))
-    exact_pack = _exact_packing(dist, t) if F.m <= exact_packing_max else None
-    exact_cover = _exact_covering(dist, t, greedy_cover) if F.m <= exact_covering_max else None
+    exact_pack = _exact_packing(dist, t) if F.m <= _EXACT_PACKING_MAX else None
+    exact_cover = _exact_covering(dist, t, greedy_cover) if F.m <= _EXACT_COVERING_MAX else None
     return CoveringEstimate(
         t=t,
         packing_lower=greedy_pack,
@@ -211,16 +201,11 @@ class EntropyAudit:
     flags: tuple[str, ...]
 
 
-def entropy_inequality_audit(
-    F: FunctionClass,
-    t_grid,
-    c_assumed: float = 0.25,
-    exact_covering_max: int = _EXACT_COVERING_MAX,
-) -> EntropyAudit:
+def entropy_inequality_audit(F: FunctionClass, t_grid, c_assumed: float = 0.25) -> EntropyAudit:
     """Fit K in  log N(F, t) <= K * vc(F, c t) * log(2/t)  over a t grid.
 
-    Uses the exact covering number when the class is small enough,
-    otherwise the greedy upper bound.  Scales with vc = 0 must have a
+    Uses the exact covering number when the class has at most
+    _EXACT_COVERING_MAX functions, otherwise the greedy upper bound.  Scales with vc = 0 must have a
     single-ball cover (N = 1); anything else is flagged VC_ZERO_ANOMALY
     and skipped.
     """
@@ -230,8 +215,7 @@ def entropy_inequality_audit(
     for t in grid:
         if not (0.0 < t < 1.0):
             raise InputError("BAD_INPUT", f"grid scales must lie in (0, 1), got {t}")
-    if c_assumed <= 0:
-        raise InputError("BAD_CONSTANT", "c_assumed must be positive")
+    c_assumed = check_positive(c_assumed, "c_assumed", "BAD_CONSTANT")
     if np.abs(F.values).max() > 1.0:
         raise InputError("BAD_INPUT", "audit requires a class bounded by 1")
 
@@ -239,7 +223,7 @@ def entropy_inequality_audit(
     flags: list[str] = []
     k_fit = 0.0
     for t in grid:
-        est = covering_estimate(F, t, exact_covering_max=exact_covering_max)
+        est = covering_estimate(F, t)
         if est.exact_covering is not None:
             n_cover, is_exact = est.exact_covering, True
         else:
@@ -266,4 +250,4 @@ def entropy_inequality_audit(
         protocol=protocol,
         inputs_digest=digest_inputs(F.values, np.asarray(grid), c_assumed),
     )
-    return EntropyAudit(constant=constant, rows=tuple(rows), c_assumed=float(c_assumed), flags=tuple(flags))
+    return EntropyAudit(constant=constant, rows=tuple(rows), c_assumed=c_assumed, flags=tuple(flags))

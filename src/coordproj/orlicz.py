@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, as_vector
+from .core import InputError, as_vector, check_positive
 
 
 @dataclass(frozen=True)
@@ -62,8 +62,7 @@ def psi_norms(rows, p: float, tol: float = 1e-10) -> PsiNormBatch:
         raise InputError("BAD_INPUT", "vector entries must be finite")
     if not 1.0 <= p < math.inf:
         raise InputError("BAD_EXPONENT", f"exponent must be finite with p >= 1, got {p}")
-    if not 0.0 < tol < math.inf:
-        raise InputError("BAD_INPUT", f"tolerance must be positive and finite, got {tol}")
+    tol = check_positive(tol, "tolerance")
 
     peak = a.max(axis=1)
     live = peak > 0.0

@@ -19,6 +19,8 @@ from .core import (
     FittedConstant,
     InputError,
     RngStream,
+    check_count,
+    check_positive,
     digest_inputs,
 )
 from .orlicz import psi_norms
@@ -38,8 +40,7 @@ def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
     1e-10 per entry before returning, and CertificateError is raised when
     eight draws all fail that check.
     """
-    if n < 1:
-        raise InputError("DIMENSION", "need n >= 1")
+    n = check_count(n, "n", 1, "DIMENSION")
     gen = rng.generator()
     for _ in range(8):
         g = gen.standard_normal((n, n))
@@ -69,11 +70,10 @@ def rotated_psi2_tail(
         raise InputError("DIMENSION", "need a vector on at least 2 coordinates")
     if abs(np.linalg.norm(v) - 1.0) > 1e-9:
         raise InputError("BAD_INPUT", "vector must have unit Euclidean norm")
-    if operators is None and rotations < 1:
-        raise InputError("BAD_INPUT", "need at least one rotation")
 
     n = v.size
     if operators is None:
+        rotations = check_count(rotations, "rotations", 1)
         operators = (haar_orthogonal(n, rng.substream(i)) for i in range(rotations))
     rotated = np.array([o @ v for o in operators]).reshape(-1, n)
     return math.sqrt(n) * psi_norms(rotated, 2.0).values
@@ -146,8 +146,7 @@ def coordinate_jl(
         raise InputError("DIMENSION", "need vectors on at least 2 coordinates")
     if not (0.0 < eps < 1.0):
         raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
-    if c_fit <= 0:
-        raise InputError("BAD_CONSTANT", "c_fit must be positive")
+    c_fit = check_positive(c_fit, "c_fit", "BAD_CONSTANT")
     count, n = v.shape
     norms = np.sqrt(np.mean(v**2, axis=1))
     if np.abs(norms - 1.0).max() > 1e-9:
@@ -167,7 +166,8 @@ def coordinate_jl(
             raise InputError("BAD_DELTA", "forced delta must lie in (0, 1]")
         target = int(round(delta * n))
     else:
-        target = math.ceil((c_fit * m_psi / eps) ** 2 * math.log(n))
+        # past n the bound exceeds n whatever the log, and the square stays finite
+        target = math.ceil(min(c_fit * m_psi / eps, n) ** 2 * math.log(n))
         if target >= n:
             target = n
             flags.append("NO_COMPRESSION")

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import bdtrc
 
-from .core import CoordinateSubset, InputError, RngStream, as_vector, monte_carlo, sign_patterns
+from .core import (CoordinateSubset, InputError, RngStream, as_vector, check_count,
+                   check_positive, monte_carlo, sign_patterns)
 from .orlicz import psi_norm
 
 
@@ -35,8 +36,7 @@ def _check_delta(delta: float) -> float:
 def draw_selectors(n: int, delta: float, rng: RngStream) -> SelectorDraw:
     """One draw of n independent mean-delta selectors."""
     delta = _check_delta(delta)
-    if n < 1:
-        raise InputError("DIMENSION", "need at least one coordinate")
+    n = check_count(n, "coordinate count", 1, "DIMENSION")
     gen = rng.generator()
     outcomes = (gen.random(n) < delta).astype(np.int8)
     outcomes.setflags(write=False)
@@ -76,8 +76,7 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
     """
     v = as_vector(a)
     delta = _check_delta(delta)
-    if t <= 0:
-        raise InputError("BAD_INPUT", f"threshold scale t must be positive, got {t}")
+    t = check_positive(t, "threshold scale t")
     tau = t * delta * v.size
 
     def objective(lam: float) -> float:
@@ -104,7 +103,8 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
             x2 = lo + _GOLDEN * (hi - lo)
             f2 = objective(math.exp(x2))
     best = min(float(vals[k]), f1, f2)
-    return min(1.0, math.exp(best))
+    # a bound of 1 says nothing, and exp of a larger exponent may overflow
+    return math.exp(best) if best < 0.0 else 1.0
 
 
 def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
@@ -168,10 +168,8 @@ def tail_experiment(a, delta: float, t: float, trials: int, rng: RngStream) -> T
     """
     v = as_vector(a)
     delta = _check_delta(delta)
-    if trials < 1:
-        raise InputError("BAD_INPUT", "need at least one trial")
-    if t <= 0:
-        raise InputError("BAD_INPUT", "threshold scale t must be positive")
+    trials = check_count(trials, "trials", 1)
+    t = check_positive(t, "threshold scale t")
     m_psi = psi_norm(v, 1.0).value
     if m_psi == 0.0:
         raise InputError("BAD_INPUT", "weight vector must be nonzero")
@@ -198,14 +196,18 @@ def tail_experiment(a, delta: float, t: float, trials: int, rng: RngStream) -> T
     exact = exact_tail_probability(v, delta, tau)
     bound = chernoff_tail_bound(v, delta, t)
 
+    fitted_c = None
     if empirical > 0.0:
-        fitted_c = -math.log(empirical) * m_psi**2 / (t**2 * delta * n)
-    else:
+        try:
+            fitted_c = -math.log(empirical) * m_psi**2 / (t**2 * delta * n)
+        except (OverflowError, ZeroDivisionError):
+            pass  # M^2 or t^2 leaves the float range
+    if fitted_c is None or not math.isfinite(fitted_c):
         fitted_c = None
         flags.append("UNRESOLVED_TAIL")
 
     return TailExperimentReport(
-        t=float(t),
+        t=t,
         delta=delta,
         n=n,
         trials=trials,
@@ -227,8 +229,10 @@ def almost_isometry_experiment(f, delta: float, eps: float, trials: int, rng: Rn
     delta = _check_delta(delta)
     if not (0.0 < eps < 1.0):
         raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
-    if trials < 1:
-        raise InputError("BAD_INPUT", "need at least one trial")
+    trials = check_count(trials, "trials", 1)
+    # the hit test is scale-invariant: moving the peak into [1/2, 1) by an exact
+    # power of two keeps v**2 from underflowing or overflowing, and rounds nothing
+    v = np.ldexp(v, -math.frexp(float(np.abs(v).max(initial=0.0)))[1])
     sq = v**2
     full = math.sqrt(float(sq.mean()))
     if full == 0.0:

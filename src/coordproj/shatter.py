@@ -36,14 +36,17 @@ from .core import (
     SizeCapError,
     _BLOCK_SCALARS,
     banach_norm,
+    check_count,
+    check_positive,
     sign_patterns,
 )
 
-_DEFAULT_MAX_SIGMA = 5
-_DEFAULT_MAX_FUNCTIONS = 64
-_DEFAULT_MAX_POINTS = 20
+# size caps of the exact searches
+_MAX_SIGMA = 5
+_MAX_FUNCTIONS = 64
+_MAX_POINTS = 20
+_MAX_EXACT_DOMINATION = 15
 _DEFAULT_MAX_HULL_SIGMA = 4
-_DEFAULT_MAX_EXACT_DOMINATION = 15
 _LP_FEAS_TOL = 1e-7
 
 
@@ -138,47 +141,47 @@ def _least_carriers(sub: np.ndarray, two_t: float, order: np.ndarray) -> list[in
     return best
 
 
-def is_shattered(
-    F: FunctionClass,
-    sigma: CoordinateSubset,
-    t: float,
-    max_sigma: int = _DEFAULT_MAX_SIGMA,
-    max_functions: int = _DEFAULT_MAX_FUNCTIONS,
-) -> ShatterWitness | None:
+def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> ShatterWitness | None:
     """Search for a t-shattering witness of sigma; None when impossible.
 
-    Exact search over the cuts of each point (see the module docstring).
+    Exact search over the cuts of each point (see the module docstring),
+    for |sigma| <= _MAX_SIGMA and at most _MAX_FUNCTIONS functions.
     The witness is the lexicographically least feasible assignment, with
     patterns by descending +1 count and the level midway between the
     assigned high and low values. It is checked by substitution before it
     is returned; CertificateError is raised if it fails.
     """
-    if t <= 0:
-        raise InputError("BAD_INPUT", f"shattering scale must be positive, got {t}")
+    t = check_positive(t, "shattering scale")
     if sigma.size == 0:
         raise InputError("EMPTY_SUBSET", "cannot shatter an empty subset")
     if sigma.ambient_n != F.n:
         raise InputError("DIMENSION", "subset and class live on different point counts")
     k, m = sigma.size, F.m
-    sub = F.values[:, sigma.zero_based()]
-    two_t = 2.0 * t
-    if k > max_sigma or m > max_functions:
+    if k > _MAX_SIGMA or m > _MAX_FUNCTIONS:
         # the cuts of a column: its values that some value clears by 2t
-        cost = math.prod(float(np.count_nonzero(u[-1] - u >= two_t)) for u in map(np.unique, sub.T))
-        over = (f"|sigma| = {k} exceeds cap {max_sigma}" if k > max_sigma
-                else f"class size {m} exceeds cap {max_functions}")
+        sub = F.values[:, sigma.zero_based()]
+        cost = math.prod(float(np.count_nonzero(u[-1] - u >= 2.0 * t)) for u in map(np.unique, sub.T))
+        over = (f"|sigma| = {k} exceeds cap {_MAX_SIGMA}" if k > _MAX_SIGMA
+                else f"class size {m} exceeds cap {_MAX_FUNCTIONS}")
         raise SizeCapError(f"{over}; up to {cost:.3g} cut combinations", cost_estimate=cost)
+    return _search_cuts(F, sigma, t)
+
+
+def _search_cuts(F: FunctionClass, sigma: CoordinateSubset, t: float) -> ShatterWitness | None:
+    """is_shattered on arguments it has checked, without its size caps."""
+    k, m = sigma.size, F.m
     if 2**k > m:
         return None
+    sub = F.values[:, sigma.zero_based()]
     pats, table, order = _pattern_table(k)
-    first = _least_carriers(sub, two_t, order)
+    first = _least_carriers(sub, 2.0 * t, order)
     if first is None:
         return None
     min_high = np.where(table > 0, sub[first], np.inf).min(axis=0)
     max_low = np.where(table < 0, sub[first], -np.inf).max(axis=0)
     # halves first: the sum of two levels near the float maximum overflows
     level = min_high / 2.0 + max_low / 2.0
-    witness = ShatterWitness(sigma, level, dict(zip(pats, first)), scale=float(t))
+    witness = ShatterWitness(sigma, level, dict(zip(pats, first)), scale=t)
     if not verify_witness(F, witness, tol=1e-12):
         raise CertificateError("cut-search witness failed substitution")
     return witness
@@ -203,31 +206,26 @@ def verify_witness(F: FunctionClass, w: ShatterWitness, tol: float = 1e-9) -> bo
     return True
 
 
-def vc_dimension(
-    F: FunctionClass,
-    t: float,
-    max_points: int = _DEFAULT_MAX_POINTS,
-    max_functions: int = _DEFAULT_MAX_FUNCTIONS,
-    max_sigma: int | None = None,
-) -> VcResult:
+def vc_dimension(F: FunctionClass, t: float, max_sigma: int | None = None) -> VcResult:
     """Largest t-shattered subset size, by exact level-wise search.
 
     Subsets of size s+1 are only generated from shattered subsets of size
     s (shattering is hereditary), and a candidate is skipped unless all
     its size-s subsets were shattered.  Because assignments are injective,
-    the search never looks past floor(log2 m).
+    the search never looks past floor(log2 m), nor past max_sigma when
+    given.  Classes are capped at _MAX_POINTS points and _MAX_FUNCTIONS
+    functions.
     """
-    if t <= 0:
-        raise InputError("BAD_INPUT", f"shattering scale must be positive, got {t}")
+    t = check_positive(t, "shattering scale")
     n, m = F.n, F.m
-    if n > max_points:
-        raise SizeCapError(f"point count {n} exceeds cap {max_points}")
-    if m > max_functions:
-        raise SizeCapError(f"class size {m} exceeds cap {max_functions}")
+    if n > _MAX_POINTS:
+        raise SizeCapError(f"point count {n} exceeds cap {_MAX_POINTS}")
+    if m > _MAX_FUNCTIONS:
+        raise SizeCapError(f"class size {m} exceeds cap {_MAX_FUNCTIONS}")
 
     limit = min(n, int(math.floor(math.log2(m))) if m > 1 else 0)
     if max_sigma is not None:
-        limit = min(limit, max_sigma)
+        limit = min(limit, check_count(max_sigma, "max_sigma", 1))
 
     best = 0
     best_witness: ShatterWitness | None = None
@@ -246,13 +244,7 @@ def vc_dimension(
                     for i in range(size)
                 ):
                     continue
-                w = is_shattered(
-                    F,
-                    CoordinateSubset(cand, n),
-                    t,
-                    max_sigma=size,
-                    max_functions=max_functions,
-                )
+                w = _search_cuts(F, CoordinateSubset(cand, n), t)
                 if w is not None:
                     next_level.append(cand)
                     if found_witness is None:
@@ -279,15 +271,15 @@ def l1_domination(
     norm="sup",
     mode: str = "exact",
     rng: RngStream | None = None,
-    max_exact: int = _DEFAULT_MAX_EXACT_DOMINATION,
     samples: int = 512,
 ) -> DominationResult:
     """Largest eps with eps * sum |a_i| <= norm(sum a_i x_i) for all a.
 
     epsilon_star = min over the l_1 sphere of the norm of the signed
     combination.  Exact mode (sup norm only): one LP per sign orthant,
-    2^(count-1) orthants by symmetry.  Sampled mode: minimum over random
-    and structured directions, which only *over*-estimates epsilon_star.
+    2^(count-1) orthants by symmetry, for at most _MAX_EXACT_DOMINATION
+    points.  Sampled mode: minimum over `samples` random and some
+    structured directions, which only *over*-estimates epsilon_star.
 
     epsilon_star > 0 iff the points are linearly independent.
     """
@@ -296,6 +288,7 @@ def l1_domination(
         raise InputError("DIMENSION", "need at least one point")
     if not np.all(np.isfinite(x)):
         raise InputError("BAD_INPUT", "points must be finite")
+    samples = check_count(samples, "samples", 0)
     count, dim = x.shape
     if np.any(banach_norm(x, norm) > 1.0 + 1e-9):
         raise InputError("BAD_INPUT", "points must lie in the unit ball of the chosen norm")
@@ -303,9 +296,9 @@ def l1_domination(
     if mode == "exact":
         if norm != "sup":
             raise InputError("UNSUPPORTED_NORM", "exact mode supports the sup norm only")
-        if count > max_exact:
+        if count > _MAX_EXACT_DOMINATION:
             raise SizeCapError(
-                f"{count} points exceed the exact cap {max_exact} "
+                f"{count} points exceed the exact cap {_MAX_EXACT_DOMINATION} "
                 f"(2^{count - 1} sign-orthant LPs)",
                 cost_estimate=2.0 ** (count - 1),
             )
@@ -362,20 +355,18 @@ def vc_convex_hull(
     sigma: CoordinateSubset,
     t: float,
     max_sigma: int = _DEFAULT_MAX_HULL_SIGMA,
-    feas_tol: float = _LP_FEAS_TOL,
 ) -> ShatterWitness | None:
     """t-shattering of sigma by the convex hull of F, by one joint LP.
 
     Variables: the level h(x) per point, a simplex weight vector per sign
     pattern, and a common margin s which the LP maximizes; sigma is
     shattered at scale t iff the optimal margin reaches t (within
-    feas_tol).  The witness of a reached margin is checked by
+    _LP_FEAS_TOL).  The witness of a reached margin is checked by
     substitution, and CertificateError is raised if it fails.  Raising
     max_sigma past the default is supported but the LP grows as
     2^|sigma| * |F|.
     """
-    if t <= 0:
-        raise InputError("BAD_INPUT", f"shattering scale must be positive, got {t}")
+    t = check_positive(t, "shattering scale")
     if sigma.size == 0:
         raise InputError("EMPTY_SUBSET", "cannot shatter an empty subset")
     if sigma.ambient_n != F.n:
@@ -418,7 +409,7 @@ def vc_convex_hull(
         raise CertificateError(f"hull shattering LP failed with status {res.status}")
 
     margin = float(res.x[s_col])
-    if margin < t - feas_tol:
+    if margin < t - _LP_FEAS_TOL:
         return None
 
     level = np.array(res.x[:k])
@@ -429,7 +420,7 @@ def vc_convex_hull(
     witness = ShatterWitness(
         sigma=sigma, level=level, assignment=assignment, scale=float(t), margin=margin
     )
-    if not verify_witness(F, witness, tol=10.0 * feas_tol):
+    if not verify_witness(F, witness, tol=10.0 * _LP_FEAS_TOL):
         raise CertificateError(f"hull LP witness at margin {margin!r} failed substitution")
     return witness
 

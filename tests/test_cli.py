@@ -1,11 +1,14 @@
+import contextlib
+import io
 import itertools
 import json
 import math
-import os
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coordproj import __version__, shatter
 from coordproj.cli import (
@@ -168,26 +171,9 @@ class TestSeedResolution:
         main(["psi", "--input", vec_csv, "--seed", "42"])
         assert json.loads(capsys.readouterr().out)["seed"] == 42
 
-    def test_default_seed(self, vec_csv, capsys, monkeypatch):
-        monkeypatch.delenv("COORDPROJ_SEED", raising=False)
+    def test_default_seed(self, vec_csv, capsys):
         main(["psi", "--input", vec_csv])
         assert json.loads(capsys.readouterr().out)["seed"] == DEFAULT_SEED
-
-    def test_env_seed(self, vec_csv, capsys, monkeypatch):
-        monkeypatch.setenv("COORDPROJ_SEED", "777")
-        main(["psi", "--input", vec_csv])
-        assert json.loads(capsys.readouterr().out)["seed"] == 777
-
-    def test_flag_beats_env(self, vec_csv, capsys, monkeypatch):
-        monkeypatch.setenv("COORDPROJ_SEED", "777")
-        main(["psi", "--input", vec_csv, "--seed", "5"])
-        assert json.loads(capsys.readouterr().out)["seed"] == 5
-
-    def test_bad_env_seed(self, vec_csv, capsys, monkeypatch):
-        monkeypatch.setenv("COORDPROJ_SEED", "not-a-number")
-        code = main(["psi", "--input", vec_csv])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"]["code"] == "BAD_SEED"
 
 
 class TestDeterminism:
@@ -444,3 +430,132 @@ class TestParser:
         commands = set(sub.choices)
         assert commands == {"psi", "project", "jl", "shatter", "hull",
                             "entropy", "complexity", "typecmp", "audit"}
+
+
+class TestArgumentContract:
+    @pytest.mark.parametrize("argv", [
+        [cmd, "--t", value] + extra
+        for cmd, extra in (("shatter", []), ("hull", []),
+                           ("project", ["--delta", "0.5", "--trials", "10"]))
+        for value in ("nan", "inf")
+    ] + [
+        ["entropy", "--c-assumed", "nan"], ["entropy", "--c-assumed", "inf"],
+        ["jl", "--eps", "0.5", "--cfit", "nan"], ["jl", "--eps", "0.5", "--cfit", "inf"],
+        ["typecmp", "--subsets", "0", "--trials", "100"],
+        ["typecmp", "--subsets", "-1", "--trials", "100"],
+        ["shatter", "--t", "0.5", "--max-sigma", "0"],
+        ["shatter", "--t", "0.5", "--max-sigma", "-1"],
+        ["hull", "--t", "0.5", "--mode", "sampled", "--samples", "-1"],
+    ])
+    def test_invalid_scale_or_count_exits_2(self, tmp_path, capsys, argv):
+        # unit rows: a sign class for the others, points of the unit ball for typecmp
+        data = np.eye(4) if argv[0] == "typecmp" else np.array(
+            [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]])
+        path = write_csv(tmp_path / "data.csv", data)
+        assert main([argv[0], "--input", path, *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] in ("BAD_INPUT", "BAD_CONSTANT")
+
+    def _project(self, tmp_path, capsys, weights, t):
+        path = write_csv(tmp_path / "w.csv", weights)
+        code = main(["project", "--input", path, "--delta", "0.3", "--t", t,
+                     "--trials", "200", "--deterministic"])
+        assert code == 0, capsys.readouterr().err
+        return json.loads(capsys.readouterr().out)
+
+    def test_project_on_huge_weights(self, tmp_path, capsys):
+        report = self._project(tmp_path, capsys, np.full((1, 20), 1e200), "0.1")
+        tail = report["results"]["rows"][0]["tail"]
+        assert tail["chernoff_bound"] == 1.0
+        assert tail["psi1"] > 1e199
+
+    def test_project_at_an_underflowing_scale(self, tmp_path, capsys):
+        report = self._project(tmp_path, capsys, np.ones((1, 20)), "1e-320")
+        assert report["results"]["rows"][0]["tail"]["fitted_c"] is None
+        assert "UNRESOLVED_TAIL" in report["flags"]
+
+    def test_project_on_tiny_weights_matches_unit_weights(self, tmp_path, capsys):
+        weights = np.linspace(0.5, 1.0, 20)[None, :]
+        unit = self._project(tmp_path, capsys, weights, "0.1")["results"]["rows"][0]
+        tiny = self._project(tmp_path, capsys, 1e-300 * weights, "0.1")["results"]["rows"][0]
+        assert tiny["success_prob"] == unit["success_prob"]
+
+    def test_jl_huge_constant_keeps_every_coordinate(self, tmp_path, capsys):
+        path = write_csv(tmp_path / "basis8.csv", np.sqrt(8.0) * np.eye(8))
+        assert main(["jl", "--input", path, "--eps", "0.25", "--cfit", "1e200"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert "NO_COMPRESSION" in report["flags"]
+        assert report["results"]["target_cardinality"] == 8
+
+
+# half the draws are ordinary, so that runs get past the first check
+def _real(ordinary):
+    return st.one_of(st.just(ordinary),
+                     st.sampled_from(("nan", "inf", "0", "-1", "1e-320", "1e308")))
+
+
+def _count(smallest):
+    # argparse turns non-integers away before the program runs, and a large
+    # count is work rather than bad input, so counts stay small
+    return st.one_of(st.just(smallest), st.sampled_from(("0", "-1")))
+
+
+_CELL = st.one_of(st.sampled_from(("1", "-1", "0.5")),
+                  st.sampled_from(("nan", "inf", "-inf", "1e308", "1e-320", "0")))
+
+
+_FLAGS = {
+    "psi": {"--p": _real("2"), "--tol": _real("1e-10")},
+    "project": {"--delta": _real("0.5"), "--eps": _real("0.25"), "--t": _real("0.5"),
+                "--trials": _count("1")},
+    "jl": {"--eps": _real("0.5"), "--cfit": _real("0.5")},
+    "shatter": {"--t": _real("0.5"), "--max-sigma": _count("2")},
+    "hull": {"--t": _real("0.3"), "--norm": _real("sup"),
+             "--mode": st.sampled_from(("exact", "sampled")), "--samples": _count("4"),
+             "--max-sigma": _count("4")},
+    "entropy": {"--t-grid": _real("0.5"), "--c-assumed": _real("0.25")},
+    "complexity": {"--kind": st.sampled_from(("gaussian", "rademacher", "both")),
+                   "--trials": _count("100"), "--k": _count("2"), "--eps": _real("0.5"),
+                   "--kmax": _count("2")},
+    "typecmp": {"--norm": _real("2"), "--delta-grid": _real("0.5"), "--trials": _count("100"),
+                "--subsets": _count("1")},
+    "audit": {"--trials": _count("100"), "--grid-points": _count("2")},
+}
+
+
+@st.composite
+def _csv_text(draw):
+    width = draw(st.integers(1, 4))
+    cells = st.lists(_CELL, min_size=width, max_size=width)
+    lines = [",".join(row) for row in draw(st.lists(cells, max_size=4))]
+    # a blank line, or a one-cell row that is ragged when the width exceeds 1
+    extra = draw(st.sampled_from((None, "", "1")))
+    if extra is not None:
+        lines.insert(draw(st.integers(0, len(lines))), extra)
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def _invocations(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flag, values in _FLAGS[command].items():
+        argv += [flag, draw(values)]
+    return argv, draw(_csv_text())
+
+
+@given(case=_invocations())
+def test_cli_fuzz_exits_with_a_code_and_json(tmp_path_factory, case):
+    argv, text = case
+    path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+    path.write_text(text, encoding="utf-8")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([argv[0], "--input", str(path), *argv[1:], "--deterministic"])
+    assert code in (0, 2, 3, 4, 5)
+    if code == 0:
+        json.loads(out.getvalue())
+    else:
+        error = json.loads(err.getvalue())["error"]
+        assert set(error) == {"code", "message"}

@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from coordproj import complexity
 from coordproj.core import (
     CoordinateSubset,
     FunctionClass,
@@ -160,18 +161,20 @@ class TestEllParameter:
             for a, b in zip(ests, ests[1:]):
                 assert b.mean >= a.mean - 2.0 * (a.std_error + b.std_error)
 
-    def test_greedy_agrees_on_symmetric_class(self):
+    def test_greedy_agrees_on_symmetric_class(self, monkeypatch):
         # every tuple looks the same on the sign class, so greedy is exact
         F = sign_class(3)
-        greedy = ell_parameter(F, 2, trials=40000, rng=RngStream(25), exhaustive_cap=1)
+        monkeypatch.setattr(complexity, "_EXHAUSTIVE_TUPLE_CAP", 1)
+        greedy = ell_parameter(F, 2, trials=40000, rng=RngStream(25))
         assert greedy.method == "greedy"
         assert abs(greedy.mean - 2.0 * HALF_NORMAL) <= 4.0 * greedy.std_error
 
-    def test_greedy_below_exhaustive(self):
+    def test_greedy_below_exhaustive(self, monkeypatch):
         rng = RngStream(26).generator()
         F = FunctionClass(rng.uniform(-1.0, 1.0, size=(6, 5)))
         ex = ell_parameter(F, 3, trials=8000, rng=RngStream(27))
-        gr = ell_parameter(F, 3, trials=8000, rng=RngStream(28), exhaustive_cap=1)
+        monkeypatch.setattr(complexity, "_EXHAUSTIVE_TUPLE_CAP", 1)
+        gr = ell_parameter(F, 3, trials=8000, rng=RngStream(28))
         assert ex.method == "exhaustive"
         assert gr.mean <= ex.mean + 2.0 * (ex.std_error + gr.std_error)
 
@@ -197,13 +200,13 @@ class TestEllParameter:
         with pytest.raises(InputError):
             ell_parameter(F, 2, trials=200, rng=None)
 
-    def test_unknown_kind_rejected(self):
+    def test_unknown_kind_rejected(self, monkeypatch):
         # exhaustive and greedy tuple searches both draw through the shared sampler
         F = sign_class(2)
         for cap in (100_000, 1):
+            monkeypatch.setattr(complexity, "_EXHAUSTIVE_TUPLE_CAP", cap)
             with pytest.raises(InputError) as exc:
-                ell_parameter(F, 2, trials=200, rng=RngStream(0), kind="bogus",
-                              exhaustive_cap=cap)
+                ell_parameter(F, 2, trials=200, rng=RngStream(0), kind="bogus")
             assert exc.value.code == "BAD_KIND"
 
 
@@ -405,12 +408,12 @@ class TestTypeInfratypeReport:
         m_vals = [row.m_emp for row in rep.rows]
         assert all(a <= b + 1e-15 for a, b in zip(m_vals, m_vals[1:]))
 
-    def test_heuristic_flag_past_cap(self):
+    def test_heuristic_flag_past_cap(self, monkeypatch):
         rng = RngStream(66).generator()
         vecs = rng.standard_normal((8, 3))
         vecs /= np.linalg.norm(vecs, axis=1, keepdims=True) * 1.01
-        rep = type_infratype_report(vecs, delta_grid=(0.5,), trials=500,
-                                    rng=RngStream(67), max_exact=2)
+        monkeypatch.setattr(complexity, "_EXACT_SIGN_CAP", 2)
+        rep = type_infratype_report(vecs, delta_grid=(0.5,), trials=500, rng=RngStream(67))
         assert "HEURISTIC_MIN_SIGN" in rep.flags
         assert "heuristic" in rep.rows[0].min_sign_method
 

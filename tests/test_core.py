@@ -1,4 +1,6 @@
 import ast
+import importlib
+import inspect
 import itertools
 import math
 from pathlib import Path
@@ -267,3 +269,39 @@ def test_sources_raise_no_assert_or_bare_runtime_error():
                 exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
                 name = getattr(exc, "id", None)
                 assert name != "RuntimeError", f"{path.name}:{node.lineno} raises RuntimeError"
+
+
+# size caps, tolerances and restart counts with one value in use are module
+# constants; only the command line sets max_sigma, of the two searches it caps
+_TUNING_KEYWORDS = {"max_sigma", "max_functions", "max_points", "feas_tol", "max_exact",
+                    "restarts", "exhaustive_cap", "exact_max", "exact_packing_max",
+                    "exact_covering_max"}
+_SET_BY_THE_CLI = {"shatter.vc_dimension": {"max_sigma"}, "shatter.vc_convex_hull": {"max_sigma"}}
+
+
+def test_public_functions_take_no_tuning_keywords():
+    for path in sorted(Path(core.__file__).parent.glob("[!_]*.py")):
+        module = importlib.import_module(f"coordproj.{path.stem}")
+        for name, fn in vars(module).items():
+            if name.startswith("_") or not inspect.isfunction(fn) or fn.__module__ != module.__name__:
+                continue
+            allowed = _SET_BY_THE_CLI.get(f"{path.stem}.{name}", set())
+            taken = (set(inspect.signature(fn).parameters) & _TUNING_KEYWORDS) - allowed
+            assert not taken, f"{path.stem}.{name} takes {sorted(taken)}"
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf, -math.inf])
+def test_check_positive_rejects_with_the_callers_code(value):
+    with pytest.raises(InputError) as exc:
+        core.check_positive(value, "scale", "BAD_CONSTANT")
+    assert exc.value.code == "BAD_CONSTANT"
+    assert core.check_positive(5e-324, "scale") == 5e-324
+
+
+@pytest.mark.parametrize("value", [0, -1, 1.5, math.nan, math.inf])
+def test_check_count_rejects_with_the_callers_code(value):
+    with pytest.raises(InputError) as exc:
+        core.check_count(value, "trials", 1, "BAD_TRIALS")
+    assert exc.value.code == "BAD_TRIALS"
+    assert core.check_count(2.0, "trials", 1) == 2
+    assert core.check_count(10**400, "trials", 1) == 10**400

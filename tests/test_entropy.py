@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from coordproj import entropy
 from coordproj.core import FunctionClass, InputError, RngStream, normalized_lp
 from coordproj.entropy import (
     CoveringEstimate,
@@ -91,10 +92,11 @@ class TestPackingNumber:
                 est = packing_number(F, t)
                 assert est.packing_lower <= est.exact_packing
 
-    def test_cap_disables_exact(self):
+    def test_cap_disables_exact(self, monkeypatch):
         rng = RngStream(305).generator()
         F = random_class(rng, 12, 3)
-        est = packing_number(F, 0.4, exact_max=10)
+        monkeypatch.setattr(entropy, "_EXACT_PACKING_MAX", 10)
+        est = packing_number(F, 0.4)
         assert est.exact_packing is None and est.packing_lower >= 1
 
     def test_rejects_bad_scale(self):
@@ -123,10 +125,11 @@ class TestCoveringNumber:
                 assert est.covering_upper >= est.exact_covering
                 assert est.exact
 
-    def test_exact_property_reflects_caps(self):
+    def test_exact_property_reflects_caps(self, monkeypatch):
         rng = RngStream(308).generator()
         F = random_class(rng, 12, 3)
-        est = covering_estimate(F, 0.4, exact_covering_max=5)
+        monkeypatch.setattr(entropy, "_EXACT_COVERING_MAX", 5)
+        est = covering_estimate(F, 0.4)
         assert est.exact_covering is None and not est.exact
 
 
@@ -204,10 +207,11 @@ class TestEntropyAudit:
                 if row.vc >= 1:
                     assert row.term is not None and math.isfinite(row.term)
 
-    def test_greedy_fallback_flagged_in_protocol(self):
+    def test_greedy_fallback_flagged_in_protocol(self, monkeypatch):
         rng = RngStream(313).generator()
         F = random_class(rng, 12, 4, pm=True)
-        audit = entropy_inequality_audit(F, (0.4,), exact_covering_max=5)
+        monkeypatch.setattr(entropy, "_EXACT_COVERING_MAX", 5)
+        audit = entropy_inequality_audit(F, (0.4,))
         assert not audit.rows[0].covering_is_exact
         assert "greedily bounded" in audit.constant.protocol
 

@@ -236,7 +236,7 @@ class TestIsShattered:
             is_shattered(F, CoordinateSubset((1,), 4), 0.5)
         big = FunctionClass(np.ones((2, 8)))
         with pytest.raises(SizeCapError) as exc:
-            is_shattered(big, full_subset(8), 0.5, max_sigma=5)
+            is_shattered(big, full_subset(8), 0.5)
         assert exc.value.cost_estimate is not None
         crowd = FunctionClass(np.ones((65, 2)))
         with pytest.raises(SizeCapError):
@@ -249,15 +249,18 @@ class TestIsShattered:
             is_shattered(sign_class(3), full_subset(3), 1.0)
         assert exc.value.code == "CERTIFICATE"
 
-    def test_cap_cost_is_the_product_of_cut_counts(self):
+    def test_cap_cost_is_the_product_of_cut_counts(self, monkeypatch):
         # each column offers three cuts: lo = 0, 0.25 and 0.5 each have a value 2t above
         F = FunctionClass(np.repeat([[0.0], [0.25], [0.5], [1.0]], 3, axis=1))
+        monkeypatch.setattr(shatter, "_MAX_SIGMA", 2)
         with pytest.raises(SizeCapError) as exc:
-            is_shattered(F, full_subset(3), 0.25, max_sigma=2)
+            is_shattered(F, full_subset(3), 0.25)
         assert exc.value.cost_estimate == 27.0
         assert "27 cut combinations" in str(exc.value)
+        monkeypatch.undo()
+        monkeypatch.setattr(shatter, "_MAX_FUNCTIONS", 3)
         with pytest.raises(SizeCapError) as exc:
-            is_shattered(F, full_subset(3), 0.25, max_functions=3)
+            is_shattered(F, full_subset(3), 0.25)
         assert exc.value.cost_estimate == 27.0
 
     @given(case=shatter_cases(), tiny_blocks=st.booleans())
