@@ -284,6 +284,36 @@ def _stack_unit_rows(vectors):
     return np.vstack(rows)
 
 
+def _flip_descent(x, signs, total, val, norm):
+    """First-improvement single-flip descent from total = signs @ x at value val.
+
+    Flips signs in place and returns the final value. Sweeps run over
+    indices 0..count-1 and repeat until a sweep improves nothing. Each
+    norm call scores every flip from the current index on and takes the
+    first that improves, then continues past it: the order of a
+    one-flip-at-a-time sweep, so the same signs result.
+    """
+    count = x.shape[0]
+    pos = 0
+    improved = False
+    while pos < count or improved:
+        if pos == count:
+            pos, improved = 0, False
+        cands = total - 2.0 * signs[pos:, None] * x[pos:]
+        cvals = banach_norm(cands, norm)
+        hits = np.flatnonzero(cvals < val - 1e-15)
+        if hits.size == 0:
+            pos = count
+            continue
+        j = int(hits[0])
+        total = cands[j]
+        val = float(cvals[j])
+        signs[pos + j] = -signs[pos + j]
+        pos += j + 1
+        improved = True
+    return val
+
+
 def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
     """Minimizes ||sum_i eta_i v_i|| over sign choices eta_i = +-1.
 
@@ -324,38 +354,27 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
     if rng is None:
         rng = RngStream(0)
     gen = rng.generator()
-    row_norms = banach_norm(x, norm)
-    orders = [tuple(np.argsort(-row_norms, kind="stable").tolist())]
-    for _ in range(_SIGN_RESTARTS - 1):
-        orders.append(tuple(gen.permutation(count).tolist()))
-    best_val = math.inf
-    best_signs = None
-    for order in orders:
-        signs = np.zeros(count)
-        total = np.zeros(x.shape[1])
-        for i in order:
-            plus = banach_norm(total + x[i], norm)
-            minus = banach_norm(total - x[i], norm)
-            s = 1.0 if plus <= minus else -1.0
-            signs[i] = s
-            total = total + s * x[i]
-        val = banach_norm(total, norm)
-        improved = True
-        while improved:
-            improved = False
-            for i in range(count):
-                cand = total - 2.0 * signs[i] * x[i]
-                cval = banach_norm(cand, norm)
-                if cval < val - 1e-15:
-                    total = cand
-                    signs[i] = -signs[i]
-                    val = cval
-                    improved = True
-        if val < best_val:
-            best_val = val
-            best_signs = signs.copy()
-    if best_signs[0] < 0:
-        best_signs = -best_signs
+    orders = np.empty((_SIGN_RESTARTS, count), dtype=np.intp)
+    orders[0] = np.argsort(-banach_norm(x, norm), kind="stable")
+    for r in range(1, _SIGN_RESTARTS):
+        orders[r] = gen.permutation(count)
+    # lockstep greedy: at step j every restart signs its j-th vector, and the
+    # plus and minus candidates of all restarts are scored in one norm call
+    restarts = np.arange(_SIGN_RESTARTS)
+    signs = np.zeros((_SIGN_RESTARTS, count))
+    totals = np.zeros((_SIGN_RESTARTS, x.shape[1]))
+    for idx in orders.T:
+        vecs = x[idx]
+        scores = banach_norm(np.concatenate((totals + vecs, totals - vecs)), norm)
+        s = np.where(scores[:_SIGN_RESTARTS] <= scores[_SIGN_RESTARTS:], 1.0, -1.0)
+        signs[restarts, idx] = s
+        totals = totals + s[:, None] * vecs
+    vals = banach_norm(totals, norm)
+    for r in restarts:
+        vals[r] = _flip_descent(x, signs[r], totals[r], vals[r], norm)
+    best = int(np.argmin(vals))
+    best_val = float(vals[best])
+    best_signs = signs[best] if signs[best, 0] > 0 else -signs[best]
     return SignMinimumResult(best_val, tuple(int(s) for s in best_signs), "heuristic")
 
 

@@ -205,7 +205,8 @@ def _check_exponent(p: float) -> None:
 def banach_norm(v, norm="sup"):
     """Unnormalized norm over the last axis: "sup" or a p-norm exponent >= 1.
 
-    A vector gives a float; a stack of vectors gives an array of norms.
+    A vector gives a float; a stack of vectors gives an array of norms,
+    each with the same bits as the float of that vector alone.
     """
     w = np.abs(np.asarray(v, dtype=float))
     if w.ndim == 0 or w.shape[-1] == 0:
@@ -215,7 +216,9 @@ def banach_norm(v, norm="sup"):
     else:
         p = float(norm)
         _check_exponent(p)
-        out = np.sum(w**p, axis=-1) ** (1.0 / p)
+        # the root is always taken on an array: numpy's vectorized power can
+        # differ from its scalar power in the last bit
+        out = (np.sum(w**p, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
     return float(out) if np.ndim(out) == 0 else out
 
 
