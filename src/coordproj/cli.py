@@ -2,8 +2,8 @@
 
 Reads vector or function-class data from CSV, runs one experiment per
 subcommand, and writes a JSON report plus optional plot-ready CSV.
-Exit codes: 0 success, 2 validation error, 3 size cap, 4 I/O error,
-5 failed certificate.
+Exit codes: 0 success, 2 validation error, 3 size cap or memory
+exhausted, 4 I/O error, 5 failed certificate.
 """
 
 from __future__ import annotations
@@ -547,6 +547,8 @@ def main(argv=None) -> int:
         code, message, exit_code = exc.code, str(exc), _EXIT_VALIDATION
     except SizeCapError as exc:
         code, message, exit_code = "SIZE_CAP", str(exc), _EXIT_SIZE_CAP
+    except MemoryError as exc:
+        code, message, exit_code = "MEMORY", str(exc) or "out of memory", _EXIT_SIZE_CAP
     except CertificateError as exc:
         code, message, exit_code = exc.code, str(exc), _EXIT_CERTIFICATE
     except OSError as exc:

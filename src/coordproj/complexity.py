@@ -21,7 +21,6 @@ from .core import (
     InputError,
     RngStream,
     SizeCapError,
-    as_vector,
     banach_norm,
     check_count,
     check_positive,
@@ -29,6 +28,7 @@ from .core import (
     mean_and_se,
     monte_carlo,
     sign_patterns,
+    unit_peak,
 )
 from .shatter import vc_dimension
 
@@ -127,6 +127,17 @@ def _sup_average(values, trials, gen, kind):
     return mean_and_se(total, total_sq, trials)
 
 
+def _scale_back(e, mean, se):
+    """mean and se times 2^e; InputError OVERFLOW when either leaves the float range."""
+    try:
+        mean, se = math.ldexp(mean, e), math.ldexp(se, e)
+    except OverflowError:
+        mean = math.inf
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise InputError("OVERFLOW", "the average or its standard error exceeds the float range")
+    return mean, se
+
+
 def _project_columns(F, sigma):
     if sigma is None:
         return F.values
@@ -163,8 +174,10 @@ def _complexity(F, sigma, trials, rng, kind):
     trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
-    values = _project_columns(F, sigma)
-    mean, se = _sup_average(values, trials, rng.generator(), kind)
+    # the average is positively homogeneous; at a unit peak no weighted sum or
+    # square leaves the float range
+    values, e = unit_peak(_project_columns(F, sigma))
+    mean, se = _scale_back(e, *_sup_average(values, trials, rng.generator(), kind))
     return ComplexityEstimate(mean=mean, std_error=se, trials=trials, kind=kind)
 
 
@@ -194,7 +207,8 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
         raise InputError("BAD_RNG", "an RngStream is required")
     k = check_count(k, "k", 1, "BAD_K")
     n = F.n
-    values = F.values
+    # scaled as in _complexity, which also makes the greedy tolerance relative
+    values, e = unit_peak(F.values)
     exact = bool(exact_signs) and kind == "rademacher" and (1 << k) * max(1, F.m) <= 1 << 22
 
     def score(tup, weights):
@@ -211,7 +225,7 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
             if best is None or mean > best[0]:
                 best = (mean, se, tup)
         method = "exhaustive-exact" if exact else "exhaustive"
-        return ComplexityEstimate(best[0], best[1], trials, kind, method=method,
+        return ComplexityEstimate(*_scale_back(e, best[0], best[1]), trials, kind, method=method,
                                   support=tuple(i + 1 for i in best[2]))
 
     # greedy coordinate ascent from a deterministic start plus random restarts
@@ -245,7 +259,7 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
                 tup[pos] = orig
         if best is None or cur_mean > best[0]:
             best = (cur_mean, cur_se, tuple(sorted(tup)))
-    return ComplexityEstimate(best[0], best[1], trials, kind, method="greedy",
+    return ComplexityEstimate(*_scale_back(e, best[0], best[1]), trials, kind, method="greedy",
                               support=tuple(i + 1 for i in best[2]))
 
 
@@ -274,14 +288,19 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_sig
 
 
 def _stack_unit_rows(vectors):
-    rows = [as_vector(v) for v in vectors]
-    if not rows:
+    """The vectors as the rows of one finite 2-d float array."""
+    try:
+        x = np.asarray(vectors, dtype=float)
+    except ValueError:  # ragged rows or non-numeric entries
+        raise InputError("DIMENSION",
+                         "vectors must be numeric and share a common dimension") from None
+    if x.ndim >= 1 and x.shape[0] == 0:
         raise InputError("EMPTY_INPUT", "at least one vector is required")
-    dim = rows[0].size
-    for r in rows:
-        if r.size != dim:
-            raise InputError("DIMENSION", "vectors must share a common dimension")
-    return np.vstack(rows)
+    if x.ndim != 2:
+        raise InputError("DIMENSION", f"expected a stack of 1-d vectors, got shape {x.shape}")
+    if not np.isfinite(x).all():
+        raise InputError("BAD_INPUT", "vector entries must be finite")
+    return x
 
 
 def _flip_descent(x, signs, total, val, norm):
@@ -290,8 +309,8 @@ def _flip_descent(x, signs, total, val, norm):
     Flips signs in place and returns the final value. Sweeps run over
     indices 0..count-1 and repeat until a sweep improves nothing. Each
     norm call scores every flip from the current index on and takes the
-    first that improves, then continues past it: the order of a
-    one-flip-at-a-time sweep, so the same signs result.
+    first that improves by more than 1e-15 relative, then continues past
+    it: the order of a one-flip-at-a-time sweep, so the same signs result.
     """
     count = x.shape[0]
     pos = 0
@@ -301,7 +320,7 @@ def _flip_descent(x, signs, total, val, norm):
             pos, improved = 0, False
         cands = total - 2.0 * signs[pos:, None] * x[pos:]
         cvals = banach_norm(cands, norm)
-        hits = np.flatnonzero(cvals < val - 1e-15)
+        hits = np.flatnonzero(cvals < val - 1e-15 * val)
         if hits.size == 0:
             pos = count
             continue
@@ -428,7 +447,7 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         draws = 1 if size == n else subsets_per_size
         for _ in range(draws):
             idx = np.sort(gen_s.choice(n, size=size, replace=False))
-            chosen = [x[i] for i in idx]
+            chosen = x[idx]
             if size <= _EXACT_SIGN_CAP:
                 res = min_sign_norm(chosen, norm=norm, mode="exact")
             else:

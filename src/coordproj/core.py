@@ -222,6 +222,17 @@ def banach_norm(v, norm="sup"):
     return float(out) if np.ndim(out) == 0 else out
 
 
+def unit_peak(values) -> tuple[np.ndarray, int]:
+    """values times 2^-e, with e chosen so the peak |value| lies in [1/2, 1).
+
+    A power of two rounds nothing, so a homogeneous quantity computed on
+    the result is an exact multiple of the original's, while squares and
+    sums stay inside the float range. A zero table keeps e = 0.
+    """
+    e = math.frexp(float(np.abs(values).max(initial=0.0)))[1]
+    return np.ldexp(values, -e), e
+
+
 def project_class(F: FunctionClass, sigma: CoordinateSubset) -> FunctionClass:
     """Project every row of F onto sigma; duplicates created by projection stay."""
     if sigma.size == 0:

@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import bdtrc
 
 from .core import (CoordinateSubset, InputError, RngStream, as_vector, check_count,
-                   check_positive, monte_carlo, sign_patterns)
+                   check_positive, monte_carlo, sign_patterns, unit_peak)
 from .orlicz import psi_norm
 
 
@@ -230,9 +230,8 @@ def almost_isometry_experiment(f, delta: float, eps: float, trials: int, rng: Rn
     if not (0.0 < eps < 1.0):
         raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
     trials = check_count(trials, "trials", 1)
-    # the hit test is scale-invariant: moving the peak into [1/2, 1) by an exact
-    # power of two keeps v**2 from underflowing or overflowing, and rounds nothing
-    v = np.ldexp(v, -math.frexp(float(np.abs(v).max(initial=0.0)))[1])
+    # the hit test is scale-invariant, and v**2 must neither underflow nor overflow
+    v, _ = unit_peak(v)
     sq = v**2
     full = math.sqrt(float(sq.mean()))
     if full == 0.0:

@@ -3,6 +3,8 @@ import io
 import itertools
 import json
 import math
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coordproj import __version__, shatter
+from coordproj import __version__, cli, shatter
 from coordproj.cli import (
     DEFAULT_SEED,
     build_parser,
@@ -150,6 +152,43 @@ class TestExitCodes:
         assert code == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "CERTIFICATE"
+
+    @pytest.mark.parametrize("rows, exit_code", [
+        ([[1e308, 0.0, -1.0], [1.0, 1.0, 1.0]], 0),
+        ([[1e308] * 8], 2),
+    ])
+    def test_huge_class_averages_stay_in_range_or_overflow(self, tmp_path, rows, exit_code):
+        # a fresh interpreter that turns every numpy RuntimeWarning into a traceback
+        path = write_csv(tmp_path / "huge.csv", np.array(rows))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "coordproj", "complexity",
+             "--input", path, "--trials", "100", "--k", "1", "--eps", "0.5", "--kmax", "1"],
+            capture_output=True, text=True)
+        assert proc.returncode == exit_code
+        if exit_code == 0:
+            assert proc.stderr == ""
+            results = json.loads(proc.stdout)["results"]
+            means = [results[key]["mean"] for key in ("gaussian", "rademacher", "ell")]
+            assert all(0.0 < m < math.inf for m in means)
+        else:
+            assert proc.stdout == ""
+            assert json.loads(proc.stderr) == {"error": {
+                "code": "OVERFLOW",
+                "message": "the average or its standard error exceeds the float range"}}
+
+    def test_memory_exhausted(self, tmp_path, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 14.6 TiB")
+
+        monkeypatch.setattr(cli, "l1_domination", exhausted)
+        path = write_csv(tmp_path / "points.csv", np.eye(2))
+        code = main(["hull", "--input", path, "--t", "0.5", "--mode", "sampled",
+                     "--samples", "1000000000000"])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == {"code": "MEMORY",
+                                                     "message": "Unable to allocate 14.6 TiB"}
 
     @pytest.mark.parametrize("norm", ["nan", "inf"])
     def test_non_finite_norm_rejected(self, tmp_path, capsys, norm):

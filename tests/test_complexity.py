@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
@@ -38,6 +40,68 @@ def sign_class(n: int) -> FunctionClass:
 def chi_mean(n: int) -> float:
     # E ||g||_2 for g standard normal in R^n
     return math.sqrt(2.0) * math.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
+
+
+def sequential_min_sign(x, norm, rng):
+    """Reference heuristic: each restart signed greedily, then swept one flip per norm call.
+
+    Restart orders, tie rule and the relative 1e-15 descent threshold are
+    those of min_sign_norm. Returns (value, signs) with signs[0] = +1.
+    """
+    count = x.shape[0]
+    gen = rng.generator()
+    orders = [tuple(np.argsort(-banach_norm(x, norm), kind="stable").tolist())]
+    for _ in range(complexity._SIGN_RESTARTS - 1):
+        orders.append(tuple(gen.permutation(count).tolist()))
+    best_val, best_signs = math.inf, None
+    for order in orders:
+        signs = np.zeros(count)
+        total = np.zeros(x.shape[1])
+        for i in order:
+            plus = banach_norm(total + x[i], norm)
+            minus = banach_norm(total - x[i], norm)
+            s = 1.0 if plus <= minus else -1.0
+            signs[i] = s
+            total = total + s * x[i]
+        val = banach_norm(total, norm)
+        improved = True
+        while improved:
+            improved = False
+            for i in range(count):
+                cand = total - 2.0 * signs[i] * x[i]
+                cval = banach_norm(cand, norm)
+                if cval < val - 1e-15 * val:
+                    total = cand
+                    signs[i] = -signs[i]
+                    val = cval
+                    improved = True
+        if val < best_val:
+            best_val, best_signs = val, signs.copy()
+    if best_signs[0] < 0:
+        best_signs = -best_signs
+    return best_val, tuple(int(s) for s in best_signs)
+
+
+@st.composite
+def sign_inputs(draw, norms=("sup", 2.0, 1.0, 3.0)):
+    """(vectors, norm, rng) for the heuristic: 2 to 60 vectors in R^1..R^8.
+
+    Entries are Gaussian, +-1 or rounded to 2 decimals, where sums tie
+    often; or the vectors are a signed, shuffled basis, in R^count.
+    """
+    kind = draw(st.sampled_from(["gaussian", "sign", "decimal", "basis"]))
+    count = draw(st.integers(2, 60))
+    dim = draw(st.integers(1, 8))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        x = g.standard_normal((count, dim))
+    elif kind == "sign":
+        x = g.choice([-1.0, 1.0], size=(count, dim))
+    elif kind == "decimal":
+        x = np.round(g.uniform(-1.0, 1.0, size=(count, dim)), 2)
+    else:
+        x = (np.eye(count) * g.choice([-1.0, 1.0], size=(count, 1)))[g.permutation(count)]
+    return x, draw(st.sampled_from(norms)), RngStream(draw(st.integers(0, 2**16)))
 
 
 class TestGaussianComplexity:
@@ -210,6 +274,38 @@ class TestEllParameter:
             assert exc.value.code == "BAD_KIND"
 
 
+class TestFloatRange:
+    @pytest.mark.parametrize("greedy", [False, True])
+    @pytest.mark.parametrize("j", [-1000, -60, 60, 1000])
+    def test_averages_scale_exactly_by_powers_of_two(self, monkeypatch, j, greedy):
+        # at 2^1000 the squared sups overflow and at 2^-1000 they underflow
+        # unless the class is brought to a unit peak first
+        if greedy:
+            monkeypatch.setattr(complexity, "_EXHAUSTIVE_TUPLE_CAP", 1)
+        vals = RngStream(34).generator().uniform(-1.0, 1.0, size=(5, 4))
+        estimates = [
+            lambda F: gaussian_complexity(F, trials=300, rng=RngStream(35)),
+            lambda F: rademacher_complexity(F, trials=300, rng=RngStream(36)),
+            lambda F: ell_parameter(F, 2, trials=300, rng=RngStream(37)),
+        ]
+        for estimate in estimates:
+            a = estimate(FunctionClass(vals))
+            b = estimate(FunctionClass(np.ldexp(vals, j)))
+            assert b.mean == math.ldexp(a.mean, j)
+            assert b.std_error == math.ldexp(a.std_error, j)
+            assert b.support == a.support
+
+    def test_overflowing_average_is_an_input_error(self):
+        F = FunctionClass(np.full((1, 8), 1e308))
+        for estimate in (gaussian_complexity, rademacher_complexity):
+            with pytest.raises(InputError) as exc:
+                estimate(F, trials=200, rng=RngStream(38))
+            assert exc.value.code == "OVERFLOW"
+        with pytest.raises(InputError) as exc:
+            ell_parameter(F, 8, trials=200, rng=RngStream(39))
+        assert exc.value.code == "OVERFLOW"
+
+
 class TestConvexHullInvariance:
     def test_midpoints_never_change_the_sup(self):
         # per draw the sup at a midpoint is dominated by one endpoint, so
@@ -355,10 +451,42 @@ class TestMinSignNorm:
             min_sign_norm(np.eye(25), mode="exact")
         with pytest.raises(InputError):
             min_sign_norm(np.eye(3), mode="annealing")
-        with pytest.raises(InputError):
-            min_sign_norm([])
-        with pytest.raises(InputError):
-            min_sign_norm([np.ones(2), np.ones(3)])
+        for vectors, code in [([], "EMPTY_INPUT"), (np.zeros((0, 3)), "EMPTY_INPUT"),
+                              ([np.ones(2), np.ones(3)], "DIMENSION"),
+                              (np.ones(3), "DIMENSION"), (np.ones((2, 2, 2)), "DIMENSION"),
+                              ([[1.0, math.nan]], "BAD_INPUT"), ([[math.inf, 0.0]], "BAD_INPUT")]:
+            with pytest.raises(InputError) as exc:
+                min_sign_norm(vectors)
+            assert exc.value.code == code
+
+    @given(case=sign_inputs())
+    def test_batched_heuristic_matches_sequential_reference(self, case):
+        x, norm, rng = case
+        res = min_sign_norm(x, norm=norm, mode="heuristic", rng=rng)
+        assert (res.value, res.signs) == sequential_min_sign(x, norm, rng)
+
+    @given(case=sign_inputs(norms=("sup", 2.0, 1.0)), j=st.sampled_from([-60, -7, 9, 60]))
+    def test_heuristic_is_scale_equivariant(self, case, j):
+        # scaling by 2^j is exact in these norms, and the descent threshold is relative
+        x, norm, rng = case
+        base = min_sign_norm(x, norm=norm, mode="heuristic", rng=rng)
+        scaled = min_sign_norm(np.ldexp(x, j), norm=norm, mode="heuristic", rng=rng)
+        assert scaled.signs == base.signs
+        assert scaled.value == math.ldexp(base.value, j)
+
+    def test_heuristic_norm_calls(self, monkeypatch):
+        # one call for the row norms, one per lockstep greedy step, and per
+        # restart at most one for its value and one for a sweep that finds nothing
+        calls = []
+
+        def counting_norm(v, norm="sup"):
+            calls.append(np.shape(v))
+            return banach_norm(v, norm)
+
+        monkeypatch.setattr(complexity, "banach_norm", counting_norm)
+        res = min_sign_norm(np.eye(51), mode="heuristic", rng=RngStream(56))
+        assert res.value == math.sqrt(51.0)
+        assert len(calls) <= 1 + 51 + 2 * complexity._SIGN_RESTARTS
 
 
 class TestTypeInfratypeReport:
