@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import bdtrc
 
 from .core import (CoordinateSubset, InputError, RngStream, as_vector, check_count,
                    check_positive, monte_carlo, sign_patterns, unit_peak)
@@ -43,6 +42,14 @@ def draw_selectors(n: int, delta: float, rng: RngStream) -> SelectorDraw:
     return SelectorDraw(delta, outcomes, CoordinateSubset.from_mask(outcomes == 1))
 
 
+def _ldexp(x: float, e: int) -> float:
+    """x * 2^e, exact inside the float range and +-inf past it."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def exact_log_mgf(a, delta: float, lam: float) -> float:
     """log E exp(lam * Z) for Z = sum (delta_i - delta) a_i, computed exactly.
 
@@ -53,11 +60,12 @@ def exact_log_mgf(a, delta: float, lam: float) -> float:
     delta = _check_delta(delta)
     if not np.isfinite(lam):
         raise InputError("BAD_INPUT", "lambda must be finite")
-    with np.errstate(divide="ignore"):
+    # a log-mgf past the float range is +inf, which no infimum picks
+    with np.errstate(divide="ignore", over="ignore"):
         log_q = math.log1p(-delta) if delta < 1.0 else -math.inf
         term0 = log_q - lam * delta * v
         term1 = math.log(delta) + lam * (1.0 - delta) * v
-    return float(np.logaddexp(term0, term1).sum())
+        return float(np.logaddexp(term0, term1).sum())
 
 
 def exact_mgf(a, delta: float, lam: float) -> float:
@@ -118,6 +126,9 @@ def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     delta = _check_delta(delta)
     if delta == 1.0:
         return 1.0 if 0.0 > threshold else 0.0
+    # the event is scale-free, and sums of the weights must not overflow
+    v, e = unit_peak(v)
+    threshold = _ldexp(threshold, -e)
     nz = v[v != 0.0]
     if nz.size == 0:
         return 1.0 if 0.0 > threshold else 0.0
@@ -131,6 +142,8 @@ def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
             return 0.0
         if x < 0:
             return 1.0
+        from scipy.special import bdtrc
+
         return float(bdtrc(math.floor(x), s, delta))
 
     if v.size <= 20:
@@ -183,12 +196,15 @@ def tail_experiment(a, delta: float, t: float, trials: int, rng: RngStream) -> T
         flags.append("T_EXCEEDS_HALF_M")
 
     gen = rng.generator()
-    shift = delta * v.sum()
+    # the event is scale-free, and the draws' sums must not overflow
+    unit, e = unit_peak(v)
+    unit_tau = _ldexp(tau, -e)
+    shift = delta * unit.sum()
 
     def exceed(rows):
         # +1 above tau, -1 below -tau: the sum of squares counts both tails
-        z = (gen.random((rows, n)) < delta) @ v - shift
-        return (z > tau).astype(float) - (z < -tau)
+        z = (gen.random((rows, n)) < delta) @ unit - shift
+        return (z > unit_tau).astype(float) - (z < -unit_tau)
 
     signed, two = monte_carlo(trials, n, exceed)
     empirical = (signed + two) / 2.0 / trials

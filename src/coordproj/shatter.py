@@ -24,8 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .core import (
     CertificateError,
@@ -48,6 +46,13 @@ _MAX_POINTS = 20
 _MAX_EXACT_DOMINATION = 15
 _DEFAULT_MAX_HULL_SIGMA = 4
 _LP_FEAS_TOL = 1e-7
+
+
+def linprog(*args, **kwargs):
+    """scipy.optimize.linprog, imported on the first call: only the LP certificates need it."""
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 @dataclass(frozen=True)
@@ -103,7 +108,8 @@ def _least_carriers(sub: np.ndarray, two_t: float, order: np.ndarray) -> list[in
     """
     (m, k), half = sub.shape, 1 << (sub.shape[1] - 1)
     s = np.sort(sub, axis=0)
-    gap = s[None] - s[:, None] >= two_t  # gap[i, l, x]: s[l, x] - s[i, x] clears 2t
+    with np.errstate(over="ignore"):  # an overflowed difference is +-inf and compares right
+        gap = s[None] - s[:, None] >= two_t  # gap[i, l, x]: s[l, x] - s[i, x] clears 2t
     top = np.where(gap[:, -1], s[gap.argmax(axis=1), np.arange(k)], np.inf)  # no hi: nothing high
     low, high = sub.T <= s[..., None], sub.T >= top[..., None]  # [i, x, row]: the cut at s[i, x]
     # each side of a point carries half the patterns, each with its own row; and of the
@@ -160,7 +166,8 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
     if k > _MAX_SIGMA or m > _MAX_FUNCTIONS:
         # the cuts of a column: its values that some value clears by 2t
         sub = F.values[:, sigma.zero_based()]
-        cost = math.prod(float(np.count_nonzero(u[-1] - u >= 2.0 * t)) for u in map(np.unique, sub.T))
+        with np.errstate(over="ignore"):  # an overflowed difference is +inf and compares right
+            cost = math.prod(float(np.count_nonzero(u[-1] - u >= 2.0 * t)) for u in map(np.unique, sub.T))
         over = (f"|sigma| = {k} exceeds cap {_MAX_SIGMA}" if k > _MAX_SIGMA
                 else f"class size {m} exceeds cap {_MAX_FUNCTIONS}")
         raise SizeCapError(f"{over}; up to {cost:.3g} cut combinations", cost_estimate=cost)
@@ -377,6 +384,7 @@ def vc_convex_hull(
             f"|sigma| = {k} exceeds hull cap {max_sigma}; LP has 2^{k} * {F.m} weight variables",
             cost_estimate=float(2**k * F.m),
         )
+    from scipy import sparse
 
     m = F.m
     sub = F.values[:, sigma.zero_based()]

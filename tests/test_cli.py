@@ -520,12 +520,72 @@ class TestArgumentContract:
         tiny = self._project(tmp_path, capsys, 1e-300 * weights, "0.1")["results"]["rows"][0]
         assert tiny["success_prob"] == unit["success_prob"]
 
+    @pytest.mark.parametrize("argv, rows", [
+        (["project", "--delta", "0.5", "--t", "0.5", "--trials", "100"], [[1e308, 1e308, -1e308]]),
+        (["shatter", "--t", "0.5"], [[1e308, 1.0, -1.0], [-1e308, -1.0, 1.0]]),
+    ], ids=["project", "shatter"])
+    def test_weights_near_the_float_maximum_raise_no_warning(self, tmp_path, argv, rows):
+        # a fresh interpreter that turns every numpy RuntimeWarning into a traceback
+        path = write_csv(tmp_path / "huge.csv", np.array(rows))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "coordproj", argv[0],
+             "--input", path, *argv[1:], "--deterministic"],
+            capture_output=True, text=True)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        results = json.loads(proc.stdout)["results"]
+        if argv[0] == "project":
+            # Z > 0.75 is Z > 0 at this scale, as for the weights (1, 1, -1)
+            assert results["rows"][0]["tail"]["exact_prob"] == 0.5000000000000001
+        else:
+            assert results["dimension"] == 1
+
     def test_jl_huge_constant_keeps_every_coordinate(self, tmp_path, capsys):
         path = write_csv(tmp_path / "basis8.csv", np.sqrt(8.0) * np.eye(8))
         assert main(["jl", "--input", path, "--eps", "0.25", "--cfit", "1e200"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert "NO_COMPRESSION" in report["flags"]
         assert report["results"]["target_cardinality"] == 8
+
+
+# runs in a fresh interpreter: the subcommands of argv[1:] in order, each
+# printing the scipy modules loaded so far
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+import coordproj
+from coordproj import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    scipy = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    print(json.dumps([argv[0], code, scipy]))
+"""
+
+
+def test_scipy_is_loaded_only_by_hull_and_project(tmp_path, sign_csv):
+    eye = write_csv(tmp_path / "eye.csv", np.eye(4))
+    ones = write_csv(tmp_path / "ones.csv", np.ones((1, 6)))
+    calls = [
+        ["psi", "--input", sign_csv],
+        ["jl", "--input", sign_csv, "--eps", "0.5"],
+        ["complexity", "--input", sign_csv, "--trials", "100", "--k", "1", "--eps", "0.5",
+         "--kmax", "2"],
+        ["typecmp", "--input", eye, "--trials", "100"],
+        ["shatter", "--input", sign_csv, "--t", "0.5"],
+        ["entropy", "--input", sign_csv],
+        ["audit", "--input", sign_csv, "--trials", "100", "--grid-points", "3"],
+        # equal weights: the exact tail is a binomial tail
+        ["project", "--input", ones, "--delta", "0.5", "--t", "0.1", "--trials", "100"],
+        ["hull", "--input", eye, "--t", "0.3"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(calls)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    lines = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [line[:2] for line in lines] == [[argv[0], 0] for argv in calls]
+    *scipy_free, project, hull = lines
+    assert all(not loaded for _, _, loaded in scipy_free)
+    assert "scipy.special" in project[2] and "scipy.optimize" not in project[2]
+    assert "scipy.optimize" in hull[2]
 
 
 # half the draws are ordinary, so that runs get past the first check

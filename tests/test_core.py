@@ -273,6 +273,30 @@ def test_sources_raise_no_assert_or_bare_runtime_error():
                 assert name != "RuntimeError", f"{path.name}:{node.lineno} raises RuntimeError"
 
 
+def _import_time_nodes(tree):
+    # every node run when the module is imported: function bodies are left out
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_sources_import_scipy_only_inside_functions():
+    # scipy costs most of a cold start, and only the LP certificates and the binomial tail need it
+    for path in sorted(Path(core.__file__).parent.glob("*.py")):
+        for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            assert all(name.split(".")[0] != "scipy" for name in names), \
+                f"{path.name}:{node.lineno} imports scipy at module level"
+
+
 # size caps, tolerances and restart counts with one value in use are module
 # constants; only the command line sets max_sigma, of the two searches it caps
 _TUNING_KEYWORDS = {"max_sigma", "max_functions", "max_points", "feas_tol", "max_exact",

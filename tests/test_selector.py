@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
@@ -172,6 +172,10 @@ class TestExactTail:
         a = np.full(3, 0.5)
         assert exact_tail_probability(a, 0.5, 1e308) == 0.0
         assert exact_tail_probability(a, 0.5, -1e308) == 1.0
+        # and so does the threshold moved to the weights' unit peak
+        for a in (np.full(3, 1e-300), np.array([1e-300, 2e-300, -1e-300])):
+            assert exact_tail_probability(a, 0.5, 1e300) == 0.0
+            assert exact_tail_probability(a, 0.5, -1e300) == pytest.approx(1.0)
 
     @given(
         a=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),
@@ -181,6 +185,23 @@ class TestExactTail:
     def test_enumeration_path_matches_product_brute_force(self, a, delta, threshold):
         got = exact_tail_probability(a, delta, threshold)
         assert got == pytest.approx(brute_tail(a, delta, threshold), rel=1e-9, abs=1e-12)
+
+    @given(
+        ints=st.lists(st.integers(-2**33, 2**33), min_size=1, max_size=10),
+        equal=st.booleans(),
+        delta=st.floats(0.05, 0.95),
+        k=st.integers(-2**33, 2**33),
+        j=st.integers(-1000, 1000),
+    )
+    @example(ints=[2**33, 2**33, -2**33], equal=False, delta=0.5, k=1, j=1000)
+    def test_scale_equivariant_across_the_float_range(self, ints, equal, delta, k, j):
+        # dyadic weights and threshold between 2^-10 and 2^23, so 2^j times them is exact
+        a = np.ldexp(np.array(ints, dtype=float), -10)
+        if equal:  # the binomial path; otherwise n <= 10 takes the enumeration path
+            a = np.where(a != 0.0, 1.0, 0.0)
+        threshold = math.ldexp(k, -10)
+        got = exact_tail_probability(np.ldexp(a, j), delta, math.ldexp(threshold, j))
+        assert got == exact_tail_probability(a, delta, threshold)
 
     def test_intractable_returns_none(self):
         rng = np.random.default_rng(17)
