@@ -9,6 +9,7 @@ exhausted, 4 I/O error, 5 failed certificate.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -417,6 +418,7 @@ def _add_common(sp):
                     help="omit wall-clock timing from the report")
 
 
+@functools.cache  # one parser per process, however many times main runs
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="coordproj",
@@ -515,7 +517,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 1,
+        "schema": 2,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

@@ -424,7 +424,8 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         raise InputError("BAD_RNG", "an RngStream is required")
     x = _stack_unit_rows(vectors)
     n = x.shape[0]
-    outside = np.flatnonzero(banach_norm(x, norm) > 1.0 + 1e-9)
+    with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
+        outside = np.flatnonzero(banach_norm(x, norm) > 1.0 + 1e-9)
     if outside.size:
         raise InputError("BAD_INPUT", f"vector {outside[0] + 1} lies outside the unit ball")
     grid = [float(d) for d in delta_grid]

@@ -148,7 +148,8 @@ def coordinate_jl(
         raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
     c_fit = check_positive(c_fit, "c_fit", "BAD_CONSTANT")
     count, n = v.shape
-    norms = np.sqrt(np.mean(v**2, axis=1))
+    with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
+        norms = np.sqrt(np.mean(v**2, axis=1))
     if np.abs(norms - 1.0).max() > 1e-9:
         raise InputError("BAD_INPUT", "vectors must be unit-normalized in L_2^n")
 

@@ -4,7 +4,7 @@ delta_1..delta_n are i.i.d. {0,1} selectors with mean delta; the random
 subset sigma keeps the coordinates with delta_i = 1.  The centered linear
 statistic  Z = sum_i (delta_i - delta) a_i  has a product-form moment
 generating function, so its Chernoff bound can be computed exactly, and
-for structured weight vectors the tail itself is exact.
+for weight vectors with few distinct values the tail itself is exact.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (CoordinateSubset, InputError, RngStream, as_vector, check_count,
-                   check_positive, monte_carlo, sign_patterns, unit_peak)
+from .core import (_BLOCK_SCALARS, CoordinateSubset, InputError, RngStream, as_vector,
+                   check_count, check_positive, monte_carlo, unit_peak)
 from .orlicz import psi_norm
 
 
@@ -118,9 +118,10 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
 def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     """P{Z > threshold} exactly, where tractable; None otherwise.
 
-    Covered cases: all nonzero weights equal to one positive value (the
-    statistic reduces to a scaled centered binomial), and n <= 20 (full
-    enumeration of selector outcomes).
+    The selector count K_j among the s_j weights equal to u_j is
+    Bin(s_j, delta), independently across values, so Z = sum u_j (K_j -
+    delta s_j) takes one value per vector of counts. The prod (s_j + 1)
+    count vectors are enumerated while they fit in one Monte-Carlo block.
     """
     v = as_vector(a)
     delta = _check_delta(delta)
@@ -129,32 +130,28 @@ def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     # the event is scale-free, and sums of the weights must not overflow
     v, e = unit_peak(v)
     threshold = _ldexp(threshold, -e)
-    nz = v[v != 0.0]
-    if nz.size == 0:
-        return 1.0 if 0.0 > threshold else 0.0
+    values, counts = np.unique(v[v != 0.0], return_counts=True)
+    # each distinct value at least doubles the count vectors: many values skip the product
+    if (counts.size >= _BLOCK_SCALARS.bit_length()
+            or math.prod((counts + 1).tolist()) > _BLOCK_SCALARS):
+        return None
 
-    uniq = np.unique(nz)
-    if uniq.size == 1 and uniq[0] > 0:
-        s = int(nz.size)
-        # P{Bin(s, delta) > x}; x may be infinite, and bdtrc is nan past s
-        x = threshold / float(uniq[0]) + delta * s
-        if x >= s:
-            return 0.0
-        if x < 0:
-            return 1.0
-        from scipy.special import bdtrc
-
-        return float(bdtrc(math.floor(x), s, delta))
-
-    if v.size <= 20:
-        n = v.size
-        masks = sign_patterns(n) > 0
-        sums = masks @ v - delta * v.sum()
-        k = masks.sum(axis=1).astype(float)
-        probs = np.exp(k * math.log(delta) + (n - k) * math.log1p(-delta))
-        return float(probs[sums > threshold].sum())
-
-    return None
+    z = np.zeros(1)
+    log_p = np.zeros(1)
+    for u, s in zip(values, counts):
+        k = np.arange(s + 1.0)
+        log_fact = np.array([math.lgamma(j) for j in k + 1.0])
+        log_pmf = (log_fact[-1] - log_fact - log_fact[::-1]
+                   + k * math.log(delta) + (s - k) * math.log1p(-delta))
+        z = (z[:, None] + u * (k - delta * s)).ravel()
+        log_p = (log_p[:, None] + log_pmf).ravel()
+    p = np.exp(log_p)
+    above = z > threshold
+    # a light tail is summed, keeping its relative accuracy; a heavy one is 1 minus
+    # the light side, which keeps it in [0, 1]
+    hi = float(p[above].sum())
+    lo = float(p[~above].sum())
+    return hi if hi <= lo else 1.0 - lo
 
 
 @dataclass(frozen=True)

@@ -93,10 +93,6 @@ def _pattern_table(k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return tuple(map(tuple, table.tolist())), table, codes
 
 
-def _patterns(k: int) -> list[tuple[int, ...]]:
-    return list(_pattern_table(k)[0])
-
-
 def _least_carriers(sub: np.ndarray, two_t: float, order: np.ndarray) -> list[int] | None:
     """The least first-carrier vector over the surviving cut choices, or None.
 

@@ -114,7 +114,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 1
+        assert report["schema"] == 2
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -523,7 +523,9 @@ class TestArgumentContract:
     @pytest.mark.parametrize("argv, rows", [
         (["project", "--delta", "0.5", "--t", "0.5", "--trials", "100"], [[1e308, 1e308, -1e308]]),
         (["shatter", "--t", "0.5"], [[1e308, 1.0, -1.0], [-1e308, -1.0, 1.0]]),
-    ], ids=["project", "shatter"])
+        (["jl", "--eps", "0.5"], [[1e308, 1e308, -1e308, 1e308]]),
+        (["typecmp", "--trials", "100"], [[1e308, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
+    ], ids=["project", "shatter", "jl", "typecmp"])
     def test_weights_near_the_float_maximum_raise_no_warning(self, tmp_path, argv, rows):
         # a fresh interpreter that turns every numpy RuntimeWarning into a traceback
         path = write_csv(tmp_path / "huge.csv", np.array(rows))
@@ -531,11 +533,16 @@ class TestArgumentContract:
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "coordproj", argv[0],
              "--input", path, *argv[1:], "--deterministic"],
             capture_output=True, text=True)
+        if argv[0] in ("jl", "typecmp"):
+            # off the unit sphere, outside the unit ball: stderr holds the JSON error alone
+            assert proc.returncode == 2
+            assert json.loads(proc.stderr)["error"]["code"] == "BAD_INPUT"
+            return
         assert (proc.returncode, proc.stderr) == (0, "")
         results = json.loads(proc.stdout)["results"]
         if argv[0] == "project":
             # Z > 0.75 is Z > 0 at this scale, as for the weights (1, 1, -1)
-            assert results["rows"][0]["tail"]["exact_prob"] == 0.5000000000000001
+            assert abs(results["rows"][0]["tail"]["exact_prob"] - 0.5) <= 2**-52
         else:
             assert results["dimension"] == 1
 
@@ -561,7 +568,7 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
-def test_scipy_is_loaded_only_by_hull_and_project(tmp_path, sign_csv):
+def test_scipy_is_loaded_only_by_hull(tmp_path, sign_csv):
     eye = write_csv(tmp_path / "eye.csv", np.eye(4))
     ones = write_csv(tmp_path / "ones.csv", np.ones((1, 6)))
     calls = [
@@ -582,9 +589,8 @@ def test_scipy_is_loaded_only_by_hull_and_project(tmp_path, sign_csv):
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [line[:2] for line in lines] == [[argv[0], 0] for argv in calls]
-    *scipy_free, project, hull = lines
+    *scipy_free, hull = lines
     assert all(not loaded for _, _, loaded in scipy_free)
-    assert "scipy.special" in project[2] and "scipy.optimize" not in project[2]
     assert "scipy.optimize" in hull[2]
 
 

@@ -284,7 +284,7 @@ def _import_time_nodes(tree):
 
 
 def test_sources_import_scipy_only_inside_functions():
-    # scipy costs most of a cold start, and only the LP certificates and the binomial tail need it
+    # scipy costs most of a cold start, and only the LP certificates need it
     for path in sorted(Path(core.__file__).parent.glob("*.py")):
         for node in _import_time_nodes(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):

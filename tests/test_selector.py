@@ -175,7 +175,47 @@ class TestExactTail:
         # and so does the threshold moved to the weights' unit peak
         for a in (np.full(3, 1e-300), np.array([1e-300, 2e-300, -1e-300])):
             assert exact_tail_probability(a, 0.5, 1e300) == 0.0
-            assert exact_tail_probability(a, 0.5, -1e300) == pytest.approx(1.0)
+            assert exact_tail_probability(a, 0.5, -1e300) == 1.0
+
+    @given(
+        groups=st.lists(st.tuples(st.integers(-16, 16).filter(bool), st.integers(1, 66)),
+                        min_size=1, max_size=3, unique_by=lambda g: g[0]),
+        j=st.integers(1, 255),
+        q=st.floats(-4.0, 4.0),
+    )
+    def test_grouped_law_matches_rational_oracle(self, groups, j, q):
+        # n up to 198 with at most 3 distinct weights; dyadic weights, delta
+        # and threshold make every value of Z exact in floats as well
+        d = Fraction(j, 256)
+        sd = math.sqrt(sum(u * u * s for u, s in groups) * j * (256 - j)) / 256
+        threshold = math.ldexp(round(math.ldexp(q * sd, 4)), -4)
+        a = np.concatenate([np.full(s, float(u)) for u, s in groups])
+        got = exact_tail_probability(np.random.default_rng(j).permutation(a), j / 256, threshold)
+
+        def weight(s, k):  # 256^s P{Bin(s, d) = k}, an integer
+            return math.comb(s, k) * j**k * (256 - j) ** (s - k)
+
+        # count vectors of all groups but the last; the last one's tail in closed form
+        *head, (u, s) = groups
+        below = [0, *itertools.accumulate(weight(s, k) for k in range(s + 1))]
+        total = 0
+        for ks in itertools.product(*(range(sj + 1) for _, sj in head)):
+            rest = threshold - sum(uj * (k - d * sj) for (uj, sj), k in zip(head, ks))
+            x = rest / u + d * s  # u (K - d s) > rest
+            kept = (below[-1] - below[min(max(math.floor(x) + 1, 0), s + 1)] if u > 0
+                    else below[min(max(math.ceil(x), 0), s + 1)])
+            total += math.prod(weight(sj, k) for (_, sj), k in zip(head, ks)) * kept
+        want = Fraction(total, 256 ** a.size)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+    @given(
+        a=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=20),
+        delta=st.floats(1e-9, 1.0),
+        threshold=st.floats(-1e308, 1e308),
+    )
+    @example(a=[1e-300, 2e-300, -1e-300], delta=0.5, threshold=-1e300)
+    def test_probability_lies_in_the_unit_interval(self, a, delta, threshold):
+        assert 0.0 <= exact_tail_probability(a, delta, threshold) <= 1.0
 
     @given(
         a=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=10),

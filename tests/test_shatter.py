@@ -50,7 +50,7 @@ def random_pm_class(rng, max_m=16, max_n=6) -> FunctionClass:
 def test_patterns_sort_product_order_by_plus_count(k):
     want = list(itertools.product((1, -1), repeat=k))
     want.sort(key=lambda p: -sum(1 for v in p if v > 0))
-    got = shatter._patterns(k)
+    got = list(shatter._pattern_table(k)[0])
     assert got == want
     assert all(type(v) is int for pat in got for v in pat)
 
@@ -59,14 +59,14 @@ def test_patterns_sort_product_order_by_plus_count(k):
 def test_pattern_table_is_built_once_with_matching_codes(k):
     pats, table, codes = shatter._pattern_table(k)
     assert shatter._pattern_table(k)[2] is codes
-    assert list(pats) == shatter._patterns(k)
+    assert shatter._pattern_table(k)[0] is pats
     assert table.tolist() == [list(p) for p in pats]
     assert codes.tolist() == [sum(1 << x for x, v in enumerate(p) if v > 0) for p in pats]
     assert not table.flags.writeable and not codes.flags.writeable
 
 
 def backtracking_witness(F: FunctionClass, sigma: CoordinateSubset, t: float):
-    """Reference oracle: depth-first assignment of rows to patterns, in _patterns order.
+    """Reference oracle: depth-first assignment of rows to patterns, in _pattern_table order.
 
     Returns (levels, assignment) of the lexicographically least feasible
     assignment, or None.
@@ -76,7 +76,7 @@ def backtracking_witness(F: FunctionClass, sigma: CoordinateSubset, t: float):
         return None
     sub = F.values[:, sigma.zero_based()]
     two_t = 2.0 * t
-    pats = shatter._patterns(k)
+    pats = list(shatter._pattern_table(k)[0])
     min_high, max_low = [math.inf] * k, [-math.inf] * k
     used, assign = [False] * m, [-1] * len(pats)
 
