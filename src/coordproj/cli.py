@@ -31,8 +31,9 @@ from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
-from .selector import almost_isometry_experiment, tail_experiment
-from .shatter import dual_ball_class, l1_domination, vc_convex_hull, vc_dimension
+from .selector import selector_experiment
+from .shatter import (_DEFAULT_MAX_HULL_SIGMA, _LP_FEAS_TOL, dual_ball_class, l1_domination,
+                      vc_convex_hull, vc_dimension)
 
 DEFAULT_SEED = 1729
 
@@ -78,26 +79,29 @@ def render_report(report: dict) -> str:
 
 # ---------------------------------------------------------------------- CSV
 
+def _number(text: str) -> float | None:
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def read_matrix(path: str) -> np.ndarray:
     """Parses a CSV of row vectors.
 
     Comma-separated decimals, one vector per row; blank lines and lines
-    starting with # are skipped; a leading non-numeric row is treated as
-    a header.
+    starting with # are skipped; the first remaining line may be a header
+    with no numeric field, and any other unparseable line is an error.
     """
-    rows: list[list[float]] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = [p.strip() for p in line.split(",")]
-            try:
-                rows.append([float(p) for p in parts])
-            except ValueError:
-                if rows:
-                    raise InputError("BAD_CSV", f"unparseable row: {line!r}")
-                continue
+        lines = [s for s in (raw.strip() for raw in fh) if s and not s.startswith("#")]
+    rows: list[list[float]] = []
+    for i, line in enumerate(lines):
+        cells = [_number(p) for p in line.split(",")]
+        if None not in cells:
+            rows.append(cells)
+        elif i > 0 or any(c is not None for c in cells):
+            raise InputError("BAD_CSV", f"unparseable row: {line!r}")
     if not rows:
         raise InputError("EMPTY_CSV", f"no numeric rows in {path}")
     width = len(rows[0])
@@ -209,13 +213,11 @@ def _run_project(args, data, rng):
     if args.t is not None:
         header += ["empirical_prob", "chernoff_bound", "fitted_c"]
     for i, vec in enumerate(data):
-        entry = {"index": i + 1}
-        entry["success_prob"] = almost_isometry_experiment(
-            vec, args.delta, args.eps, args.trials, rng.substream(2 * i))
-        line = [i + 1, entry["success_prob"]]
-        if args.t is not None:
-            tail = tail_experiment(vec, args.delta, args.t, args.trials,
-                                   rng.substream(2 * i + 1))
+        success, tail = selector_experiment(vec, args.delta, args.eps, args.trials,
+                                            rng.substream(2 * i + 1), t=args.t)
+        entry = {"index": i + 1, "success_prob": success}
+        line = [i + 1, success]
+        if tail is not None:
             entry["tail"] = {
                 "t": tail.t,
                 "empirical_prob": tail.empirical_prob,
@@ -289,7 +291,7 @@ def _run_hull(args, data, rng):
         "minimizer": [float(v) for v in dom.minimizer],
         "hull_shattered": shattered,
         "hull_witness": _witness_json(witness),
-        "agreement": shattered == (dom.epsilon_star >= args.t - 1e-7),
+        "agreement": shattered == (dom.epsilon_star >= args.t - _LP_FEAS_TOL),
     }
     csv_rows = [(i + 1, float(v)) for i, v in enumerate(dom.minimizer)]
     return results, [], [], (["index", "coefficient"], csv_rows)
@@ -438,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--delta", type=float, required=True, help="selector mean in (0, 1]")
     sp.add_argument("--eps", type=float, default=0.25, help="isometry tolerance in (0, 1)")
     sp.add_argument("--t", type=float, default=None,
-                    help="also run the tail experiment at threshold scale t")
+                    help="also report the tail at threshold scale t, from the same draws")
     sp.add_argument("--trials", type=int, default=10000, help="Monte-Carlo trials")
 
     sp = sub.add_parser("jl", help="rotate rows and project onto a random subset")
@@ -460,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     sp.add_argument("--samples", type=int, default=512,
                     help="directions for sampled mode")
-    sp.add_argument("--max-sigma", type=int, default=4,
+    sp.add_argument("--max-sigma", type=int, default=_DEFAULT_MAX_HULL_SIGMA,
                     help="hull LP cap on the point count")
 
     sp = sub.add_parser("entropy", help="covering numbers and the entropy audit")
@@ -517,7 +519,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 2,
+        "schema": 3,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

@@ -16,6 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (
+    _BLOCK_SCALARS,
     CoordinateSubset,
     FittedConstant,
     InputError,
@@ -37,7 +38,6 @@ _EXHAUSTIVE_TUPLE_CAP = 100_000
 _ELL_RESTARTS = 4
 _EXACT_SIGN_CAP = 24
 _SIGN_RESTARTS = 16
-_SIGN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -357,10 +357,14 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
                 cost_estimate=float(2 ** (count - 1)))
         rest = x[1:]
         total = 1 << (count - 1)
+        # a chunk's float patterns and its sums each hold at most _BLOCK_SCALARS
+        # scalars; a power of two divides the patterns into equal chunks, so no
+        # chunk is a lone row, whose product may round differently, unless all are
+        chunk = 1 << max(0, (_BLOCK_SCALARS // max(count - 1, x.shape[1])).bit_length() - 1)
         best_val = math.inf
         best_idx = 0
-        for lo in range(0, total, _SIGN_CHUNK):
-            hi = min(lo + _SIGN_CHUNK, total)
+        for lo in range(0, total, chunk):
+            hi = min(lo + chunk, total)
             vals = banach_norm(x[0] + sign_patterns(count - 1, lo, hi) @ rest, norm)
             j = int(np.argmin(vals))
             if vals[j] < best_val:

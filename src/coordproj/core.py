@@ -261,23 +261,24 @@ def sign_patterns(k: int, start: int = 0, stop: int | None = None) -> np.ndarray
 _BLOCK_SCALARS = 2_000_000
 
 
-def monte_carlo(trials: int, width: int, block) -> tuple[float, float]:
-    """Sum and sum of squares of a per-trial statistic over `trials` trials.
+def monte_carlo(trials: int, width: int, block):
+    """Sums and sums of squares of per-trial statistics over `trials` trials.
 
-    `block(rows)` runs `rows` fresh trials and returns their statistics.
+    `block(rows)` runs `rows` fresh trials and returns their statistics:
+    one per trial, which gives two floats, or a (rows, c) table of c
+    statistics, which gives two lists of c sums, taken column by column.
     It is called in order on blocks of at most _BLOCK_SCALARS // width
     rows, `width` being the scalars one trial holds in memory; a block
     that draws from one sequential generator therefore sees the same
     stream as a single unblocked draw.
     """
     rows = max(1, _BLOCK_SCALARS // max(1, width))
-    total = 0.0
-    total_sq = 0.0
+    total = total_sq = np.float64(0.0)
     for start in range(0, trials, rows):
         stats = block(min(rows, trials - start))
-        total += float(stats.sum())
-        total_sq += float((stats * stats).sum())
-    return total, total_sq
+        total = total + stats.sum(axis=0)
+        total_sq = total_sq + (stats * stats).sum(axis=0)
+    return total.tolist(), total_sq.tolist()
 
 
 def mean_and_se(total: float, total_sq: float, n: int) -> tuple[float, float]:

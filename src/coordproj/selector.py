@@ -169,46 +169,67 @@ class TailExperimentReport:
     flags: tuple[str, ...]
 
 
-def tail_experiment(a, delta: float, t: float, trials: int, rng: RngStream) -> TailExperimentReport:
-    """Monte-Carlo tail frequency of Z > t delta n against its certificates.
+def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream,
+                        t: float | None = None) -> tuple[float, TailExperimentReport | None]:
+    """Monte-Carlo frequencies of two selector events, read off one sample.
 
-    Reports the one- and two-sided frequencies, the exact Chernoff bound,
-    the exact probability when the weight vector admits one, and the
-    constant c fitted to exp(-c t^2 delta n / M^2) with M the psi_1 norm.
+    Each trial draws one selector mask. Its success is the almost-isometry
+    event: sigma is nonempty and the normalized projection of a lands
+    within (1 +/- eps) of its full norm. When t is given, the same masks
+    give the one- and two-sided frequencies of Z > t delta n, reported
+    against the exact Chernoff bound, the exact probability when the
+    weight vector admits one, and the constant c fitted to
+    exp(-c t^2 delta n / M^2) with M the psi_1 norm.
+
+    Returns the success frequency and the tail report (None without t).
     """
     v = as_vector(a)
     delta = _check_delta(delta)
+    if not (0.0 < eps < 1.0):
+        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
     trials = check_count(trials, "trials", 1)
-    t = check_positive(t, "threshold scale t")
-    m_psi = psi_norm(v, 1.0).value
-    if m_psi == 0.0:
-        raise InputError("BAD_INPUT", "weight vector must be nonzero")
+    # both events are scale-free, and squares and sums of the weights must stay in range
+    unit, e = unit_peak(v)
+    sq = unit**2
+    full = math.sqrt(float(sq.mean()))
+    if full == 0.0:
+        raise InputError("BAD_INPUT", "vector must be nonzero")
 
     n = v.size
-    tau = t * delta * n
+    lo2 = ((1.0 - eps) * full) ** 2
+    hi2 = ((1.0 + eps) * full) ** 2
+    if t is not None:
+        t = check_positive(t, "threshold scale t")
+        tau = t * delta * n
+        unit_tau = _ldexp(tau, -e)
+        shift = delta * unit.sum()
+    gen = rng.generator()
+
+    def block(rows):
+        mask = gen.random((rows, n)) < delta
+        k = mask.sum(axis=1)
+        nonempty = k > 0
+        mean_sq = np.zeros(rows)
+        mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
+        stats = [nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)]
+        if t is not None:
+            # +1 above tau, -1 below -tau: the sum of squares counts both tails
+            z = mask @ unit - shift
+            stats.append((z > unit_tau).astype(float) - (z < -unit_tau))
+        return np.column_stack(stats)
+
+    totals, squares = monte_carlo(trials, n, block)
+    success = totals[0] / trials
+    if t is None:
+        return success, None
+
+    m_psi = psi_norm(v, 1.0).value
     flags: list[str] = []
     if delta > 0.5:
         flags.append("DELTA_ABOVE_HALF")
     if t >= m_psi / 2.0:
         flags.append("T_EXCEEDS_HALF_M")
-
-    gen = rng.generator()
-    # the event is scale-free, and the draws' sums must not overflow
-    unit, e = unit_peak(v)
-    unit_tau = _ldexp(tau, -e)
-    shift = delta * unit.sum()
-
-    def exceed(rows):
-        # +1 above tau, -1 below -tau: the sum of squares counts both tails
-        z = (gen.random((rows, n)) < delta) @ unit - shift
-        return (z > unit_tau).astype(float) - (z < -unit_tau)
-
-    signed, two = monte_carlo(trials, n, exceed)
-    empirical = (signed + two) / 2.0 / trials
-    two_sided = two / trials
-    exact = exact_tail_probability(v, delta, tau)
-    bound = chernoff_tail_bound(v, delta, t)
-
+    empirical = (totals[1] + squares[1]) / 2.0 / trials
     fitted_c = None
     if empirical > 0.0:
         try:
@@ -219,49 +240,16 @@ def tail_experiment(a, delta: float, t: float, trials: int, rng: RngStream) -> T
         fitted_c = None
         flags.append("UNRESOLVED_TAIL")
 
-    return TailExperimentReport(
+    return success, TailExperimentReport(
         t=t,
         delta=delta,
         n=n,
         trials=trials,
         empirical_prob=empirical,
-        two_sided_prob=two_sided,
-        chernoff_bound=bound,
-        exact_prob=exact,
+        two_sided_prob=squares[1] / trials,
+        chernoff_bound=chernoff_tail_bound(v, delta, t),
+        exact_prob=exact_tail_probability(v, delta, tau),
         fitted_c=fitted_c,
         psi1=m_psi,
         flags=tuple(flags),
     )
-
-
-def almost_isometry_experiment(f, delta: float, eps: float, trials: int, rng: RngStream) -> float:
-    """Fraction of selector draws where the normalized projection of f
-    lands within (1 +/- eps) of its full norm.  Empty draws count as failures.
-    """
-    v = as_vector(f)
-    delta = _check_delta(delta)
-    if not (0.0 < eps < 1.0):
-        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
-    trials = check_count(trials, "trials", 1)
-    # the hit test is scale-invariant, and v**2 must neither underflow nor overflow
-    v, _ = unit_peak(v)
-    sq = v**2
-    full = math.sqrt(float(sq.mean()))
-    if full == 0.0:
-        raise InputError("BAD_INPUT", "vector must be nonzero")
-
-    n = v.size
-    lo2 = ((1.0 - eps) * full) ** 2
-    hi2 = ((1.0 + eps) * full) ** 2
-    gen = rng.generator()
-
-    def hit(rows):
-        mask = gen.random((rows, n)) < delta
-        k = mask.sum(axis=1)
-        nonempty = k > 0
-        mean_sq = np.zeros(rows)
-        mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
-        return nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)
-
-    hits, _ = monte_carlo(trials, n, hit)
-    return hits / trials

@@ -374,6 +374,7 @@ def vc_convex_hull(
         raise InputError("EMPTY_SUBSET", "cannot shatter an empty subset")
     if sigma.ambient_n != F.n:
         raise InputError("DIMENSION", "subset and class live on different point counts")
+    max_sigma = check_count(max_sigma, "max_sigma", 1)
     k = sigma.size
     if k > max_sigma:
         raise SizeCapError(

@@ -30,7 +30,7 @@ from coordproj.entropy import (
 )
 from coordproj.orlicz import psi_norm
 from coordproj.rotation import DEFAULT_JL_CONSTANT, coordinate_jl, scaled_basis
-from coordproj.selector import tail_experiment
+from coordproj.selector import selector_experiment
 from coordproj.shatter import (
     dual_ball_class,
     l1_domination,
@@ -83,7 +83,7 @@ def test_selector_tail_certificates():
     trials = 100000
     fitted = []
     for j, (delta, t) in enumerate([(d, t) for d in (0.1, 0.3) for t in (0.25, 0.5)]):
-        rep = tail_experiment(np.ones(100), delta, t, trials, RngStream(900, j))
+        _, rep = selector_experiment(np.ones(100), delta, 0.25, trials, RngStream(900, j), t=t)
         se = math.sqrt(rep.exact_prob * (1.0 - rep.exact_prob) / trials)
         assert abs(rep.empirical_prob - rep.exact_prob) <= 3.0 * se
         assert rep.exact_prob <= rep.chernoff_bound + 1e-12

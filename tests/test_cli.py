@@ -56,6 +56,14 @@ class TestReadMatrix:
         data = read_matrix(str(p))
         assert np.array_equal(data, np.array([[1.0, 2.0], [3.0, 4.0]]))
 
+    @pytest.mark.parametrize("text", ["1,2x\n3,4\n", "a,b\nc,d\n1,2\n"])
+    def test_only_the_first_line_may_be_a_header(self, tmp_path, text):
+        p = tmp_path / "h.csv"
+        p.write_text(text)
+        with pytest.raises(InputError) as exc:
+            read_matrix(str(p))
+        assert exc.value.code == "BAD_CSV"
+
     def test_numeric_first_row_is_data(self, tmp_path):
         p = tmp_path / "c.csv"
         p.write_text("7,8\n")
@@ -114,7 +122,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 2
+        assert report["schema"] == 3
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -316,6 +324,19 @@ class TestProjectCommand:
             assert key in tail
         assert 0.0 <= report["results"]["rows"][0]["success_prob"] <= 1.0
 
+    def test_success_prob_does_not_depend_on_t(self, tmp_path, capsys):
+        # the tail is read off the same draws as the isometry event
+        rows = np.random.default_rng(5).standard_normal((3, 40))
+        path = write_csv(tmp_path / "gauss.csv", rows)
+        probs = []
+        for extra in ([], ["--t", "0.3"]):
+            assert main(["project", "--input", path, "--delta", "0.3", "--eps", "0.1",
+                         "--trials", "3000", "--deterministic", *extra]) == 0
+            rows_out = json.loads(capsys.readouterr().out)["results"]["rows"]
+            probs.append([row["success_prob"] for row in rows_out])
+        assert probs[0] == probs[1]
+        assert all(0.0 < p < 1.0 for p in probs[0])
+
 
 class TestJlCommand:
     def test_report_fields(self, tmp_path, capsys):
@@ -485,6 +506,8 @@ class TestArgumentContract:
         ["shatter", "--t", "0.5", "--max-sigma", "0"],
         ["shatter", "--t", "0.5", "--max-sigma", "-1"],
         ["hull", "--t", "0.5", "--mode", "sampled", "--samples", "-1"],
+        ["hull", "--t", "0.5", "--max-sigma", "0"],
+        ["hull", "--t", "0.5", "--max-sigma", "-1"],
     ])
     def test_invalid_scale_or_count_exits_2(self, tmp_path, capsys, argv):
         # unit rows: a sign class for the others, points of the unit ball for typecmp

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -438,6 +439,27 @@ class TestMinSignNorm:
         assert res_sup.value == pytest.approx(1.0, abs=1e-12)
         res_one = min_sign_norm(np.eye(4), norm=1.0, mode="exact")
         assert res_one.value == pytest.approx(4.0, abs=1e-12)
+
+    def test_exact_memory_does_not_grow_with_the_width(self):
+        vecs = RngStream(57).generator().standard_normal((18, 400))
+        tracemalloc.start()
+        try:
+            min_sign_norm(vecs, mode="exact")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+
+    @pytest.mark.parametrize("norm", ["sup", 1.0, 2.0])
+    def test_exact_chunks_keep_value_and_signs(self, monkeypatch, norm):
+        # two zero vectors make each value appear four times, so the first
+        # minimum must survive the chunk borders: chunks of 2, 4 and 256 patterns
+        gen = RngStream(58).generator()
+        vecs = np.vstack([gen.standard_normal((10, 6)), np.zeros((2, 6))])
+        whole = min_sign_norm(vecs, norm=norm, mode="exact")
+        for block_scalars in (22, 50, 4000):
+            monkeypatch.setattr(complexity, "_BLOCK_SCALARS", block_scalars)
+            assert min_sign_norm(vecs, norm=norm, mode="exact") == whole
 
     def test_heuristic_reproducible(self):
         gen = RngStream(54).generator()

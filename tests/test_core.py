@@ -202,14 +202,17 @@ _DRAWS = {
     width=st.integers(1, 12),
     block_scalars=st.integers(1, 64),
     kind=st.sampled_from(sorted(_DRAWS)),
+    table=st.booleans(),
 )
-def test_monte_carlo_blocks_match_one_unblocked_draw(trials, width, block_scalars, kind):
+def test_monte_carlo_blocks_match_one_unblocked_draw(trials, width, block_scalars, kind, table):
+    # a table block returns `width` statistics per trial, summed column by column
     draw = _DRAWS[kind]
     gen = np.random.default_rng(17)
     seen = []
 
     def block(rows):
-        stats = draw(gen, rows, width).sum(axis=1)
+        stats = draw(gen, rows, width)
+        stats = stats if table else stats.sum(axis=1)
         seen.append(stats)
         return stats
 
@@ -217,11 +220,18 @@ def test_monte_carlo_blocks_match_one_unblocked_draw(trials, width, block_scalar
         mp.setattr(core, "_BLOCK_SCALARS", block_scalars)
         total, total_sq = monte_carlo(trials, width, block)
     full_rows = max(1, block_scalars // width)
-    assert all(s.size == full_rows for s in seen[:-1]) and 0 < seen[-1].size <= full_rows
-    stats = draw(np.random.default_rng(17), trials, width).sum(axis=1)
+    assert all(len(s) == full_rows for s in seen[:-1]) and 0 < len(seen[-1]) <= full_rows
+    stats = draw(np.random.default_rng(17), trials, width)
+    stats = stats if table else stats.sum(axis=1)
     assert np.array_equal(np.concatenate(seen), stats)
-    assert total == pytest.approx(float(stats.sum()), rel=1e-12, abs=1e-9)
-    assert total_sq == pytest.approx(float((stats * stats).sum()), rel=1e-12)
+    assert total == pytest.approx(stats.sum(axis=0).tolist(), rel=1e-12, abs=1e-9)
+    assert total_sq == pytest.approx((stats * stats).sum(axis=0).tolist(), rel=1e-12)
+    if table:
+        assert len(total) == len(total_sq) == width
+    else:  # one statistic per trial: float sums, one block's sum at a time
+        assert type(total) is float and type(total_sq) is float
+        assert total == sum(float(s.sum()) for s in seen)
+        assert total_sq == sum(float((s * s).sum()) for s in seen)
 
 
 @given(x=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=200))

@@ -4,19 +4,22 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import binom
 
-from coordproj.core import CoordinateSubset, InputError, RngStream
+from coordproj import core
+from coordproj.core import CoordinateSubset, InputError, RngStream, monte_carlo, unit_peak
+from coordproj.orlicz import psi_norm
 from coordproj.selector import (
-    almost_isometry_experiment,
+    TailExperimentReport,
+    _ldexp,
     chernoff_tail_bound,
     draw_selectors,
     exact_log_mgf,
     exact_mgf,
     exact_tail_probability,
-    tail_experiment,
+    selector_experiment,
 )
 
 
@@ -46,6 +49,67 @@ def brute_tail(a, delta, threshold):
         if z > threshold:
             total += p
     return total
+
+
+def reference_tail(a, delta, t, trials, rng):
+    """Reference tail experiment: its own draw, one +-1 exceedance statistic per trial."""
+    v = np.asarray(a, dtype=float)
+    m_psi = psi_norm(v, 1.0).value
+    n = v.size
+    tau = t * delta * n
+    flags = []
+    if delta > 0.5:
+        flags.append("DELTA_ABOVE_HALF")
+    if t >= m_psi / 2.0:
+        flags.append("T_EXCEEDS_HALF_M")
+
+    gen = rng.generator()
+    unit, e = unit_peak(v)
+    unit_tau = _ldexp(tau, -e)
+    shift = delta * unit.sum()
+
+    def exceed(rows):
+        z = (gen.random((rows, n)) < delta) @ unit - shift
+        return (z > unit_tau).astype(float) - (z < -unit_tau)
+
+    signed, two = monte_carlo(trials, n, exceed)
+    empirical = (signed + two) / 2.0 / trials
+    fitted_c = None
+    if empirical > 0.0:
+        try:
+            fitted_c = -math.log(empirical) * m_psi**2 / (t**2 * delta * n)
+        except (OverflowError, ZeroDivisionError):
+            pass
+    if fitted_c is None or not math.isfinite(fitted_c):
+        fitted_c = None
+        flags.append("UNRESOLVED_TAIL")
+    return TailExperimentReport(
+        t=t, delta=delta, n=n, trials=trials, empirical_prob=empirical,
+        two_sided_prob=two / trials, chernoff_bound=chernoff_tail_bound(v, delta, t),
+        exact_prob=exact_tail_probability(v, delta, tau), fitted_c=fitted_c, psi1=m_psi,
+        flags=tuple(flags))
+
+
+def reference_isometry(f, delta, eps, trials, rng):
+    """Reference almost-isometry frequency: its own draw, one hit per trial."""
+    v, _ = unit_peak(np.asarray(f, dtype=float))
+    sq = v**2
+    full = math.sqrt(float(sq.mean()))
+    n = v.size
+    lo2 = ((1.0 - eps) * full) ** 2
+    hi2 = ((1.0 + eps) * full) ** 2
+    gen = rng.generator()
+
+    def hit(rows):
+        mask = gen.random((rows, n)) < delta
+        k = mask.sum(axis=1)
+        nonempty = k > 0
+        mean_sq = np.zeros(rows)
+        mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
+        return nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)
+
+    hits, _ = monte_carlo(trials, n, hit)
+    return hits / trials
 
 
 class TestMgf:
@@ -271,7 +335,7 @@ class TestDrawSelectors:
 
 class TestTailExperiment:
     def test_constant_weights_against_binomial(self):
-        rep = tail_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(21))
+        _, rep = selector_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(21), t=0.25)
         assert rep.exact_prob is not None
         se = math.sqrt(rep.exact_prob * (1 - rep.exact_prob) / rep.trials)
         assert abs(rep.empirical_prob - rep.exact_prob) <= 3 * se
@@ -279,34 +343,34 @@ class TestTailExperiment:
         assert rep.two_sided_prob >= rep.empirical_prob
 
     def test_fitted_c_inverts_the_fit(self):
-        rep = tail_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(23))
+        _, rep = selector_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(23), t=0.25)
         assert rep.fitted_c is not None
         refit = math.exp(-rep.fitted_c * rep.t**2 * rep.delta * rep.n / rep.psi1**2)
         assert refit == pytest.approx(rep.empirical_prob, rel=1e-9)
 
     def test_flags(self):
-        rep = tail_experiment(np.ones(50), 0.7, 0.2, 1000, RngStream(25))
+        _, rep = selector_experiment(np.ones(50), 0.7, 0.25, 1000, RngStream(25), t=0.2)
         assert "DELTA_ABOVE_HALF" in rep.flags
         # psi_1 of the all-ones vector is 1, so t = 0.6 >= M/2
-        rep = tail_experiment(np.ones(50), 0.3, 0.6, 1000, RngStream(27))
+        _, rep = selector_experiment(np.ones(50), 0.3, 0.25, 1000, RngStream(27), t=0.6)
         assert "T_EXCEEDS_HALF_M" in rep.flags
         # an unreachable threshold leaves the tail unresolved
-        rep = tail_experiment(np.ones(20), 0.5, 2.5, 500, RngStream(29))
+        _, rep = selector_experiment(np.ones(20), 0.5, 0.25, 500, RngStream(29), t=2.5)
         assert rep.empirical_prob == 0.0
         assert "UNRESOLVED_TAIL" in rep.flags and rep.fitted_c is None
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(InputError):
-            tail_experiment(np.ones(5), 0.3, -1.0, 100, RngStream(0))
+            selector_experiment(np.ones(5), 0.3, 0.25, 100, RngStream(0), t=-1.0)
         with pytest.raises(InputError):
-            tail_experiment(np.zeros(5), 0.3, 0.5, 100, RngStream(0))
+            selector_experiment(np.zeros(5), 0.3, 0.25, 100, RngStream(0), t=0.5)
 
 
 class TestAlmostIsometry:
     def test_constant_vector_success_is_nonempty_prob(self):
         # constant rows project to themselves, so success = P(sigma nonempty)
         n, delta, trials = 12, 0.2, 30_000
-        p = almost_isometry_experiment(np.ones(n), delta, 0.25, trials, RngStream(31))
+        p, _ = selector_experiment(np.ones(n), delta, 0.25, trials, RngStream(31))
         want = 1.0 - (1.0 - delta) ** n
         se = math.sqrt(want * (1 - want) / trials)
         assert abs(p - want) <= 4 * se
@@ -314,12 +378,44 @@ class TestAlmostIsometry:
     def test_success_monotone_in_eps(self):
         rng = np.random.default_rng(37)
         v = rng.standard_normal(64)
-        p_small = almost_isometry_experiment(v, 0.4, 0.05, 4000, RngStream(41))
-        p_big = almost_isometry_experiment(v, 0.4, 0.5, 4000, RngStream(41))
+        p_small, _ = selector_experiment(v, 0.4, 0.05, 4000, RngStream(41))
+        p_big, _ = selector_experiment(v, 0.4, 0.5, 4000, RngStream(41))
         assert p_big >= p_small
 
     def test_rejects_bad_eps(self):
         with pytest.raises(InputError):
-            almost_isometry_experiment(np.ones(4), 0.5, 0.0, 100, RngStream(0))
+            selector_experiment(np.ones(4), 0.5, 0.0, 100, RngStream(0))
         with pytest.raises(InputError):
-            almost_isometry_experiment(np.ones(4), 0.5, 1.0, 100, RngStream(0))
+            selector_experiment(np.ones(4), 0.5, 1.0, 100, RngStream(0))
+
+
+class TestSelectorExperiment:
+    @given(
+        kind=st.sampled_from(("gaussian", "decimal", "constant")),
+        n=st.integers(1, 40),
+        j=st.sampled_from((0, 900, -900)),
+        delta=st.floats(0.01, 1.0),
+        eps=st.floats(0.01, 0.99),
+        trials=st.integers(1, 3000),
+        t=st.one_of(st.none(), st.floats(0.01, 2.0)),
+        block_scalars=st.sampled_from((None, 7, 1000)),
+        seed=st.integers(0, 2**16),
+    )
+    def test_one_sample_matches_both_references_bit_for_bit(
+            self, kind, n, j, delta, eps, trials, t, block_scalars, seed):
+        gen = np.random.default_rng(seed)
+        v = {"gaussian": lambda: gen.standard_normal(n),
+             "decimal": lambda: np.round(gen.uniform(-1.0, 1.0, n), 3),
+             "constant": lambda: np.full(n, gen.uniform(0.1, 10.0))}[kind]()
+        assume(np.any(v))
+        v = np.ldexp(v, j)
+        rng = RngStream(seed, 5)
+        with pytest.MonkeyPatch.context() as mp:
+            if block_scalars is not None:  # split the trials into many blocks
+                mp.setattr(core, "_BLOCK_SCALARS", block_scalars)
+            success, tail = selector_experiment(v, delta, eps, trials, rng, t=t)
+            assert repr(success) == repr(reference_isometry(v, delta, eps, trials, rng))
+            if t is None:
+                assert tail is None
+            else:
+                assert repr(tail) == repr(reference_tail(v, delta, t, trials, rng))
