@@ -32,26 +32,36 @@ from .selector import draw_selectors
 DEFAULT_JL_CONSTANT = 0.5
 
 
-def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed n-by-n orthogonal matrix.
+def haar_frame(n: int, k: int, rng: RngStream) -> np.ndarray:
+    """Uniform random k-frame in R^n: an n-by-k matrix with orthonormal columns.
 
-    QR of a standard Gaussian matrix with column signs corrected so the
-    triangular factor has positive diagonal; orthogonality is verified to
-    1e-10 per entry before returning, and CertificateError is raised when
-    eight draws all fail that check.
+    Thin QR of an n-by-k standard Gaussian with column signs corrected so
+    the triangular factor has positive diagonal, which makes the law
+    invariant under every rotation of R^n (Mezzadri 2007).  Orthogonality
+    is verified on the k-by-k product W^T W to 1e-10 per entry before
+    returning, and CertificateError is raised when eight draws all fail
+    that check.  Costs O(n k^2); k = n is a Haar orthogonal matrix.
     """
     n = check_count(n, "n", 1, "DIMENSION")
+    k = check_count(k, "k", 1, "DIMENSION")
+    if k > n:
+        raise InputError("DIMENSION", f"a frame in R^{n} has at most {n} columns, got {k}")
     gen = rng.generator()
     for _ in range(8):
-        g = gen.standard_normal((n, n))
+        g = gen.standard_normal((n, k))
         q, r = np.linalg.qr(g)
         d = np.sign(np.diag(r))
         if np.any(d == 0):
             continue
         q = q * d
-        if np.abs(q.T @ q - np.eye(n)).max() <= 1e-10:
+        if np.abs(q.T @ q - np.eye(k)).max() <= 1e-10:
             return q
-    raise CertificateError("could not draw a numerically orthogonal matrix in 8 attempts")
+    raise CertificateError("could not draw a numerically orthogonal frame in 8 attempts")
+
+
+def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
+    """Haar-distributed n-by-n orthogonal matrix: the full frame haar_frame(n, n, rng)."""
+    return haar_frame(n, n, rng)
 
 
 def rotated_psi2_tail(
@@ -62,8 +72,10 @@ def rotated_psi2_tail(
 ) -> np.ndarray:
     """sqrt(n) * psi_2 norms of Ox over independent Haar rotations O.
 
-    The sqrt(n) factor makes the values dimension-free.  `operators`
-    substitutes explicit matrices for the random draws (test hook).
+    Ox is uniform on the unit sphere, so each rotation draws a one-column
+    frame in O(n) rather than a full matrix.  The sqrt(n) factor makes the
+    values dimension-free.  `operators` substitutes explicit matrices for
+    the random draws (test hook).
     """
     v = np.asarray(x, dtype=float)
     if v.ndim != 1 or v.size < 2:
@@ -74,8 +86,10 @@ def rotated_psi2_tail(
     n = v.size
     if operators is None:
         rotations = check_count(rotations, "rotations", 1)
-        operators = (haar_orthogonal(n, rng.substream(i)) for i in range(rotations))
-    rotated = np.array([o @ v for o in operators]).reshape(-1, n)
+        # O v is uniform on the sphere for Haar O: a one-column frame
+        rotated = np.array([haar_frame(n, 1, rng.substream(i))[:, 0] for i in range(rotations)])
+    else:
+        rotated = np.array([o @ v for o in operators]).reshape(-1, n)
     return math.sqrt(n) * psi_norms(rotated, 2.0).values
 
 
@@ -141,30 +155,55 @@ def coordinate_jl(
 
     Vectors must be unit-normalized in L_2^n, i.e. mean f(i)^2 = 1.
     """
+    v = _unit_family(vectors, eps)
+    c_fit = check_positive(c_fit, "c_fit", "BAD_CONSTANT")
+    count, n = v.shape
+    if force_delta is not None and not (0.0 < force_delta <= 1.0):
+        raise InputError("BAD_DELTA", "forced delta must lie in (0, 1]")
+
+    rotated, m_psi = _rotate(v, rng, operator)
+    return _compress(v, rotated, m_psi, eps, c_fit, rng, force_delta,
+                     ["MANY_VECTORS"] if count > n else [])
+
+
+def _unit_family(vectors, eps: float) -> np.ndarray:
+    """The rows as a 2-d float array, checked unit-normalized, with eps checked in (0, 1)."""
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.ndim != 2 or v.shape[1] < 2:
         raise InputError("DIMENSION", "need vectors on at least 2 coordinates")
     if not (0.0 < eps < 1.0):
         raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
-    c_fit = check_positive(c_fit, "c_fit", "BAD_CONSTANT")
-    count, n = v.shape
     with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
         norms = np.sqrt(np.mean(v**2, axis=1))
     if np.abs(norms - 1.0).max() > 1e-9:
         raise InputError("BAD_INPUT", "vectors must be unit-normalized in L_2^n")
+    return v
 
-    flags: list[str] = []
-    if count > n:
-        flags.append("MANY_VECTORS")
 
-    o = operator if operator is not None else haar_orthogonal(n, rng.substream(0))
-    rotated = v @ o.T
-    m_psi = float(psi_norms(rotated, 2.0).values.max())
+def _rotate(v: np.ndarray, rng: RngStream, operator: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """The rotated rows V O^T and M = max_i psi_2(O f_i).
 
+    For k < n rows, V^T = Q_V C (reduced QR) gives V O^T = C^T (O Q_V)^T,
+    and O Q_V is a uniform k-frame for Haar O, so only that frame is drawn:
+    O(n k^2) work in place of O(n^3).
+    """
+    count, n = v.shape
+    if operator is not None:
+        rotated = v @ operator.T
+    elif count < n:
+        c = np.linalg.qr(v.T, mode="r")
+        rotated = c.T @ haar_frame(n, count, rng.substream(0)).T
+    else:
+        rotated = v @ haar_orthogonal(n, rng.substream(0)).T
+    return rotated, float(psi_norms(rotated, 2.0).values.max())
+
+
+def _compress(v: np.ndarray, rotated: np.ndarray, m_psi: float, eps: float, c_fit: float,
+              rng: RngStream, force_delta: float | None, flags: list[str]) -> DistortionReport:
+    """Target cardinality, selector draw and norm ratios of one rotated family."""
+    n = v.shape[1]
     if force_delta is not None:
         delta = float(force_delta)
-        if not (0.0 < delta <= 1.0):
-            raise InputError("BAD_DELTA", "forced delta must lie in (0, 1]")
         target = int(round(delta * n))
     else:
         # past n the bound exceeds n whatever the log, and the square stays finite
@@ -201,19 +240,10 @@ def fit_jl_constant(
     the smallest C whose success fraction (max deviation <= eps) reaches
     1/2, rounded up to one decimal.
     """
-    basis = scaled_basis(n)
-    c = grid_step
-    chosen = None
-    while c <= grid_max + 1e-12:
-        hits = 0
-        for seed in range(seeds):
-            rep = coordinate_jl(basis, eps, RngStream(seed), c_fit=c)
-            if rep.max_deviation <= eps:
-                hits += 1
-        if hits / seeds >= 0.5:
-            chosen = c
-            break
-        c += grid_step
+    seeds = check_count(seeds, "seeds", 1)
+    grid = _c_grid(check_positive(grid_step, "grid_step", "BAD_GRID"), grid_max)
+    hits = _jl_hits(n, eps, seeds, grid)
+    chosen = next((c for c, h in zip(grid, hits) if h / seeds >= 0.5), None)
     if chosen is None:
         raise InputError("BAD_GRID", f"no constant on the grid up to {grid_max} reached 1/2 success")
     value = math.ceil(chosen * 10.0 - 1e-9) / 10.0
@@ -228,3 +258,29 @@ def fit_jl_constant(
         protocol=protocol,
         inputs_digest=digest_inputs(n, eps, seeds, grid_step, grid_max),
     )
+
+
+def _c_grid(grid_step: float, grid_max: float) -> list[float]:
+    """The constants grid_step, 2 grid_step, ... up to grid_max, accumulated by addition."""
+    grid = []
+    c = grid_step
+    while c <= grid_max + 1e-12:
+        grid.append(c)
+        c += grid_step
+    return grid
+
+
+def _jl_hits(n: int, eps: float, seeds: int, grid: list[float]) -> list[int]:
+    """Per constant in `grid`, how many seeds keep coordinate_jl on scaled_basis(n) within eps.
+
+    Only the target and the selector draw depend on the constant, so each
+    seed's rotation and psi_2 norms are computed once for the whole grid.
+    """
+    basis = _unit_family(scaled_basis(n), eps)
+    hits = [0] * len(grid)
+    for seed in range(seeds):
+        rng = RngStream(seed)
+        rotated, m_psi = _rotate(basis, rng, None)
+        for j, c in enumerate(grid):
+            hits[j] += _compress(basis, rotated, m_psi, eps, c, rng, None, []).max_deviation <= eps
+    return hits

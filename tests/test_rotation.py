@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from coordproj import orlicz, rotation
 from coordproj.core import CertificateError, CoordinateSubset, InputError, RngStream
@@ -10,6 +12,7 @@ from coordproj.rotation import (
     coordinate_jl,
     distortion_report,
     fit_jl_constant,
+    haar_frame,
     haar_orthogonal,
     rotated_psi2_tail,
     scaled_basis,
@@ -46,6 +49,29 @@ class TestHaarOrthogonal:
     def test_rejects_bad_n(self):
         with pytest.raises(InputError):
             haar_orthogonal(0, RngStream(0))
+
+
+class TestHaarFrame:
+    def test_orthonormal_columns(self):
+        for n, k in ((2, 1), (5, 3), (64, 4), (64, 63)):
+            w = haar_frame(n, k, RngStream(3, n))
+            assert w.shape == (n, k)
+            assert np.abs(w.T @ w - np.eye(k)).max() <= 1e-10
+
+    def test_one_column_is_a_normalized_gaussian(self):
+        g = RngStream(4).generator().standard_normal((9, 1))
+        w = haar_frame(9, 1, RngStream(4))
+        assert np.allclose(w, g / np.linalg.norm(g), rtol=0, atol=1e-15)
+
+    def test_non_orthogonal_draws_raise(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", lambda g: (2.0 * g, np.eye(g.shape[1])))
+        with pytest.raises(CertificateError):
+            haar_frame(6, 2, RngStream(1))
+
+    @pytest.mark.parametrize("n, k", [(0, 1), (3, 0), (3, 4)])
+    def test_rejects_bad_shape(self, n, k):
+        with pytest.raises(InputError):
+            haar_frame(n, k, RngStream(0))
 
 
 class TestRotatedPsi2:
@@ -166,8 +192,68 @@ class TestCoordinateJl:
             coordinate_jl(scaled_basis(8), 1.5, RngStream(0))
 
 
+class TestFramePath:
+    @given(
+        n=st.integers(2, 40),
+        k=st.integers(1, 39),
+        duplicates=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(n=40, k=1, duplicates=0, seed=0)
+    @example(n=40, k=39, duplicates=0, seed=1)
+    @example(n=12, k=11, duplicates=3, seed=2)
+    def test_gram_matrix_is_kept(self, n, k, duplicates, seed):
+        # fewer vectors than coordinates go through a k-frame; the rotated
+        # rows keep every inner product, rank-deficient families included
+        k = min(k, n - 1)
+        v = np.random.default_rng(seed).standard_normal((k, n))
+        v[k - min(duplicates, k - 1):] = v[0]
+        v /= np.sqrt(np.mean(v**2, axis=1, keepdims=True))
+        rotated, _ = rotation._rotate(v, RngStream(seed), None)
+        assert rotated.shape == (k, n)
+        # rows have squared Euclidean norm n
+        assert np.abs(rotated @ rotated.T - v @ v.T).max() <= 1e-10 * n
+
+    def test_psi2_max_has_the_law_of_the_full_rotation(self):
+        # two-sample Kolmogorov-Smirnov test at alpha = 0.001, 200 seeds per side
+        n, k, seeds = 64, 4, 200
+        v = np.random.default_rng(21).standard_normal((k, n))
+        v[0] = scaled_basis(n)[0]
+        v /= np.sqrt(np.mean(v**2, axis=1, keepdims=True))
+        frame = [coordinate_jl(v, 0.25, RngStream(s)).psi2_max for s in range(seeds)]
+        full = [coordinate_jl(v, 0.25, RngStream(s), operator=haar_orthogonal(n, RngStream(s, 1)))
+                .psi2_max for s in range(seeds)]
+        pooled = np.sort(frame + full)
+        ecdf = [np.searchsorted(np.sort(x), pooled, side="right") / seeds for x in (frame, full)]
+        statistic = np.abs(ecdf[0] - ecdf[1]).max()
+        critical = math.sqrt(-0.5 * math.log(0.001 / 2)) * math.sqrt(2 / seeds)
+        assert statistic < critical
+
+
+class TestFitJlConstant:
+    def test_matches_a_loop_over_coordinate_jl(self):
+        n, eps, seeds = 16, 0.25, 8
+        grid = rotation._c_grid(0.025, 2.0)
+        reference = [
+            sum(coordinate_jl(scaled_basis(n), eps, RngStream(s), c_fit=c).max_deviation <= eps
+                for s in range(seeds))
+            for c in grid
+        ]
+        assert rotation._jl_hits(n, eps, seeds, grid) == reference
+        chosen = next(c for c, h in zip(grid, reference) if h / seeds >= 0.5)
+        fitted = fit_jl_constant(n=n, eps=eps, seeds=seeds)
+        assert fitted.value == math.ceil(chosen * 10.0 - 1e-9) / 10.0
+
+
 def test_fit_jl_constant_rejects_a_grid_without_success():
     # C = 0.025 and 0.05 keep almost no coordinates, so no seed succeeds
     with pytest.raises(InputError) as exc:
         fit_jl_constant(n=16, eps=0.25, seeds=4, grid_step=0.025, grid_max=0.05)
     assert exc.value.code == "BAD_GRID"
+
+
+@pytest.mark.parametrize("kwargs", [{"seeds": 0}, {"grid_step": 0.0}, {"grid_step": -0.025}])
+def test_fit_jl_constant_rejects_an_empty_protocol(kwargs):
+    # no seeds would divide by zero, and a step that never advances would grow the grid forever
+    with pytest.raises(InputError):
+        fit_jl_constant(n=16, **kwargs)

@@ -301,7 +301,7 @@ class TestExactTail:
     def test_scale_equivariant_across_the_float_range(self, ints, equal, delta, k, j):
         # dyadic weights and threshold between 2^-10 and 2^23, so 2^j times them is exact
         a = np.ldexp(np.array(ints, dtype=float), -10)
-        if equal:  # the binomial path; otherwise n <= 10 takes the enumeration path
+        if equal:  # one group of equal weights; otherwise up to ten groups
             a = np.where(a != 0.0, 1.0, 0.0)
         threshold = math.ldexp(k, -10)
         got = exact_tail_probability(np.ldexp(a, j), delta, math.ldexp(threshold, j))
