@@ -23,6 +23,7 @@ from .core import (
     RngStream,
     SizeCapError,
     banach_norm,
+    check_bounded_by_one,
     check_count,
     check_positive,
     digest_inputs,
@@ -31,7 +32,7 @@ from .core import (
     sign_patterns,
     unit_peak,
 )
-from .shatter import vc_dimension
+from .shatter import vc_dimensions
 
 _MIN_TRIALS = 100
 _EXHAUSTIVE_TUPLE_CAP = 100_000
@@ -491,15 +492,12 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     grid_points = check_count(grid_points, "grid_points", 2, "BAD_GRID")
-    if float(np.abs(F.values).max()) > 1.0 + 1e-12:
-        raise InputError("BAD_CLASS", "class values must be bounded by 1")
+    check_bounded_by_one(F.values, "the audited class")
     n = F.n
     est = gaussian_complexity(F, None, trials=trials, rng=rng.substream(0))
     lo = min(max(est.mean / n, _GRID_FLOOR), 1.0 - 1e-6)
     grid = np.linspace(lo, 1.0, grid_points)
-    vc_curve = []
-    for t in grid:
-        vc_curve.append(vc_dimension(F, float(t)).dimension)
+    vc_curve = [res.dimension for res in vc_dimensions(F, grid)]
     vc_arr = np.asarray(vc_curve, dtype=np.float64)
     integrand = np.sqrt(vc_arr * np.log(2.0 / grid))
     integral = float(np.trapezoid(integrand, grid))

@@ -63,6 +63,12 @@ def check_count(x, name: str, minimum: int, code: str = "BAD_INPUT") -> int:
     return int(x)
 
 
+def check_bounded_by_one(values: np.ndarray, name: str) -> None:
+    """InputError(BAD_INPUT) when some |value| exceeds 1, the one rule for bounded classes."""
+    if np.abs(values).max() > 1.0:
+        raise InputError("BAD_INPUT", f"{name} must be bounded by 1")
+
+
 def as_vector(x) -> np.ndarray:
     """Coerce to a finite 1-d float array."""
     v = np.asarray(x, dtype=float)
@@ -161,8 +167,8 @@ class FunctionClass:
             raise InputError("DIMENSION", f"values must be a nonempty 2-d table, got shape {v.shape}")
         if not np.all(np.isfinite(v)):
             raise InputError("BAD_INPUT", "table entries must be finite")
-        if self.bounded_by_one and np.abs(v).max() > 1.0:
-            raise InputError("BAD_INPUT", "bounded_by_one is set but max |value| exceeds 1")
+        if self.bounded_by_one:
+            check_bounded_by_one(v, "a class with bounded_by_one set")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

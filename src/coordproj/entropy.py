@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FittedConstant, FunctionClass, InputError, check_positive, digest_inputs
-from .shatter import vc_dimension
+from .core import (FittedConstant, FunctionClass, InputError, check_bounded_by_one, check_positive,
+                   digest_inputs)
+from .shatter import vc_dimensions
 
 _EXACT_PACKING_MAX = 30
 _EXACT_COVERING_MAX = 25
@@ -216,19 +217,18 @@ def entropy_inequality_audit(F: FunctionClass, t_grid, c_assumed: float = 0.25) 
         if not (0.0 < t < 1.0):
             raise InputError("BAD_INPUT", f"grid scales must lie in (0, 1), got {t}")
     c_assumed = check_positive(c_assumed, "c_assumed", "BAD_CONSTANT")
-    if np.abs(F.values).max() > 1.0:
-        raise InputError("BAD_INPUT", "audit requires a class bounded by 1")
+    check_bounded_by_one(F.values, "the audited class")
 
     rows: list[EntropyAuditRow] = []
     flags: list[str] = []
     k_fit = 0.0
-    for t in grid:
-        est = covering_estimate(F, t)
-        if est.exact_covering is not None:
-            n_cover, is_exact = est.exact_covering, True
-        else:
-            n_cover, is_exact = est.covering_upper, False
-        vc = vc_dimension(F, c_assumed * t).dimension
+    dist = pairwise_l2_distances(F)
+    is_exact = F.m <= _EXACT_COVERING_MAX
+    for t, res in zip(grid, vc_dimensions(F, [c_assumed * t for t in grid])):
+        n_cover = len(_greedy_covering(dist, t))
+        if is_exact:
+            n_cover = _exact_covering(dist, t, n_cover)
+        vc = res.dimension
         log_n = math.log(n_cover)
         if vc == 0:
             term = None

@@ -209,17 +209,18 @@ def verify_witness(F: FunctionClass, w: ShatterWitness, tol: float = 1e-9) -> bo
     return True
 
 
-def vc_dimension(F: FunctionClass, t: float, max_sigma: int | None = None) -> VcResult:
-    """Largest t-shattered subset size, by exact level-wise search.
+def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tuple[VcResult, ...]:
+    """Largest t-shattered subset size at each scale t, by one level-wise search.
 
-    Subsets of size s+1 are only generated from shattered subsets of size
-    s (shattering is hereditary), and a candidate is skipped unless all
-    its size-s subsets were shattered.  Because assignments are injective,
-    the search never looks past floor(log2 m), nor past max_sigma when
-    given.  Classes are capped at _MAX_POINTS points and _MAX_FUNCTIONS
-    functions.
+    Shattering is hereditary and survives a smaller scale, so a subset is
+    shattered at a prefix of the sorted scales, its height.  A subset of
+    size s+1 is tried only below the least height of its size-s subsets:
+    at the largest such scale, the smallest, then by bisection, never twice
+    at one scale.  Sizes stop at floor(log2 m) (assignments are injective)
+    and at max_sigma.  A scale's witness is that of its lexicographically
+    least largest subset.  Caps: _MAX_POINTS points, _MAX_FUNCTIONS functions.
     """
-    t = check_positive(t, "shattering scale")
+    scales = [check_positive(t, "shattering scale") for t in scales]
     n, m = F.n, F.m
     if n > _MAX_POINTS:
         raise SizeCapError(f"point count {n} exceeds cap {_MAX_POINTS}")
@@ -230,36 +231,35 @@ def vc_dimension(F: FunctionClass, t: float, max_sigma: int | None = None) -> Vc
     if max_sigma is not None:
         limit = min(limit, check_count(max_sigma, "max_sigma", 1))
 
-    best = 0
-    best_witness: ShatterWitness | None = None
-    current: list[tuple[int, ...]] = [()]
-    shattered_prev: set[frozenset] = {frozenset()}
-
+    grid = sorted(set(scales))
+    witness = functools.cache(lambda cand, i: _search_cuts(F, CoordinateSubset(cand, n), grid[i]))
+    best = [()] * len(grid)  # per scale, the least subset of the largest size
+    heights = {(): len(grid)}
     for size in range(1, limit + 1):
-        next_level: list[tuple[int, ...]] = []
-        found_witness = None
-        for base in current:
-            start = base[-1] + 1 if base else 1
-            for j in range(start, n + 1):
+        grown = {}
+        for base in heights:
+            for j in range(base[-1] + 1 if base else 1, n + 1):
                 cand = base + (j,)
-                if size >= 2 and any(
-                    frozenset(cand[:i] + cand[i + 1 :]) not in shattered_prev
-                    for i in range(size)
-                ):
-                    continue
-                w = _search_cuts(F, CoordinateSubset(cand, n), t)
-                if w is not None:
-                    next_level.append(cand)
-                    if found_witness is None:
-                        found_witness = w
-        if not next_level:
+                cap = hi = min(heights.get(cand[:i] + cand[i + 1 :], 0) for i in range(size))
+                lo = 0
+                while lo < hi:  # shattered below lo, not from hi on
+                    i = hi - 1 if hi == cap else lo if lo == 0 else (lo + hi) // 2
+                    lo, hi = (lo, i) if witness(cand, i) is None else (i + 1, hi)
+                if lo:
+                    grown[cand] = lo
+        if not grown:
             break
-        best = size
-        best_witness = found_witness
-        shattered_prev = {frozenset(c) for c in next_level}
-        current = next_level
+        for cand, height in reversed(grown.items()):
+            best[:height] = [cand] * height
+        heights = grown
 
-    return VcResult(best, best_witness)
+    results = [VcResult(len(s), witness(s, i) if s else None) for i, s in enumerate(best)]
+    return tuple(results[grid.index(t)] for t in scales)
+
+
+def vc_dimension(F: FunctionClass, t: float, max_sigma: int | None = None) -> VcResult:
+    """Largest t-shattered subset size: the one-scale case of vc_dimensions."""
+    return vc_dimensions(F, (t,), max_sigma)[0]
 
 
 @dataclass(frozen=True)
@@ -281,8 +281,9 @@ def l1_domination(
     epsilon_star = min over the l_1 sphere of the norm of the signed
     combination.  Exact mode (sup norm only): one LP per sign orthant,
     2^(count-1) orthants by symmetry, for at most _MAX_EXACT_DOMINATION
-    points.  Sampled mode: minimum over `samples` random and some
-    structured directions, which only *over*-estimates epsilon_star.
+    points; CertificateError if the minimizer misses the LP value by more
+    than 10 * _LP_FEAS_TOL.  Sampled mode: minimum over `samples` random
+    and structured directions, which only *over*-estimates epsilon_star.
 
     epsilon_star > 0 iff the points are linearly independent.
     """
@@ -336,6 +337,9 @@ def l1_domination(
                 best = res.fun
                 best_a = res.x[:count]
         a = best_a / np.abs(best_a).sum()
+        attained = float(banach_norm(a @ x, "sup"))
+        if not abs(attained - best) <= 10.0 * _LP_FEAS_TOL:
+            raise CertificateError(f"orthant LP minimizer attains {attained!r}, not {best!r}")
         return DominationResult(float(best), a, "exact-lp")
 
     if mode != "sampled":

@@ -408,6 +408,17 @@ class TestHullCommand:
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "CERTIFICATE"
 
+    def test_minimizer_off_its_value_exits_with_certificate_error(self, tmp_path, capsys,
+                                                                  monkeypatch):
+        # a solved LP whose minimizer a = (1, 0) has sup norm 1, not the reported 0.25
+        monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(
+            status=0, fun=0.25, x=np.array([1.0, 0.0, 0.25])))
+        path = write_csv(tmp_path / "eye2.csv", np.eye(2))
+        assert main(["hull", "--input", path, "--t", "0.4"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "CERTIFICATE"
+
     def test_hull_witness_has_weights(self, tmp_path, capsys):
         path = write_csv(tmp_path / "eye2.csv", np.eye(2))
         main(["hull", "--input", path, "--t", "0.4", "--seed", "1"])
@@ -481,6 +492,22 @@ class TestAuditCommand:
         res = report["results"]
         assert len(res["grid"]) == 9 and len(res["vc_curve"]) == 9
         assert res["vc_curve"][0] == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["entropy", "--t-grid", "0.4,0.8"],
+    ["audit", "--trials", "100", "--grid-points", "3"],
+])
+def test_audits_share_one_bounded_class_rule(tmp_path, capsys, argv):
+    # exactly 1 is bounded by 1; one ulp above it is not, with one code for both audits
+    rows = np.array(list(itertools.product((1.0, -1.0), repeat=3)))
+    assert main([argv[0], "--input", write_csv(tmp_path / "one.csv", rows), *argv[1:]]) == 0
+    capsys.readouterr()
+    rows[2, 1] = 1.0 + 2.0**-52
+    assert main([argv[0], "--input", write_csv(tmp_path / "above.csv", rows), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"]["code"] == "BAD_INPUT"
 
 
 class TestParser:

@@ -312,7 +312,9 @@ def test_sources_import_scipy_only_inside_functions():
 _TUNING_KEYWORDS = {"max_sigma", "max_functions", "max_points", "feas_tol", "max_exact",
                     "restarts", "exhaustive_cap", "exact_max", "exact_packing_max",
                     "exact_covering_max"}
-_SET_BY_THE_CLI = {"shatter.vc_dimension": {"max_sigma"}, "shatter.vc_convex_hull": {"max_sigma"}}
+# vc_dimension hands its max_sigma to vc_dimensions
+_SET_BY_THE_CLI = {"shatter.vc_dimension": {"max_sigma"}, "shatter.vc_dimensions": {"max_sigma"},
+                   "shatter.vc_convex_hull": {"max_sigma"}}
 
 
 def test_public_functions_take_no_tuning_keywords():

@@ -27,6 +27,7 @@ from coordproj.shatter import (
     l1_domination,
     vc_convex_hull,
     vc_dimension,
+    vc_dimensions,
     verify_witness,
 )
 
@@ -127,6 +128,39 @@ def backtracking_witness(F: FunctionClass, sigma: CoordinateSubset, t: float):
     return levels, dict(zip(pats, assign))
 
 
+def reference_vc_dimension(F: FunctionClass, t: float, max_sigma: int | None = None):
+    """Reference search at one scale: level-wise growth with hereditary pruning.
+
+    Every candidate whose size-s subsets are all t-shattered goes to the
+    cut oracle, called through the module so that a patched oracle sees it.
+    Returns the VcResult with the first shattered subset of the largest size.
+    """
+    n, m = F.n, F.m
+    limit = min(n, int(math.floor(math.log2(m))) if m > 1 else 0)
+    if max_sigma is not None:
+        limit = min(limit, max_sigma)
+    best, best_witness = 0, None
+    current, shattered_prev = [()], {frozenset()}
+    for size in range(1, limit + 1):
+        next_level, found_witness = [], None
+        for base in current:
+            for j in range(base[-1] + 1 if base else 1, n + 1):
+                cand = base + (j,)
+                if any(frozenset(cand[:i] + cand[i + 1 :]) not in shattered_prev for i in range(size)):
+                    continue
+                w = shatter._search_cuts(F, CoordinateSubset(cand, n), t)
+                if w is not None:
+                    next_level.append(cand)
+                    if found_witness is None:
+                        found_witness = w
+        if not next_level:
+            break
+        best, best_witness = size, found_witness
+        shattered_prev = {frozenset(c) for c in next_level}
+        current = next_level
+    return shatter.VcResult(best, best_witness)
+
+
 @st.composite
 def shatter_cases(draw):
     """(F, sigma, t) with |sigma| = 1..4 and m <= 16 functions on 8 points.
@@ -157,6 +191,59 @@ def shatter_cases(draw):
     return FunctionClass(values), CoordinateSubset(tuple(cols + 1), 8), t
 
 
+@st.composite
+def vc_grid_cases(draw):
+    """(F, scales, max_sigma) with m <= 24 functions on n <= 6 points.
+
+    The values are +-1, uniform rounded to one decimal, or on the quarter
+    grid in [-1, 1]. The grid holds 1 to 5 scales, unsorted, some repeated
+    and some exactly half a gap between two values of one point, where the
+    cut test ties.
+    """
+    kind = draw(st.sampled_from(["sign", "decimal", "quarter"]))
+    m, n = draw(st.integers(1, 24)), draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "sign":
+        values = g.choice([-1.0, 1.0], size=(m, n))
+    elif kind == "decimal":
+        values = np.round(g.uniform(-1.0, 1.0, size=(m, n)), 1)
+    else:
+        values = 0.25 * g.integers(-4, 5, size=(m, n))
+    half_gaps = np.unique(values[:, None] - values[None]) / 2.0
+    scale = st.floats(0.01, 1.1)
+    if np.any(half_gaps > 0):
+        scale = st.one_of(scale, st.sampled_from(half_gaps[half_gaps > 0].tolist()))
+    scales = draw(st.lists(scale, min_size=1, max_size=4))
+    if draw(st.booleans()):
+        scales.insert(draw(st.integers(0, len(scales))), draw(st.sampled_from(scales)))
+    max_sigma = draw(st.one_of(st.none(), st.integers(1, 3)))
+    return FunctionClass(values), scales, max_sigma
+
+
+def assert_same_result(res, ref):
+    """The same dimension and the same witness bits."""
+    assert res.dimension == ref.dimension
+    if ref.witness is None:
+        assert res.witness is None
+        return
+    assert res.witness.sigma == ref.witness.sigma
+    assert res.witness.scale == ref.witness.scale
+    assert res.witness.level.tobytes() == ref.witness.level.tobytes()
+    assert res.witness.assignment == ref.witness.assignment
+
+
+def counting_oracle(mp):
+    """Patch shatter._search_cuts to record its (sigma, t) arguments; returns the record."""
+    calls, search = [], shatter._search_cuts
+
+    def counted(F, sigma, t):
+        calls.append((sigma.indices, t))
+        return search(F, sigma, t)
+
+    mp.setattr(shatter, "_search_cuts", counted)
+    return calls
+
+
 @pytest.fixture
 def failing_lp(monkeypatch):
     # HiGHS status 4: numerical difficulties
@@ -171,6 +258,16 @@ def test_failed_lp_raises_certificate_error(failing_lp, solve):
     with pytest.raises(CertificateError) as exc:
         solve()
     assert exc.value.code == "CERTIFICATE"
+
+
+def test_domination_minimizer_must_attain_the_lp_value(monkeypatch):
+    # status 0, but the minimizer a = (1, 0, 0) has sup norm 1, not the reported 0.25
+    monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(
+        status=0, fun=0.25, x=np.array([1.0, 0.0, 0.0, 0.25])))
+    with pytest.raises(CertificateError) as exc:
+        l1_domination(np.eye(3), mode="exact")
+    assert exc.value.code == "CERTIFICATE"
+    assert "attains 1.0" in str(exc.value)
 
 
 class TestIsShattered:
@@ -374,6 +471,47 @@ class TestVcDimension:
     def test_max_sigma_truncates(self):
         res = vc_dimension(sign_class(3), 1.0, max_sigma=2)
         assert res.dimension == 2
+
+
+class TestVcDimensions:
+    @given(case=vc_grid_cases())
+    def test_matches_the_per_scale_reference(self, case):
+        # one search for the grid: the reference's result bits at every scale,
+        # no (sigma, t) pair twice and never more oracle calls than the reference
+        F, scales, max_sigma = case
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_oracle(mp)
+            got = vc_dimensions(F, scales, max_sigma)
+            ours = len(calls)
+            want = [reference_vc_dimension(F, t, max_sigma) for t in scales]
+        assert len(got) == len(scales)
+        assert len(set(calls[:ours])) == ours
+        assert ours <= len(calls) - ours
+        if len(set(scales)) == 1:
+            assert ours == (len(calls) - ours) // len(scales)
+        for res, ref in zip(got, want):
+            assert_same_result(res, ref)
+
+    def test_vc_dimension_is_the_one_scale_case(self):
+        F = sign_class(3)
+        for t in (0.5, 1.0, 1.5):
+            assert_same_result(vc_dimension(F, t, 2), vc_dimensions(F, [t], 2)[0])
+
+    def test_grid_order_and_repeats(self):
+        # results follow the grid as given; a repeated scale is searched once
+        F = FunctionClass(np.array([[0.9, 0.5], [-0.1, 0.5], [0.9, -0.5], [-0.1, -0.5]]))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_oracle(mp)
+            res = vc_dimensions(F, (0.5, 0.45, 0.5, 0.55))
+        assert [r.dimension for r in res] == [2, 2, 2, 0]
+        assert res[0] is res[2]
+        assert len(calls) == len(set(calls))
+
+    def test_empty_grid_and_bad_scales(self):
+        assert vc_dimensions(sign_class(2), ()) == ()
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(InputError):
+                vc_dimensions(sign_class(2), (0.5, bad))
 
 
 class TestL1Domination:
