@@ -20,6 +20,7 @@ leaves every pattern a function.  `is_shattered` searches the cuts.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -37,6 +38,7 @@ from .core import (
     check_count,
     check_positive,
     sign_patterns,
+    unit_peak,
 )
 
 # size caps of the exact searches
@@ -46,6 +48,7 @@ _MAX_POINTS = 20
 _MAX_EXACT_DOMINATION = 15
 _DEFAULT_MAX_HULL_SIGMA = 4
 _LP_FEAS_TOL = 1e-7
+_VERTEX_TOL = 1e-9
 
 
 def linprog(*args, **kwargs):
@@ -279,11 +282,23 @@ def l1_domination(
     """Largest eps with eps * sum |a_i| <= norm(sum a_i x_i) for all a.
 
     epsilon_star = min over the l_1 sphere of the norm of the signed
-    combination.  Exact mode (sup norm only): one LP per sign orthant,
-    2^(count-1) orthants by symmetry, for at most _MAX_EXACT_DOMINATION
-    points; CertificateError if the minimizer misses the LP value by more
-    than 10 * _LP_FEAS_TOL.  Sampled mode: minimum over `samples` random
-    and structured directions, which only *over*-estimates epsilon_star.
+    combination.  Exact mode (sup norm only) takes one of three paths,
+    named in `method`:
+
+    - "exact-rank": dependent points (see _null_vector) give the attained
+      value of a null vector, about 0.  No LP runs.
+    - "exact-vertex": epsilon_star = 1 / max{|a|_1 : |x^T a| <= 1}, and a
+      convex maximum over a polytope sits at a vertex (Avis and Fukuda,
+      DCG 1992); see _vertex_domination.  Taken while C(dim, c) *
+      2^(c-1) * dim, the scalars of its feasibility test, is at most
+      _BLOCK_SCALARS, c being the point count.
+    - "exact-lp": past that, one LP per sign orthant, 2^(c-1) of them.
+
+    Independent points are capped at _MAX_EXACT_DOMINATION.  Every exact
+    path raises CertificateError if its minimizer misses the reported
+    value by more than 10 * _LP_FEAS_TOL.  Sampled mode: minimum over
+    `samples` random and structured directions, which only *over*-estimates
+    epsilon_star.
 
     epsilon_star > 0 iff the points are linearly independent.
     """
@@ -300,47 +315,25 @@ def l1_domination(
     if mode == "exact":
         if norm != "sup":
             raise InputError("UNSUPPORTED_NORM", "exact mode supports the sup norm only")
-        if count > _MAX_EXACT_DOMINATION:
-            raise SizeCapError(
-                f"{count} points exceed the exact cap {_MAX_EXACT_DOMINATION} "
-                f"(2^{count - 1} sign-orthant LPs)",
-                cost_estimate=2.0 ** (count - 1),
-            )
-        best = math.inf
-        best_a = None
-        # orthant sign vectors, the first sign fixed to +1 by symmetry
-        orthants = np.hstack([np.ones((1 << (count - 1), 1)), -sign_patterns(count - 1)])
-        # variables: (a_1..a_count, tau); minimize tau
-        c = np.zeros(count + 1)
-        c[-1] = 1.0
-        a_ub = np.zeros((2 * dim, count + 1))
-        a_ub[:dim, :count] = x.T
-        a_ub[dim:, :count] = -x.T
-        a_ub[:, -1] = -1.0
-        b_ub = np.zeros(2 * dim)
-        for signs in orthants:
-            bounds = [(0, None) if s > 0 else (None, 0) for s in signs]
-            bounds.append((0, None))
-            a_eq = np.concatenate([signs, [0.0]])[None, :]
-            res = linprog(
-                c,
-                A_ub=a_ub,
-                b_ub=b_ub,
-                A_eq=a_eq,
-                b_eq=[1.0],
-                bounds=bounds,
-                method="highs",
-            )
-            if res.status != 0:
-                raise CertificateError(f"orthant LP failed with status {res.status}")
-            if res.fun < best:
-                best = res.fun
-                best_a = res.x[:count]
-        a = best_a / np.abs(best_a).sum()
+        # epsilon_star is homogeneous: a unit peak keeps the vertices inside the float range
+        unit, e = unit_peak(x)
+        a = _null_vector(unit)
+        if a is not None:
+            method, value = "exact-rank", float(banach_norm(a @ x, "sup"))
+        else:
+            method, cost, work = _exact_cost(count, dim)
+            if count > _MAX_EXACT_DOMINATION:
+                raise SizeCapError(
+                    f"{count} points exceed the exact cap {_MAX_EXACT_DOMINATION} ({work})",
+                    cost_estimate=cost,
+                )
+            solve = _vertex_domination if method == "exact-vertex" else _orthant_domination
+            value, a = solve(unit)
+            value = math.ldexp(value, e)
         attained = float(banach_norm(a @ x, "sup"))
-        if not abs(attained - best) <= 10.0 * _LP_FEAS_TOL:
-            raise CertificateError(f"orthant LP minimizer attains {attained!r}, not {best!r}")
-        return DominationResult(float(best), a, "exact-lp")
+        if not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
+            raise CertificateError(f"{method} minimizer attains {attained!r}, not {value!r}")
+        return DominationResult(value, a, method)
 
     if mode != "sampled":
         raise InputError("BAD_INPUT", f"mode must be 'exact' or 'sampled', got {mode}")
@@ -355,6 +348,85 @@ def l1_domination(
     vals = banach_norm(dirs @ x, norm)
     i = int(np.argmin(vals))
     return DominationResult(float(vals[i]), dirs[i], "sampled")
+
+
+def _exact_cost(count: int, dim: int) -> tuple[str, float, str]:
+    """The exact path for independent points, its count of solves, and that count in words."""
+    lps = 1 << (count - 1)
+    systems = math.comb(dim, count) * lps
+    if systems * dim <= _BLOCK_SCALARS:
+        return "exact-vertex", float(systems), f"{systems} vertex systems"
+    return "exact-lp", float(lps) if count <= 1024 else math.inf, f"2^{count - 1} sign-orthant LPs"
+
+
+def _half_signs(count: int) -> np.ndarray:
+    """The 2^(count-1) sign vectors with first sign +1, all +1 first: one of each +-s pair."""
+    return np.hstack([np.ones((1 << (count - 1), 1)), -sign_patterns(count - 1)])
+
+
+def _null_vector(x: np.ndarray) -> np.ndarray | None:
+    """An l_1-unit null vector of x^T when the rows of x are dependent; None when independent.
+
+    Dependent means more rows than columns, or a least singular value at
+    most count * eps times the largest.  With more rows, the first dim + 1
+    already are dependent.
+    """
+    count, dim = x.shape
+    u, s, _ = np.linalg.svd(x[: dim + 1], full_matrices=count > dim)
+    if count <= dim and s[-1] > count * np.finfo(float).eps * s[0]:
+        return None
+    a = np.zeros(count)
+    a[: len(u)] = u[:, -1]
+    return a / np.abs(a).sum()
+
+
+def _vertex_domination(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(epsilon_star, minimizer) from the vertices of {a : |x^T a| <= 1}, x of full row rank.
+
+    Every vertex solves x[:, J]^T a = s for c = count columns J and signs s
+    with s_1 = +1; one batched solve gives them all, and the first feasible
+    one of largest |a|_1 wins.  A block x[:, J] singular relative to its own
+    scale has no vertex and is dropped.  A solved vertex may exceed a
+    constraint by its rounding, up to _VERTEX_TOL.  CertificateError if no
+    candidate is feasible.
+    """
+    count, dim = x.shape
+    blocks = x.T[np.array(list(itertools.combinations(range(dim), count)))]
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    blocks = blocks[sv[:, -1] > count * np.finfo(float).eps * sv[:, 0]]
+    a = np.linalg.solve(blocks, _half_signs(count).T).transpose(0, 2, 1).reshape(-1, count)
+    feasible = banach_norm(a @ x, "sup") <= 1.0 + _VERTEX_TOL
+    if not feasible.any():
+        raise CertificateError(f"none of the {len(a)} vertex candidates is feasible")
+    size = np.where(feasible, np.abs(a).sum(axis=1), -np.inf)
+    i = int(np.argmax(size))
+    return 1.0 / size[i], a[i] / size[i]
+
+
+def _orthant_domination(x: np.ndarray) -> tuple[float, np.ndarray]:
+    """(epsilon_star, minimizer) by one LP per sign orthant of a, the first sign fixed to +1."""
+    count, dim = x.shape
+    best = math.inf
+    best_a = None
+    # variables: (a_1..a_count, tau); minimize tau
+    c = np.zeros(count + 1)
+    c[-1] = 1.0
+    a_ub = np.zeros((2 * dim, count + 1))
+    a_ub[:dim, :count] = x.T
+    a_ub[dim:, :count] = -x.T
+    a_ub[:, -1] = -1.0
+    b_ub = np.zeros(2 * dim)
+    for signs in _half_signs(count):
+        bounds = [(0, None) if s > 0 else (None, 0) for s in signs]
+        bounds.append((0, None))
+        a_eq = np.concatenate([signs, [0.0]])[None, :]
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=bounds, method="highs")
+        if res.status != 0:
+            raise CertificateError(f"orthant LP failed with status {res.status}")
+        if res.fun < best:
+            best = res.fun
+            best_a = res.x[:count]
+    return float(best), best_a / np.abs(best_a).sum()
 
 
 def vc_convex_hull(

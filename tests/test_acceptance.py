@@ -110,8 +110,8 @@ def test_coordinate_jl_success_rate():
 
 
 def test_hull_shattering_matches_domination():
-    # the joint LP and the orthant LPs decide the same threshold on
-    # random point sets in the sup-norm ball
+    # the joint LP and the exact domination constant decide the same
+    # threshold on random point sets in the sup-norm ball
     start = time.perf_counter()
     rng = RngStream(930).generator()
     for _ in range(50):

@@ -122,7 +122,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 4
+        assert report["schema"] == 5
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -410,14 +410,29 @@ class TestHullCommand:
 
     def test_minimizer_off_its_value_exits_with_certificate_error(self, tmp_path, capsys,
                                                                   monkeypatch):
-        # a solved LP whose minimizer a = (1, 0) has sup norm 1, not the reported 0.25
+        # a solved LP whose minimizer a = (1, 0) has sup norm 1, not the reported 0.25;
+        # two points in R^200 pass the vertex gate, so the orthant LPs run
         monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(
             status=0, fun=0.25, x=np.array([1.0, 0.0, 0.25])))
-        path = write_csv(tmp_path / "eye2.csv", np.eye(2))
+        path = write_csv(tmp_path / "eye2x200.csv", np.eye(2, 200))
         assert main(["hull", "--input", path, "--t", "0.4"]) == 5
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["code"] == "CERTIFICATE"
+
+    def test_vertex_minimizer_off_its_value_exits_with_certificate_error(self, tmp_path, capsys,
+                                                                         monkeypatch):
+        # the vertex value 1/2 stays, its minimizer becomes a = (1, 0), whose sup norm is 1
+        solve = shatter._vertex_domination
+        monkeypatch.setattr(shatter, "_vertex_domination",
+                            lambda x: (solve(x)[0], np.array([1.0, 0.0])))
+        path = write_csv(tmp_path / "eye2.csv", np.eye(2))
+        assert main(["hull", "--input", path, "--t", "0.4"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["code"] == "CERTIFICATE"
+        assert "exact-vertex minimizer attains 1.0" in err["message"]
 
     def test_hull_witness_has_weights(self, tmp_path, capsys):
         path = write_csv(tmp_path / "eye2.csv", np.eye(2))

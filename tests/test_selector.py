@@ -38,16 +38,26 @@ def brute_mgf(a, delta, lam):
 
 
 def brute_tail(a, delta, threshold):
-    n = len(a)
+    """P{Z > threshold} by the product law: a sum over all 2^n selections.
+
+    Ties follow the convention of exact_tail_probability, which decides
+    Z > threshold on Z as evaluated in floats: weights and threshold moved
+    to a unit peak by one power of two, then u (K - delta s) summed over the
+    groups of equal nonzero weights in ascending order of u, K of the s
+    weights equal to u being selected.  A Z equal to the threshold in exact
+    arithmetic can land on either side by rounding, and the law counts it
+    where its float value lands; so does this sum.
+    """
+    v, e = unit_peak(np.asarray(a, dtype=float))
+    tau = _ldexp(threshold, -e)
+    values, sizes = np.unique(v[v != 0.0], return_counts=True)
     total = 0.0
-    for bits in itertools.product((0, 1), repeat=n):
-        p = 1.0
+    for bits in itertools.product((0, 1), repeat=v.size):
         z = 0.0
-        for b, w in zip(bits, a):
-            p *= delta if b else (1.0 - delta)
-            z += (b - delta) * w
-        if z > threshold:
-            total += p
+        for u, s in zip(values, sizes):
+            z += u * (sum(b for b, w in zip(bits, v) if w == u) - delta * s)
+        if z > tau:
+            total += math.prod(delta if b else 1.0 - delta for b in bits)
     return total
 
 
@@ -286,6 +296,10 @@ class TestExactTail:
         delta=st.floats(0.05, 0.95),
         threshold=st.floats(-2.0, 2.0),
     )
+    # the law's values: Z = 2^-1075 > 0 when 5e-324 is selected, and Z = 1 - fl(3 * fl(1/3))
+    # = 0 at one selected weight of three, so only two or three selected weights count
+    @example(a=[5e-324], delta=0.5, threshold=0.0)
+    @example(a=[1.0, 1.0, 1.0], delta=1 / 3, threshold=0.0)
     def test_enumeration_path_matches_product_brute_force(self, a, delta, threshold):
         got = exact_tail_probability(a, delta, threshold)
         assert got == pytest.approx(brute_tail(a, delta, threshold), rel=1e-9, abs=1e-12)
@@ -306,6 +320,10 @@ class TestExactTail:
         threshold = math.ldexp(k, -10)
         got = exact_tail_probability(np.ldexp(a, j), delta, math.ldexp(threshold, j))
         assert got == exact_tail_probability(a, delta, threshold)
+
+    def test_ties_follow_the_float_value_of_z(self):
+        assert exact_tail_probability([5e-324], 0.5, 0.0) == 0.5
+        assert exact_tail_probability([1.0, 1.0, 1.0], 1 / 3, 0.0) == pytest.approx(7 / 27, rel=1e-15)
 
     def test_intractable_returns_none(self):
         rng = np.random.default_rng(17)

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
@@ -45,6 +45,25 @@ def random_pm_class(rng, max_m=16, max_n=6) -> FunctionClass:
     m = int(rng.integers(2, max_m + 1))
     n = int(rng.integers(2, max_n + 1))
     return FunctionClass(rng.choice([-1.0, 1.0], size=(m, n)))
+
+
+@st.composite
+def domination_cases(draw):
+    """(seed, points): uniform, +-1 or one-decimal (tied) points with count <= dim <= 6,
+    or dependent points: a repeated point, or more points than coordinates."""
+    kind = draw(st.sampled_from(["uniform", "sign", "decimal", "repeat", "excess"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    count = draw(st.integers(2 if kind in ("repeat", "excess") else 1, 6))
+    dim = draw(st.integers(1, count - 1) if kind == "excess" else st.integers(count, 6))
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, size=(count, dim))
+    if kind == "sign":
+        x = np.where(x < 0.0, -1.0, 1.0)
+    elif kind == "decimal":
+        x = np.round(x, 1)
+    elif kind == "repeat":
+        x[-1] = x[rng.integers(count - 1)]
+    return seed, x
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -251,7 +270,8 @@ def failing_lp(monkeypatch):
 
 
 @pytest.mark.parametrize("solve", [
-    lambda: l1_domination(np.eye(3), mode="exact"),
+    # two points in R^200: C(200, 2) * 2 * 200 scalars pass the vertex gate, so LPs run
+    lambda: l1_domination(np.eye(2, 200), mode="exact"),
     lambda: vc_convex_hull(sign_class(2), full_subset(2), 0.5),
 ], ids=["orthant", "hull"])
 def test_failed_lp_raises_certificate_error(failing_lp, solve):
@@ -261,13 +281,24 @@ def test_failed_lp_raises_certificate_error(failing_lp, solve):
 
 
 def test_domination_minimizer_must_attain_the_lp_value(monkeypatch):
-    # status 0, but the minimizer a = (1, 0, 0) has sup norm 1, not the reported 0.25
+    # status 0, but the minimizer a = (1, 0) has sup norm 1, not the reported 0.25
     monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(
-        status=0, fun=0.25, x=np.array([1.0, 0.0, 0.0, 0.25])))
+        status=0, fun=0.25, x=np.array([1.0, 0.0, 0.25])))
+    with pytest.raises(CertificateError) as exc:
+        l1_domination(np.eye(2, 200), mode="exact")
+    assert exc.value.code == "CERTIFICATE"
+    assert "exact-lp minimizer attains 1.0" in str(exc.value)
+
+
+def test_domination_minimizer_must_attain_the_vertex_value(monkeypatch):
+    # the vertex value 1/3 stays, its minimizer becomes a = (1, 0, 0), whose sup norm is 1
+    solve = shatter._vertex_domination
+    monkeypatch.setattr(shatter, "_vertex_domination",
+                        lambda x: (solve(x)[0], np.array([1.0, 0.0, 0.0])))
     with pytest.raises(CertificateError) as exc:
         l1_domination(np.eye(3), mode="exact")
     assert exc.value.code == "CERTIFICATE"
-    assert "attains 1.0" in str(exc.value)
+    assert "exact-vertex minimizer attains 1.0" in str(exc.value)
 
 
 class TestIsShattered:
@@ -516,14 +547,72 @@ class TestVcDimensions:
 
 class TestL1Domination:
     def test_basis_vectors(self):
+        # n basis vectors padded to R^200 pass the vertex gate and take the LPs
+        self.check_basis_vectors(200, "exact-lp")
+
+    def test_basis_vectors_by_vertices(self):
+        self.check_basis_vectors(None, "exact-vertex")
+
+    @staticmethod
+    def check_basis_vectors(width, method):
         for n in (2, 4, 6):
-            res = l1_domination(np.eye(n), norm="sup", mode="exact")
-            assert res.method == "exact-lp"
+            x = np.eye(n, width)
+            res = l1_domination(x, norm="sup", mode="exact")
+            assert res.method == method
             assert res.epsilon_star == pytest.approx(1.0 / n, abs=1e-9)
             assert np.abs(res.minimizer).sum() == pytest.approx(1.0, abs=1e-9)
             # the reported minimizer attains the reported value
-            attained = banach_norm(res.minimizer @ np.eye(n), "sup")
+            attained = banach_norm(res.minimizer @ x, "sup")
             assert attained == pytest.approx(res.epsilon_star, abs=1e-8)
+
+    def test_gate_and_caps_name_the_path(self):
+        # C(dim, c) 2^(c-1) dim scalars against _BLOCK_SCALARS = 2,000,000
+        assert l1_domination(np.eye(2, 126)).method == "exact-vertex"  # 1,984,500
+        assert l1_domination(np.eye(2, 127)).method == "exact-lp"  # 2,032,254
+        with pytest.raises(SizeCapError, match="32768 vertex systems") as exc:
+            l1_domination(np.eye(16))
+        assert exc.value.cost_estimate == 32768.0
+        with pytest.raises(SizeCapError, match="2\\^15 sign-orthant LPs") as exc:
+            l1_domination(np.eye(16, 40))
+        assert exc.value.cost_estimate == 32768.0
+
+    def test_dependent_points_take_the_rank_shortcut(self, monkeypatch):
+        # more points than coordinates, or a repeated point: a null vector, and no LP
+        monkeypatch.setattr(shatter, "linprog", None)
+        rng = RngStream(212).generator()
+        y = rng.uniform(-1.0, 1.0, size=(3, 5))
+        for x in (rng.uniform(-1.0, 1.0, size=(40, 3)), np.vstack([y, y[1]]), np.zeros((2, 3))):
+            res = l1_domination(x, mode="exact")
+            assert res.method == "exact-rank"
+            assert res.epsilon_star <= 1e-15
+            assert np.abs(res.minimizer).sum() == pytest.approx(1.0, abs=1e-12)
+            assert res.epsilon_star == banach_norm(res.minimizer @ x, "sup")
+
+    def test_tiny_points_keep_their_scale(self):
+        # a unit peak keeps 1 / |a|_1 inside the float range
+        for scale in (5e-324, 1e-300, 1e-150):
+            res = l1_domination(scale * np.eye(3), mode="exact")
+            assert res.method == "exact-vertex"
+            assert res.epsilon_star == pytest.approx(scale / 3.0, rel=1e-12)
+
+    @settings(max_examples=80)
+    @given(case=domination_cases())
+    def test_vertex_path_matches_orthant_lps(self, case):
+        seed, x = case
+        lp_value, _ = shatter._orthant_domination(x)
+        res = l1_domination(x, mode="exact")
+        if shatter._null_vector(x) is None:
+            value, a = shatter._vertex_domination(x)
+            assert (res.epsilon_star, res.minimizer.tolist()) == (value, a.tolist())
+            assert res.method == "exact-vertex"
+            assert value == pytest.approx(lp_value, rel=1e-12, abs=0.0)
+        else:
+            assert res.method == "exact-rank"
+            assert max(res.epsilon_star, lp_value) <= 1e-12
+        assert np.abs(res.minimizer).sum() == pytest.approx(1.0, rel=1e-12)
+        assert banach_norm(res.minimizer @ x, "sup") == pytest.approx(res.epsilon_star, rel=1e-12)
+        sampled = l1_domination(x, mode="sampled", samples=64, rng=RngStream(213, seed))
+        assert sampled.epsilon_star >= res.epsilon_star - 1e-12
 
     def test_two_equal_points_degenerate(self):
         res = l1_domination(np.array([[0.3, -0.7], [0.3, -0.7]]), mode="exact")
