@@ -31,7 +31,7 @@ from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
-from .selector import selector_experiment
+from .selector import exact_success_prob, selector_experiment
 from .shatter import (_DEFAULT_MAX_HULL_SIGMA, _LP_FEAS_TOL, dual_ball_class, l1_domination,
                       vc_convex_hull, vc_dimension)
 
@@ -209,14 +209,15 @@ def _run_project(args, data, rng):
     rows = []
     csv_rows = []
     flags: set = set()
-    header = ["index", "success_prob"]
+    header = ["index", "success_prob", "exact_success_prob"]
     if args.t is not None:
         header += ["empirical_prob", "chernoff_bound", "fitted_c"]
     for i, vec in enumerate(data):
         success, tail = selector_experiment(vec, args.delta, args.eps, args.trials,
                                             rng.substream(2 * i + 1), t=args.t)
-        entry = {"index": i + 1, "success_prob": success}
-        line = [i + 1, success]
+        exact = exact_success_prob(vec, args.delta, args.eps)
+        entry = {"index": i + 1, "success_prob": success, "exact_success_prob": exact}
+        line = [i + 1, success, exact if exact is not None else math.nan]
         if tail is not None:
             entry["tail"] = {
                 "t": tail.t,
@@ -519,7 +520,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 5,
+        "schema": 6,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

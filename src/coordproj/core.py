@@ -254,7 +254,7 @@ def sign_patterns(k: int, start: int = 0, stop: int | None = None) -> np.ndarray
     """Rows start..stop-1 of the 2^k sign patterns, as a +-1 int8 table.
 
     Entry b of row i is +1 where bit b of i is set and -1 where it is
-    clear. Every exact enumeration of signs or selector subsets uses it.
+    clear. Every exact enumeration of signs uses it.
     """
     ids = np.arange(start, 1 << k if stop is None else stop, dtype="<u8")
     # little-endian bytes unpacked low bit first: column b is bit b

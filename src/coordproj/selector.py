@@ -3,8 +3,13 @@
 delta_1..delta_n are i.i.d. {0,1} selectors with mean delta; the random
 subset sigma keeps the coordinates with delta_i = 1.  The centered linear
 statistic  Z = sum_i (delta_i - delta) a_i  has a product-form moment
-generating function, so its Chernoff bound can be computed exactly, and
-for weight vectors with few distinct values the tail itself is exact.
+generating function, so its Chernoff bound can be computed exactly.
+
+Z and the almost-isometry event read only the selector count K_j within
+each group of equal weights, and K_j ~ Bin(s_j, delta) independently. So
+the Monte Carlo draws count tables, not selector masks, and for weight
+vectors with few distinct values both probabilities are exact sums over
+the count vectors.
 """
 
 from __future__ import annotations
@@ -115,6 +120,118 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
     return math.exp(best) if best < 0.0 else 1.0
 
 
+# stirlerr(n) = ln n! - ln(sqrt(2 pi n) (n/e)^n) for n = 0..15; n = 0 is never read
+_STIRLERR = np.array([
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748, 0.01189670994589177,
+    0.010411265261972096, 0.009255462182712733, 0.00833056343336287, 0.007573675487951841,
+    0.00694284010720953, 0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+])
+
+
+def _stirlerr(n: np.ndarray) -> np.ndarray:
+    """stirlerr(n) for integer-valued n >= 1: the table to 15, Stirling's series past it."""
+    out = _STIRLERR[np.minimum(n, 15).astype(np.intp)]
+    big = n > 15
+    m = n[big]
+    mm = m * m
+    out[big] = (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / m
+    return out
+
+
+def _bd0(x: np.ndarray, m: float) -> np.ndarray:
+    """The deviance x ln(x/m) + m - x for x > 0, m > 0, without its cancellation near x = m.
+
+    There it is the series (x - m) v + 2x sum_{j>=1} v^(2j+1) / (2j+1), with
+    v = (x-m)/(x+m), summed until it stops changing; |v| < 0.1 there, so each
+    term is at least 100 times the next.
+    """
+    # ln x - ln m, not ln(x/m), which overflows for m below about 1e-302
+    out = x * (np.log(x) - math.log(m)) + m - x
+    near = np.abs(x - m) < 0.1 * (x + m)
+    xn = x[near]
+    v = (xn - m) / (xn + m)
+    s = (xn - m) * v
+    term = 2.0 * xn * v
+    v *= v
+    for j in range(1, 60):
+        term *= v
+        nxt = s + term / (2 * j + 1)
+        if np.array_equal(nxt, s):
+            break
+        s = nxt
+    out[near] = s
+    return out
+
+
+def _binomial_log_pmf(s: int, delta: float) -> np.ndarray:
+    """ln P{Bin(s, delta) = k} for k = 0..s, in Loader's saddle-point form.
+
+    ln s! - ln k! - ln (s-k)! cancels to a small number from terms near s ln s;
+    this form keeps only small terms: Stirling's errors, and the deviances of
+    k and s - k from their means (Loader, "Fast and accurate computation of
+    binomial probabilities", 2000).
+    """
+    out = np.full(s + 1, -math.inf)
+    if delta == 1.0:
+        out[s] = 0.0
+        return out
+    out[0] = s * math.log1p(-delta)
+    out[s] = s * math.log(delta)
+    k = np.arange(1.0, s)
+    rest = s - k
+    core = (_stirlerr(np.array([float(s)])) - _stirlerr(k) - _stirlerr(rest)
+            - _bd0(k, s * delta) - _bd0(rest, s * (1.0 - delta)))
+    out[1:s] = core - 0.5 * (math.log(2.0 * math.pi) + np.log(k) + np.log1p(-k / s))
+    return out
+
+
+def _weight_groups(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct weights, zero among them, and how many coordinates carry each.
+
+    Groups of two or more weights come first, then the single weights, each
+    part in ascending order of the weight: the column order of every count
+    table, sampled or enumerated.
+    """
+    values, sizes = np.unique(unit, return_counts=True)
+    order = np.argsort(sizes == 1, kind="stable")
+    return values[order], sizes[order]
+
+
+def _enumerated_probability(sizes: np.ndarray, delta: float, event) -> float | None:
+    """P{event(K)} under K_j ~ Bin(s_j, delta) independently; None past the cap.
+
+    The prod (s_j + 1) count vectors are enumerated while they number at most
+    _BLOCK_SCALARS, in (rows, r) float tables of at most one Monte-Carlo block.
+    `event` maps such a table to one bool per row.
+    """
+    r = sizes.size
+    # each group at least doubles the count vectors: many groups skip the product
+    if r >= _BLOCK_SCALARS.bit_length():
+        return None
+    total = math.prod((sizes + 1).tolist())
+    if total > _BLOCK_SCALARS:
+        return None
+    log_pmfs = [_binomial_log_pmf(int(s), delta) for s in sizes]
+    rows = max(1, _BLOCK_SCALARS // max(1, r))
+    hit = miss = 0.0
+    for start in range(0, total, rows):
+        rest = np.arange(start, min(start + rows, total))
+        counts = np.empty((rest.size, r))
+        log_p = np.zeros(rest.size)
+        for j in range(r - 1, -1, -1):  # the last group's count varies fastest
+            rest, k = np.divmod(rest, sizes[j] + 1)
+            counts[:, j] = k
+            log_p += log_pmfs[j][k]
+        p = np.exp(log_p)
+        inside = event(counts)
+        hit += float(p[inside].sum())
+        miss += float(p[~inside].sum())
+    # a light side is summed, keeping its relative accuracy; a heavy one is 1 minus
+    # the light side, which keeps it in [0, 1]
+    return hit if hit <= miss else 1.0 - miss
+
+
 def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     """P{Z > threshold} exactly, where tractable; None otherwise.
 
@@ -122,6 +239,9 @@ def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     Bin(s_j, delta), independently across values, so Z = sum u_j (K_j -
     delta s_j) takes one value per vector of counts. The prod (s_j + 1)
     count vectors are enumerated while they fit in one Monte-Carlo block.
+    Z > threshold is decided on Z as evaluated in floats: the weights and
+    the threshold moved to a unit peak by one power of two, then the terms
+    summed from 0 in the column order of `_weight_groups`, zero left out.
     """
     v = as_vector(a)
     delta = _check_delta(delta)
@@ -130,28 +250,17 @@ def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     # the event is scale-free, and sums of the weights must not overflow
     v, e = unit_peak(v)
     threshold = _ldexp(threshold, -e)
-    values, counts = np.unique(v[v != 0.0], return_counts=True)
-    # each distinct value at least doubles the count vectors: many values skip the product
-    if (counts.size >= _BLOCK_SCALARS.bit_length()
-            or math.prod((counts + 1).tolist()) > _BLOCK_SCALARS):
-        return None
+    values, sizes = _weight_groups(v)
+    nonzero = values != 0.0
+    values, sizes = values[nonzero], sizes[nonzero]
 
-    z = np.zeros(1)
-    log_p = np.zeros(1)
-    for u, s in zip(values, counts):
-        k = np.arange(s + 1.0)
-        log_fact = np.array([math.lgamma(j) for j in k + 1.0])
-        log_pmf = (log_fact[-1] - log_fact - log_fact[::-1]
-                   + k * math.log(delta) + (s - k) * math.log1p(-delta))
-        z = (z[:, None] + u * (k - delta * s)).ravel()
-        log_p = (log_p[:, None] + log_pmf).ravel()
-    p = np.exp(log_p)
-    above = z > threshold
-    # a light tail is summed, keeping its relative accuracy; a heavy one is 1 minus
-    # the light side, which keeps it in [0, 1]
-    hi = float(p[above].sum())
-    lo = float(p[~above].sum())
-    return hi if hi <= lo else 1.0 - lo
+    def above(counts):
+        z = np.zeros(counts.shape[0])
+        for j, (u, s) in enumerate(zip(values, sizes)):
+            z = z + u * (counts[:, j] - delta * s)
+        return z > threshold
+
+    return _enumerated_probability(sizes, delta, above)
 
 
 @dataclass(frozen=True)
@@ -169,56 +278,127 @@ class TailExperimentReport:
     flags: tuple[str, ...]
 
 
+def _check_eps(eps: float) -> float:
+    if not (0.0 < eps < 1.0):
+        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
+    return float(eps)
+
+
+def _isometry_bounds(unit: np.ndarray, eps: float) -> tuple[float, float]:
+    """lo^2 and hi^2, the squared ends of (1 +/- eps) times the normalized norm of unit."""
+    full = math.sqrt(float((unit**2).mean()))
+    if full == 0.0:
+        raise InputError("BAD_INPUT", "vector must be nonzero")
+    return ((1.0 - eps) * full) ** 2, ((1.0 + eps) * full) ** 2
+
+
+def _row_dot(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """counts @ weights, with each row's sum taken on its own by one kernel.
+
+    A row's value then never depends on the table it sits in: the sampler's
+    blocks and the enumeration's chunks give the same bits. A BLAS product
+    does not promise this; it may round a row differently by its position.
+    """
+    return np.einsum("ij,j->i", counts, weights)
+
+
+def _isometry_hits(counts: np.ndarray, values: np.ndarray, lo2: float, hi2: float) -> np.ndarray:
+    """The almost-isometry event on each row of a (rows, r) count table, in floats.
+
+    A row holds the count K_j of selected coordinates in each weight group;
+    the event is k = sum K_j > 0 and lo^2 <= sum K_j g_j^2 / k <= hi^2.
+    """
+    k = counts.sum(axis=1)
+    mean_sq = _row_dot(counts, values**2) / np.maximum(k, 1.0)
+    return (k > 0) & (mean_sq >= lo2) & (mean_sq <= hi2)
+
+
+def exact_success_prob(a, delta: float, eps: float) -> float | None:
+    """P{almost-isometry event} exactly, where tractable; None otherwise.
+
+    The event of `selector_experiment` reads only the count vector K, with
+    K_j ~ Bin(s_j, delta) over the groups of equal weights, zeros included.
+    The prod (s_j + 1) count vectors are enumerated while they fit in one
+    Monte-Carlo block. The event is decided on each count vector in floats,
+    exactly as the sampler decides it (`_isometry_hits` on the weights at a
+    unit peak), so a mean square that equals lo^2 or hi^2 in exact arithmetic
+    counts where its float value lands.
+    """
+    v = as_vector(a)
+    delta = _check_delta(delta)
+    eps = _check_eps(eps)
+    unit, _ = unit_peak(v)
+    lo2, hi2 = _isometry_bounds(unit, eps)
+    values, sizes = _weight_groups(unit)
+    return _enumerated_probability(
+        sizes, delta, lambda counts: _isometry_hits(counts, values, lo2, hi2))
+
+
+def _count_sampler(sizes: np.ndarray, delta: float, rng: RngStream):
+    """A function of rows that draws (rows, r) count tables, column j ~ Bin(s_j, delta).
+
+    A group of two or more weights draws one binomial count, O(1) each; a
+    single weight draws one uniform below delta, which is cheaper there. The
+    two kinds come from two substreams, each read in trial order, so
+    successive tables continue one sequence whatever their row counts.
+    """
+    split = int(np.count_nonzero(sizes >= 2))  # _weight_groups puts these first
+    many = rng.substream(0).generator()
+    single = rng.substream(1).generator()
+
+    def draw(rows):
+        ones = single.random((rows, sizes.size - split))
+        np.less(ones, delta, out=ones)  # 1.0 where selected, with no second table
+        if split == 0:
+            return ones
+        return np.concatenate([many.binomial(sizes[:split], delta, size=(rows, split)), ones],
+                              axis=1)
+
+    return draw
+
+
 def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream,
                         t: float | None = None) -> tuple[float, TailExperimentReport | None]:
     """Monte-Carlo frequencies of two selector events, read off one sample.
 
-    Each trial draws one selector mask. Its success is the almost-isometry
-    event: sigma is nonempty and the normalized projection of a lands
-    within (1 +/- eps) of its full norm. When t is given, the same masks
-    give the one- and two-sided frequencies of Z > t delta n, reported
-    against the exact Chernoff bound, the exact probability when the
-    weight vector admits one, and the constant c fitted to
-    exp(-c t^2 delta n / M^2) with M the psi_1 norm.
+    Both events read only the selector counts K_j within the groups of equal
+    weights, so each trial draws one row of a count table (`_count_sampler`)
+    rather than a mask of n selectors. Its success is the almost-isometry
+    event: sigma is nonempty and the normalized projection of a lands within
+    (1 +/- eps) of its full norm. When t is given, the same counts give the
+    one- and two-sided frequencies of Z > t delta n, reported against the
+    exact Chernoff bound, the exact probability when the weight vector
+    admits one, and the constant c fitted to exp(-c t^2 delta n / M^2) with
+    M the psi_1 norm.
 
     Returns the success frequency and the tail report (None without t).
     """
     v = as_vector(a)
     delta = _check_delta(delta)
-    if not (0.0 < eps < 1.0):
-        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
+    eps = _check_eps(eps)
     trials = check_count(trials, "trials", 1)
     # both events are scale-free, and squares and sums of the weights must stay in range
     unit, e = unit_peak(v)
-    sq = unit**2
-    full = math.sqrt(float(sq.mean()))
-    if full == 0.0:
-        raise InputError("BAD_INPUT", "vector must be nonzero")
-
+    lo2, hi2 = _isometry_bounds(unit, eps)
+    values, sizes = _weight_groups(unit)
     n = v.size
-    lo2 = ((1.0 - eps) * full) ** 2
-    hi2 = ((1.0 + eps) * full) ** 2
     if t is not None:
         t = check_positive(t, "threshold scale t")
         tau = t * delta * n
         unit_tau = _ldexp(tau, -e)
         shift = delta * unit.sum()
-    gen = rng.generator()
+    draw = _count_sampler(sizes, delta, rng)
 
     def block(rows):
-        mask = gen.random((rows, n)) < delta
-        k = mask.sum(axis=1)
-        nonempty = k > 0
-        mean_sq = np.zeros(rows)
-        mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
-        stats = [nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)]
+        counts = draw(rows)
+        stats = [_isometry_hits(counts, values, lo2, hi2)]
         if t is not None:
-            # +1 above tau, -1 below -tau: the sum of squares counts both tails
-            z = mask @ unit - shift
-            stats.append((z > unit_tau).astype(float) - (z < -unit_tau))
+            z = _row_dot(counts, values) - shift
+            stats += [z > unit_tau, z < -unit_tau]
         return np.column_stack(stats)
 
-    totals, squares = monte_carlo(trials, n, block)
+    # a trial holds its r counts and about six per-trial sums and tests
+    totals, _ = monte_carlo(trials, values.size + 6, block)
     success = totals[0] / trials
     if t is None:
         return success, None
@@ -229,7 +409,7 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
         flags.append("DELTA_ABOVE_HALF")
     if t >= m_psi / 2.0:
         flags.append("T_EXCEEDS_HALF_M")
-    empirical = (totals[1] + squares[1]) / 2.0 / trials
+    empirical = totals[1] / trials
     fitted_c = None
     if empirical > 0.0:
         try:
@@ -246,7 +426,7 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
         n=n,
         trials=trials,
         empirical_prob=empirical,
-        two_sided_prob=squares[1] / trials,
+        two_sided_prob=(totals[1] + totals[2]) / trials,
         chernoff_bound=chernoff_tail_bound(v, delta, t),
         exact_prob=exact_tail_probability(v, delta, tau),
         fitted_c=fitted_c,

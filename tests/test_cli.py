@@ -22,6 +22,7 @@ from coordproj.cli import (
     write_matrix,
 )
 from coordproj.core import CoordinateSubset, FunctionClass, InputError
+from coordproj.selector import exact_success_prob
 from coordproj.shatter import ShatterWitness, verify_witness
 
 
@@ -122,7 +123,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 5
+        assert report["schema"] == 6
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -323,6 +324,22 @@ class TestProjectCommand:
         for key in ("empirical_prob", "chernoff_bound", "exact_prob", "fitted_c", "psi1"):
             assert key in tail
         assert 0.0 <= report["results"]["rows"][0]["success_prob"] <= 1.0
+
+    def test_exact_success_prob_sits_next_to_the_frequency(self, tmp_path, capsys):
+        # 2^40 count vectors for 40 distinct weights: past the cap, so None and a nan cell
+        rows = np.vstack([np.r_[np.zeros(10), np.ones(30)], np.arange(1.0, 41.0)])
+        path = write_csv(tmp_path / "two.csv", rows)
+        csv_out = tmp_path / "project.csv"
+        assert main(["project", "--input", path, "--delta", "0.3", "--eps", "0.2",
+                     "--trials", "20000", "--seed", "3", "--csv-out", str(csv_out)]) == 0
+        grouped, distinct = json.loads(capsys.readouterr().out)["results"]["rows"]
+        exact = grouped["exact_success_prob"]
+        assert exact == exact_success_prob(rows[0], 0.3, 0.2)
+        assert abs(grouped["success_prob"] - exact) <= 5.0 * math.sqrt(exact * (1 - exact) / 20000)
+        assert distinct["exact_success_prob"] is None
+        lines = csv_out.read_text().strip().splitlines()
+        assert lines[0] == "index,success_prob,exact_success_prob"
+        assert lines[2].split(",")[2] == "NaN"
 
     def test_success_prob_does_not_depend_on_t(self, tmp_path, capsys):
         # the tail is read off the same draws as the isometry event

@@ -2,22 +2,31 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
-from scipy.stats import binom
+from scipy.stats import binom, chisquare
 
 from coordproj import core
 from coordproj.core import CoordinateSubset, InputError, RngStream, monte_carlo, unit_peak
 from coordproj.orlicz import psi_norm
 from coordproj.selector import (
     TailExperimentReport,
+    _STIRLERR,
+    _binomial_log_pmf,
+    _count_sampler,
+    _isometry_hits,
     _ldexp,
+    _row_dot,
+    _stirlerr,
+    _weight_groups,
     chernoff_tail_bound,
     draw_selectors,
     exact_log_mgf,
     exact_mgf,
+    exact_success_prob,
     exact_tail_probability,
     selector_experiment,
 )
@@ -42,45 +51,71 @@ def brute_tail(a, delta, threshold):
 
     Ties follow the convention of exact_tail_probability, which decides
     Z > threshold on Z as evaluated in floats: weights and threshold moved
-    to a unit peak by one power of two, then u (K - delta s) summed over the
-    groups of equal nonzero weights in ascending order of u, K of the s
-    weights equal to u being selected.  A Z equal to the threshold in exact
+    to a unit peak by one power of two, then u (K - delta s) summed from 0 over
+    the groups of equal nonzero weights, K of the s weights equal to u being
+    selected: first the groups of two or more weights, then the single
+    weights, each in ascending order of u.  A Z equal to the threshold in exact
     arithmetic can land on either side by rounding, and the law counts it
     where its float value lands; so does this sum.
     """
     v, e = unit_peak(np.asarray(a, dtype=float))
     tau = _ldexp(threshold, -e)
-    values, sizes = np.unique(v[v != 0.0], return_counts=True)
+    groups = sorted(zip(*np.unique(v[v != 0.0], return_counts=True)),
+                    key=lambda g: (g[1] == 1, g[0]))
     total = 0.0
     for bits in itertools.product((0, 1), repeat=v.size):
         z = 0.0
-        for u, s in zip(values, sizes):
+        for u, s in groups:
             z += u * (sum(b for b, w in zip(bits, v) if w == u) - delta * s)
         if z > tau:
             total += math.prod(delta if b else 1.0 - delta for b in bits)
     return total
 
 
+def reference_hits(mask, v, eps):
+    """The almost-isometry event of each selector mask, read off the coordinates.
+
+    Returns the hits and each row's mean square over the selected coordinates.
+    """
+    unit, _ = unit_peak(np.asarray(v, dtype=float))
+    sq = unit**2
+    full = math.sqrt(float(sq.mean()))
+    lo2 = ((1.0 - eps) * full) ** 2
+    hi2 = ((1.0 + eps) * full) ** 2
+    k = mask.sum(axis=1)
+    nonempty = k > 0
+    mean_sq = np.zeros(mask.shape[0])
+    mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
+    return nonempty & (mean_sq >= lo2) & (mean_sq <= hi2), mean_sq, (lo2, hi2)
+
+
+def reference_z(mask, v, delta, t):
+    """Z = sum (delta_i - delta) a_i of each selector mask at the weights' unit peak.
+
+    Returns Z, the threshold t delta n at that peak, and the magnitude of the
+    terms that Z sums, which bounds its rounding.
+    """
+    unit, e = unit_peak(np.asarray(v, dtype=float))
+    shift = delta * unit.sum()
+    z = mask @ unit - shift
+    return z, _ldexp(t * delta * unit.size, -e), mask @ np.abs(unit) + abs(shift)
+
+
 def reference_tail(a, delta, t, trials, rng):
-    """Reference tail experiment: its own draw, one +-1 exceedance statistic per trial."""
+    """Reference tail experiment: per-coordinate masks, one +-1 exceedance statistic per trial."""
     v = np.asarray(a, dtype=float)
     m_psi = psi_norm(v, 1.0).value
     n = v.size
-    tau = t * delta * n
     flags = []
     if delta > 0.5:
         flags.append("DELTA_ABOVE_HALF")
     if t >= m_psi / 2.0:
         flags.append("T_EXCEEDS_HALF_M")
-
     gen = rng.generator()
-    unit, e = unit_peak(v)
-    unit_tau = _ldexp(tau, -e)
-    shift = delta * unit.sum()
 
     def exceed(rows):
-        z = (gen.random((rows, n)) < delta) @ unit - shift
-        return (z > unit_tau).astype(float) - (z < -unit_tau)
+        z, tau, _ = reference_z(gen.random((rows, n)) < delta, v, delta, t)
+        return (z > tau).astype(float) - (z < -tau)
 
     signed, two = monte_carlo(trials, n, exceed)
     empirical = (signed + two) / 2.0 / trials
@@ -96,30 +131,47 @@ def reference_tail(a, delta, t, trials, rng):
     return TailExperimentReport(
         t=t, delta=delta, n=n, trials=trials, empirical_prob=empirical,
         two_sided_prob=two / trials, chernoff_bound=chernoff_tail_bound(v, delta, t),
-        exact_prob=exact_tail_probability(v, delta, tau), fitted_c=fitted_c, psi1=m_psi,
-        flags=tuple(flags))
+        exact_prob=exact_tail_probability(v, delta, t * delta * n), fitted_c=fitted_c,
+        psi1=m_psi, flags=tuple(flags))
 
 
 def reference_isometry(f, delta, eps, trials, rng):
-    """Reference almost-isometry frequency: its own draw, one hit per trial."""
-    v, _ = unit_peak(np.asarray(f, dtype=float))
-    sq = v**2
-    full = math.sqrt(float(sq.mean()))
-    n = v.size
-    lo2 = ((1.0 - eps) * full) ** 2
-    hi2 = ((1.0 + eps) * full) ** 2
+    """Reference almost-isometry frequency: per-coordinate masks, one hit per trial."""
+    n = len(f)
     gen = rng.generator()
-
-    def hit(rows):
-        mask = gen.random((rows, n)) < delta
-        k = mask.sum(axis=1)
-        nonempty = k > 0
-        mean_sq = np.zeros(rows)
-        mean_sq[nonempty] = (mask[nonempty] @ sq) / k[nonempty]
-        return nonempty & (mean_sq >= lo2) & (mean_sq <= hi2)
-
-    hits, _ = monte_carlo(trials, n, hit)
+    hits, _ = monte_carlo(trials, n, lambda rows: reference_hits(gen.random((rows, n)) < delta,
+                                                                 f, eps)[0])
     return hits / trials
+
+
+def group_counts(mask, v):
+    """The (rows, r) count table of selector masks, in the column order of _weight_groups."""
+    unit, _ = unit_peak(np.asarray(v, dtype=float))
+    values, _ = _weight_groups(unit)
+    return np.column_stack([mask[:, unit == u].sum(axis=1) for u in values]).astype(float), values
+
+
+def brute_success(a, delta, eps):
+    """P{almost-isometry event} by the product law: a sum over all 2^n selections.
+
+    The event is decided per selection from the coordinates, in Python floats.
+    """
+    unit, _ = unit_peak(np.asarray(a, dtype=float))
+    full = math.sqrt(sum(u * u for u in unit) / unit.size)
+    lo2, hi2 = ((1.0 - eps) * full) ** 2, ((1.0 + eps) * full) ** 2
+    total = 0.0
+    for bits in itertools.product((0, 1), repeat=unit.size):
+        k = sum(bits)
+        if k and lo2 <= sum(u * u for b, u in zip(bits, unit) if b) / k <= hi2:
+            total += math.prod(delta if b else 1.0 - delta for b in bits)
+    return total
+
+
+def vector_of(kind, n, gen):
+    return {"gaussian": lambda: gen.standard_normal(n),
+            "decimal": lambda: np.round(gen.uniform(-1.0, 1.0, n), 3),
+            "pool": lambda: gen.choice([0.0, -0.5, 0.25, 1.0, 3.0], n),
+            "constant": lambda: np.full(n, gen.uniform(0.1, 10.0))}[kind]()
 
 
 class TestMgf:
@@ -407,33 +459,233 @@ class TestAlmostIsometry:
             selector_experiment(np.ones(4), 0.5, 1.0, 100, RngStream(0))
 
 
+
+
 class TestSelectorExperiment:
     @given(
-        kind=st.sampled_from(("gaussian", "decimal", "constant")),
+        kind=st.sampled_from(("gaussian", "decimal", "pool", "constant")),
+        n=st.integers(1, 40),
+        j=st.sampled_from((0, 900, -900)),
+        delta=st.floats(0.01, 1.0),
+        eps=st.floats(0.01, 0.99),
+        t=st.floats(0.01, 2.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_grouped_events_match_the_mask_events(self, kind, n, j, delta, eps, t, seed):
+        # the count table loses nothing the events read: on 200 masks, the events
+        # from the counts agree with the events from the coordinates, except where
+        # a statistic lies within the rounding of its two sums of a boundary
+        gen = np.random.default_rng(seed)
+        v = np.ldexp(vector_of(kind, n, gen), j)
+        assume(np.any(v))
+        mask = gen.random((200, n)) < delta
+        counts, values = group_counts(mask, v)
+        ulps = 128 * np.finfo(float).eps
+
+        want, mean_sq, bounds = reference_hits(mask, v, eps)
+        got = _isometry_hits(counts, values, *bounds)
+        near = np.isclose(mean_sq[:, None], bounds, rtol=ulps, atol=0.0).any(axis=1)
+        assert np.array_equal(got[~near], want[~near])
+
+        z_want, tau, size = reference_z(mask, v, delta, t)
+        z = _row_dot(counts, values) - delta * unit_peak(v)[0].sum()
+        near = np.abs(z_want - tau) <= ulps * size
+        assert np.array_equal((z > tau)[~near], (z_want > tau)[~near])
+        near = np.abs(z_want + tau) <= ulps * size
+        assert np.array_equal((z < -tau)[~near], (z_want < -tau)[~near])
+
+    @given(
+        kind=st.sampled_from(("gaussian", "decimal", "pool", "constant")),
         n=st.integers(1, 40),
         j=st.sampled_from((0, 900, -900)),
         delta=st.floats(0.01, 1.0),
         eps=st.floats(0.01, 0.99),
         trials=st.integers(1, 3000),
         t=st.one_of(st.none(), st.floats(0.01, 2.0)),
-        block_scalars=st.sampled_from((None, 7, 1000)),
+        block_scalars=st.sampled_from((7, 1000)),
         seed=st.integers(0, 2**16),
     )
-    def test_one_sample_matches_both_references_bit_for_bit(
+    def test_result_does_not_depend_on_the_block_size(
             self, kind, n, j, delta, eps, trials, t, block_scalars, seed):
         gen = np.random.default_rng(seed)
-        v = {"gaussian": lambda: gen.standard_normal(n),
-             "decimal": lambda: np.round(gen.uniform(-1.0, 1.0, n), 3),
-             "constant": lambda: np.full(n, gen.uniform(0.1, 10.0))}[kind]()
+        v = np.ldexp(vector_of(kind, n, gen), j)
         assume(np.any(v))
-        v = np.ldexp(v, j)
         rng = RngStream(seed, 5)
-        with pytest.MonkeyPatch.context() as mp:
-            if block_scalars is not None:  # split the trials into many blocks
-                mp.setattr(core, "_BLOCK_SCALARS", block_scalars)
-            success, tail = selector_experiment(v, delta, eps, trials, rng, t=t)
-            assert repr(success) == repr(reference_isometry(v, delta, eps, trials, rng))
-            if t is None:
-                assert tail is None
-            else:
-                assert repr(tail) == repr(reference_tail(v, delta, t, trials, rng))
+        want = selector_experiment(v, delta, eps, trials, rng, t=t)
+        with pytest.MonkeyPatch.context() as mp:  # split the trials into many blocks
+            mp.setattr(core, "_BLOCK_SCALARS", block_scalars)
+            got = selector_experiment(v, delta, eps, trials, rng, t=t)
+        assert repr(got) == repr(want)
+
+    def test_row_sums_do_not_depend_on_the_table(self):
+        # what makes blocks and enumeration chunks agree bit for bit; a BLAS
+        # product fails this from 8 columns on
+        gen = np.random.default_rng(89)
+        for r in (1, 2, 3, 8, 9, 33, 200):
+            counts = gen.integers(0, 3, size=(300, r)).astype(float)
+            w = gen.standard_normal(r)
+            whole = _row_dot(counts, w)
+            for rows in (1, 7, 13):
+                parts = [_row_dot(counts[i:i + rows], w) for i in range(0, 300, rows)]
+                assert np.array_equal(np.concatenate(parts), whole), (r, rows)
+
+    def test_sampled_counts_follow_the_binomial_law(self):
+        # every column, binomial or single-uniform, against Bin(s_j, delta); the
+        # cells of the tails are merged into the first and last cells holding 5
+        sizes = np.array([2, 3, 7, 40, 170, 1, 1, 1])
+        delta, rows = 0.3, 20_000
+        counts = _count_sampler(sizes, delta, RngStream(47))(rows)
+        assert counts.shape == (rows, sizes.size)
+        for column, s in zip(counts.T, sizes):
+            observed = np.bincount(column.astype(int), minlength=s + 1)
+            assert observed.size == s + 1
+            expected = rows * binom.pmf(np.arange(s + 1), s, delta)
+            kept = np.flatnonzero(expected >= 5.0)
+            lo, hi = kept[0], kept[-1] + 1
+            obs, exp = observed[lo:hi].astype(float), expected[lo:hi].copy()
+            obs[0] += observed[:lo].sum()
+            obs[-1] += observed[hi:].sum()
+            exp[0] += expected[:lo].sum()
+            exp[-1] += expected[hi:].sum()
+            assert chisquare(obs, exp).pvalue > 1e-4, s
+
+    def test_frequencies_agree_with_the_mask_references(self):
+        # independent samples of the count sampler and of per-coordinate masks
+        v = np.random.default_rng(53).choice([0.0, 0.5, 1.0, 2.0, 3.0], 30)
+        delta, eps, t, trials = 0.3, 0.2, 0.2, 20_000
+        success, tail = selector_experiment(v, delta, eps, trials, RngStream(59), t=t)
+        ref_success = reference_isometry(v, delta, eps, trials, RngStream(61))
+        ref_tail = reference_tail(v, delta, t, trials, RngStream(61))
+        assert tail.exact_prob == ref_tail.exact_prob
+        assert tail.chernoff_bound == ref_tail.chernoff_bound
+        for p, q in ((success, ref_success), (tail.empirical_prob, ref_tail.empirical_prob),
+                     (tail.two_sided_prob, ref_tail.two_sided_prob)):
+            se = math.sqrt((p * (1.0 - p) + q * (1.0 - q)) / trials)
+            assert abs(p - q) <= 5.0 * se
+
+    def test_success_frequency_matches_the_exact_probability(self):
+        gen = np.random.default_rng(67)
+        ones = np.zeros(200)
+        ones[gen.choice(200, size=170, replace=False)] = 1.0
+        trials = 40_000
+        for seed, (v, delta, eps) in enumerate([(ones, 0.3, 0.05), (gen.standard_normal(12), 0.4, 0.3),
+                                                (vector_of("pool", 30, gen), 0.2, 0.25)]):
+            exact = exact_success_prob(v, delta, eps)
+            assert exact is not None and 0.01 < exact < 0.99
+            success, _ = selector_experiment(v, delta, eps, trials, RngStream(71, seed))
+            assert abs(success - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+
+class TestExactSuccess:
+    def test_matches_the_product_brute_force(self):
+        gen = np.random.default_rng(73)
+        for _ in range(30):
+            n = int(gen.integers(1, 11))
+            v = vector_of(str(gen.choice(["gaussian", "decimal", "pool"])), n, gen)
+            if not np.any(v):
+                continue
+            delta = float(gen.uniform(0.05, 0.95))
+            eps = float(gen.uniform(0.02, 0.9))
+            got = exact_success_prob(v, delta, eps)
+            assert got == pytest.approx(brute_success(v, delta, eps), rel=1e-9, abs=1e-12)
+
+    @given(
+        groups=st.lists(st.tuples(st.integers(-8, 8), st.integers(1, 20)),
+                        min_size=1, max_size=3, unique_by=lambda g: g[0]),
+        j=st.integers(1, 255),
+        eps=st.floats(0.01, 0.99),
+        scale=st.integers(-1000, 1000),
+    )
+    def test_matches_rational_oracle(self, groups, j, eps, scale):
+        # integer weights make every sum exact, so the float event is one correctly
+        # rounded division: the oracle decides it the same way and sums the law exactly
+        assume(any(g for g, _ in groups))
+        a = np.concatenate([np.full(s, float(g)) for g, s in groups])
+        got = exact_success_prob(np.ldexp(a, scale), j / 256, eps)
+
+        e = math.frexp(max(abs(g) for g, _ in groups))[1]
+        full = math.sqrt(math.ldexp(sum(g * g * s for g, s in groups), -2 * e) / a.size)
+        lo2, hi2 = ((1.0 - eps) * full) ** 2, ((1.0 + eps) * full) ** 2
+        total = 0
+        for ks in itertools.product(*(range(s + 1) for _, s in groups)):
+            k = sum(ks)
+            if k and lo2 <= math.ldexp(sum(g * g * kj for (g, _), kj in zip(groups, ks)), -2 * e) / k <= hi2:
+                total += math.prod(math.comb(s, kj) * j**kj * (256 - j) ** (s - kj)
+                                   for (_, s), kj in zip(groups, ks))
+        want = Fraction(total, 256 ** a.size)
+        assert abs(Fraction(got) - want) <= Fraction(1, 10**12) * want
+
+    @given(
+        a=st.lists(st.floats(-1e300, 1e300), min_size=1, max_size=12),
+        delta=st.floats(1e-9, 1.0),
+        eps=st.floats(0.01, 0.99),
+    )
+    def test_probability_lies_in_the_unit_interval(self, a, delta, eps):
+        assume(any(a))
+        assert 0.0 <= exact_success_prob(a, delta, eps) <= 1.0
+
+    def test_every_selector_fires_at_delta_one(self):
+        v = np.random.default_rng(79).standard_normal(9)
+        assert exact_success_prob(v, 1.0, 0.1) == 1.0
+        assert selector_experiment(v, 1.0, 0.1, 100, RngStream(83))[0] == 1.0
+
+    def test_intractable_returns_none(self):
+        a = np.random.default_rng(17).uniform(0.5, 1.5, size=25)  # 2^25 count vectors
+        assert exact_success_prob(a, 0.3, 0.25) is None
+
+    def test_rejects_bad_arguments(self):
+        with pytest.raises(InputError):
+            exact_success_prob(np.zeros(3), 0.3, 0.25)
+        with pytest.raises(InputError):
+            exact_success_prob(np.ones(3), 0.3, 1.0)
+        with pytest.raises(InputError):
+            exact_success_prob(np.ones(3), 0.0, 0.25)
+
+
+def mp_binomial_tail(s, delta, k0):
+    """P{Bin(s, delta) >= k0} to 40 digits: terms from k0 up until they no longer count."""
+    mpmath.mp.dps = 40
+    d = mpmath.mpf(delta)
+    k = max(k0, 0)
+    term = mpmath.exp(mpmath.loggamma(s + 1) - mpmath.loggamma(k + 1) - mpmath.loggamma(s - k + 1)
+                      + k * mpmath.log(d) + (s - k) * mpmath.log(1 - d))
+    total = mpmath.mpf(0)
+    while k <= s and (k <= s * d or term > total * mpmath.mpf(10) ** -45):
+        total += term
+        term *= mpmath.mpf(s - k) / (k + 1) * d / (1 - d)
+        k += 1
+    return total
+
+
+class TestBinomialLogPmf:
+    def test_stirling_errors_match_mpmath(self):
+        mpmath.mp.dps = 40
+        n = np.array([*range(1, 20), 35.0, 80.0, 500.0, 1e6])
+        got = _stirlerr(n)
+        for m, g in zip(n, got):
+            m = int(m)
+            want = mpmath.loggamma(m + 1) - (m + 0.5) * mpmath.log(m) + m - mpmath.log(2 * mpmath.pi) / 2
+            # it enters the log pmf as a term, so its absolute error is what counts
+            assert abs(g - want) <= 2e-16, m
+        assert _STIRLERR.size == 16
+
+    def test_log_pmf_matches_mpmath(self):
+        mpmath.mp.dps = 40
+        for s in (1, 2, 17, 1000):
+            for delta in (1e-6, 0.3, 0.5, 0.999):
+                got = _binomial_log_pmf(s, delta)
+                d = mpmath.mpf(delta)
+                for k in sorted({0, 1, s // 3, s // 2, s - 1, s}):
+                    want = (mpmath.log(mpmath.binomial(s, k)) + k * mpmath.log(d)
+                            + (s - k) * mpmath.log(1 - d))
+                    assert abs(got[k] - want) <= 1e-14 * max(1.0, abs(want)), (s, delta, k)
+
+    def test_one_huge_group_matches_mpmath(self):
+        # s = 10^6 equal weights; ln s! - ln k! - ln (s-k)! in lgamma lost about 6.5e-10
+        # here, and scipy's bdtrc holds 2.1e-10; the saddle-point form holds 1e-12
+        s = 10**6
+        for delta, z in ((0.01, 2.0), (0.3, 0.5), (0.9, 6.0)):
+            threshold = z * math.sqrt(s * delta * (1.0 - delta)) + 0.37
+            got = exact_tail_probability(np.ones(s), delta, threshold)
+            want = mp_binomial_tail(s, delta, math.floor(threshold + delta * s) + 1)
+            assert abs(mpmath.mpf(got) - want) <= 1e-12 * want, delta
