@@ -12,9 +12,11 @@ tree, and its last line of output is the run's JSON. Pair i runs OLD first
 when i is even and NEW first when i is odd, so a drift of the machine
 favours neither side. For each end-to-end metric of `BENCHMARK.json` the
 summary keeps both sides' runs, their medians and quartiles, the ratio of
-the medians, and the pairs in which NEW was better. The entry is stored
-under "<workload>@<seed>" in the --out file, which collects the entries
-of several calls.
+the medians, and the pairs in which NEW was better. After the pairs, each
+tree runs once more with `--trace 1`, and the entry keeps both sides'
+per-layer metrics, to show in which layer a change moved the time. The
+entry is stored under "<workload>@<seed>" in the --out file, which
+collects the entries of several calls.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def run_once(tree: str, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: str, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds)],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
@@ -44,9 +46,18 @@ def spread(runs: list[float]) -> dict:
             "runs": [round(r, 4) for r in runs]}
 
 
-def summarize(pairs: list[tuple[dict, dict]]) -> dict:
+def per_layer(traced: tuple[dict, dict], metrics: list[dict]) -> dict:
+    """Both sides' value of each per-layer metric in one traced run per tree."""
+    return {m["name"]: {"unit": m["unit"], "better": m["better"],
+                        "parent": round(traced[0]["metrics"][m["name"]]["value"], 4),
+                        "change": round(traced[1]["metrics"][m["name"]]["value"], 4)}
+            for m in metrics}
+
+
+def summarize(pairs: list[tuple[dict, dict]], traced: tuple[dict, dict]) -> dict:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as fh:
-        metrics = json.load(fh)["end_to_end"]
+        spec = json.load(fh)
+    metrics = spec["end_to_end"]
     out = {"pairs": len(pairs),
            "correct": all(run["correct"] for pair in pairs for run in pair),
            "failed": sum(run["failed"] for pair in pairs for run in pair)}
@@ -59,6 +70,7 @@ def summarize(pairs: list[tuple[dict, dict]]) -> dict:
                      "parent": spread(old), "change": spread(new),
                      "change_over_parent": round(statistics.median(new) / statistics.median(old), 4),
                      "change_wins": f"{wins}/{len(pairs)}"}
+    out["per_layer"] = per_layer(traced, spec["per_layer"])
     return out
 
 
@@ -79,12 +91,14 @@ def main(argv=None) -> int:
         runs = {tree: run_once(tree, args.workload, args.seed, args.seconds) for tree in order}
         pairs.append((runs[args.old], runs[args.new]))
         print(f"pair {i + 1}/{args.pairs} done", file=sys.stderr)
+    traced = tuple(run_once(tree, args.workload, args.seed, args.seconds, trace=1)
+                   for tree in (args.old, args.new))
 
     entries = {}
     if os.path.exists(args.out):
         with open(args.out, encoding="utf-8") as fh:
             entries = json.load(fh)
-    entries[f"{args.workload}@{args.seed}"] = summarize(pairs)
+    entries[f"{args.workload}@{args.seed}"] = summarize(pairs, traced)
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=1)
         fh.write("\n")

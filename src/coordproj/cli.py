@@ -292,7 +292,7 @@ def _run_hull(args, data, rng):
         "minimizer": [float(v) for v in dom.minimizer],
         "hull_shattered": shattered,
         "hull_witness": _witness_json(witness),
-        "agreement": shattered == (dom.epsilon_star >= args.t - _LP_FEAS_TOL),
+        "agreement": shattered == (dom.epsilon_star >= args.t - _LP_FEAS_TOL * args.t),
     }
     csv_rows = [(i + 1, float(v)) for i, v in enumerate(dom.minimizer)]
     return results, [], [], (["index", "coefficient"], csv_rows)

@@ -117,14 +117,23 @@ def _draw_weights(gen, rows, cols, kind):
     raise InputError("BAD_KIND", f"kind must be gaussian or rademacher, got {kind!r}")
 
 
+def _sups(cols, wt):
+    """sup over the rows f of cols of |f . w|, for each column w of wt.
+
+    The class axis comes first in the product, so the sup reduces over
+    whole rows of it, and the absolute value is taken in place.
+    """
+    p = cols @ wt
+    return np.abs(p, out=p).max(axis=0)
+
+
 def _sup_average(values, trials, gen, kind):
     """Mean and standard error of sup_f |sum_i w_i f(i)| over random weights."""
     m, k = values.shape
     if k == 0:
         return 0.0, 0.0
-    vt = values.T
     total, total_sq = monte_carlo(
-        trials, m, lambda rows: np.abs(_draw_weights(gen, rows, k, kind) @ vt).max(axis=1))
+        trials, m, lambda rows: _sups(values, _draw_weights(gen, rows, k, kind).T))
     return mean_and_se(total, total_sq, trials)
 
 
@@ -183,8 +192,7 @@ def _complexity(F, sigma, trials, rng, kind):
 
 
 def _tuple_mean(values, tup, weights):
-    cols = values[:, list(tup)]
-    sups = np.abs(weights @ cols.T).max(axis=1)
+    sups = _sups(values[:, list(tup)], weights)
     return mean_and_se(float(sups.sum()), float((sups * sups).sum()), sups.size)
 
 
@@ -217,9 +225,9 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
         mean, se = _tuple_mean(values, tup, weights)
         return mean, 0.0 if exact else se
 
-    # weights are drawn k-by-trials so the first k columns coincide across nested k
+    # weights are drawn k-by-trials so the first k rows coincide across nested k
     if math.comb(n + k - 1, k) <= _EXHAUSTIVE_TUPLE_CAP:
-        weights = sign_patterns(k) if exact else _draw_weights(rng.generator(), k, trials, kind).T
+        weights = sign_patterns(k).T if exact else _draw_weights(rng.generator(), k, trials, kind)
         best = None
         for tup in itertools.combinations_with_replacement(range(n), k):
             mean, se = score(tup, weights)
@@ -231,8 +239,8 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
 
     # greedy coordinate ascent from a deterministic start plus random restarts
     gen = rng.generator()
-    weights = (sign_patterns(k) if exact
-               else _draw_weights(rng.substream(0).generator(), k, trials, kind).T)
+    weights = (sign_patterns(k).T if exact
+               else _draw_weights(rng.substream(0).generator(), k, trials, kind))
     peak = int(np.argmax(np.abs(values).max(axis=0)))
     starts = [tuple([peak] * k)]
     for _ in range(_ELL_RESTARTS - 1):

@@ -55,22 +55,29 @@ def _ldexp(x: float, e: int) -> float:
         return math.copysign(math.inf, x)
 
 
-def exact_log_mgf(a, delta: float, lam: float) -> float:
-    """log E exp(lam * Z) for Z = sum (delta_i - delta) a_i, computed exactly.
+def _log_mgf(v: np.ndarray, delta: float, lam) -> np.ndarray:
+    """log E exp(lam Z) at each lam of a scalar or 1-d array, for checked v and delta.
 
     Each factor is (1-delta) e^(-lam delta a_i) + delta e^(lam (1-delta) a_i);
-    the product is accumulated in log space.
+    the product is accumulated in log space, one row of v per lam.
     """
+    lam = np.asarray(lam, dtype=float)[..., None]
+    if delta == 1.0:  # every selector fires, so Z = 0; log(1 - delta) = -inf minus -inf is nan
+        return np.zeros(lam.shape[:-1])
+    # a log-mgf past the float range is +inf, which no infimum picks
+    with np.errstate(over="ignore"):
+        term0 = math.log1p(-delta) - lam * delta * v
+        term1 = math.log(delta) + lam * (1.0 - delta) * v
+        return np.logaddexp(term0, term1).sum(axis=-1)
+
+
+def exact_log_mgf(a, delta: float, lam: float) -> float:
+    """log E exp(lam * Z) for Z = sum (delta_i - delta) a_i, computed exactly."""
     v = as_vector(a)
     delta = _check_delta(delta)
     if not np.isfinite(lam):
         raise InputError("BAD_INPUT", "lambda must be finite")
-    # a log-mgf past the float range is +inf, which no infimum picks
-    with np.errstate(divide="ignore", over="ignore"):
-        log_q = math.log1p(-delta) if delta < 1.0 else -math.inf
-        term0 = log_q - lam * delta * v
-        term1 = math.log(delta) + lam * (1.0 - delta) * v
-        return float(np.logaddexp(term0, term1).sum())
+    return float(_log_mgf(v, delta, lam))
 
 
 def exact_mgf(a, delta: float, lam: float) -> float:
@@ -84,19 +91,21 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
     """inf over lam > 0 of exp(-lam t delta n) E exp(lam Z), never above 1.
 
     The exponent is convex in lam; the infimum is located on a logarithmic
-    grid over [1e-4, 1e4] and polished by golden-section search between the
-    bracketing grid neighbours.
+    grid over [1e-4, 1e4], evaluated in passes of many points, and polished by
+    golden-section search between the bracketing grid neighbours.
     """
     v = as_vector(a)
     delta = _check_delta(delta)
     t = check_positive(t, "threshold scale t")
     tau = t * delta * v.size
 
-    def objective(lam: float) -> float:
-        return -lam * tau + exact_log_mgf(v, delta, lam)
+    def objective(lam):
+        return -lam * tau + _log_mgf(v, delta, lam)
 
     grid = np.geomspace(1e-4, 1e4, 161)
-    vals = np.array([objective(l) for l in grid])
+    # one pass holds at most _BLOCK_SCALARS terms; a row's sum is the same in any pass
+    step = max(1, _BLOCK_SCALARS // max(1, v.size))
+    vals = np.concatenate([objective(grid[i:i + step]) for i in range(0, grid.size, step)])
     k = int(np.argmin(vals))
     lo = math.log(grid[max(k - 1, 0)])
     hi = math.log(grid[min(k + 1, grid.size - 1)])

@@ -440,8 +440,9 @@ def vc_convex_hull(
     Variables: the level h(x) per point, a simplex weight vector per sign
     pattern, and a common margin s which the LP maximizes; sigma is
     shattered at scale t iff the optimal margin reaches t (within
-    _LP_FEAS_TOL).  The witness of a reached margin is checked by
-    substitution, and CertificateError is raised if it fails.  Raising
+    _LP_FEAS_TOL relative to t).  The witness of a reached margin is
+    checked by substitution, to within 10 * _LP_FEAS_TOL * t, and
+    CertificateError is raised if it fails.  Raising
     max_sigma past the default is supported but the LP grows as
     2^|sigma| * |F|.
     """
@@ -490,7 +491,7 @@ def vc_convex_hull(
         raise CertificateError(f"hull shattering LP failed with status {res.status}")
 
     margin = float(res.x[s_col])
-    if margin < t - _LP_FEAS_TOL:
+    if margin < t - _LP_FEAS_TOL * t:
         return None
 
     level = np.array(res.x[:k])
@@ -501,7 +502,7 @@ def vc_convex_hull(
     witness = ShatterWitness(
         sigma=sigma, level=level, assignment=assignment, scale=float(t), margin=margin
     )
-    if not verify_witness(F, witness, tol=10.0 * _LP_FEAS_TOL):
+    if not verify_witness(F, witness, tol=10.0 * _LP_FEAS_TOL * t):
         raise CertificateError(f"hull LP witness at margin {margin!r} failed substitution")
     return witness
 

@@ -417,6 +417,18 @@ class TestHullCommand:
             assert res["hull_shattered"] == (float(t) <= 0.25)
             assert res["agreement"] is True
 
+    @pytest.mark.parametrize("scale, t", [(1e-6, "4e-7"), (1e-300, "1e-290")])
+    def test_no_shattering_below_t_at_small_scales(self, tmp_path, capsys, scale, t):
+        # epsilon_star is scale / 3 < t; an absolute LP tolerance of 1e-7 accepted
+        # the LP margin (3.33e-7, and -0 at 1e-300) as reaching t
+        path = write_csv(tmp_path / "eye3.csv", scale * np.eye(3))
+        assert main(["hull", "--input", path, "--t", t, "--seed", "1"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["epsilon_star"] == pytest.approx(scale / 3.0, rel=1e-9)
+        assert res["hull_shattered"] is False
+        assert res["hull_witness"] is None
+        assert res["agreement"] is True
+
     def test_failed_lp_exits_with_certificate_error(self, tmp_path, capsys, monkeypatch):
         # HiGHS status 4: numerical difficulties
         monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(status=4))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from coordproj import complexity
+from coordproj import complexity, core
 from coordproj.core import (
     CoordinateSubset,
     FunctionClass,
@@ -103,6 +103,69 @@ def sign_inputs(draw, norms=("sup", 2.0, 1.0, 3.0)):
     else:
         x = (np.eye(count) * g.choice([-1.0, 1.0], size=(count, 1)))[g.permutation(count)]
     return x, draw(st.sampled_from(norms)), RngStream(draw(st.integers(0, 2**16)))
+
+
+def reference_sups(cols, wt):
+    """The sup kernel in its earlier form: trials outermost, the sup over the inner class axis."""
+    return np.abs(wt.T @ cols.T).max(axis=1)
+
+
+@st.composite
+def sup_inputs(draw):
+    """A class of 1 to 12 functions on 1 to 6 points, Gaussian, +-1, decimal or spread in scale."""
+    kind = draw(st.sampled_from(["gaussian", "sign", "decimal", "scaled"]))
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        x = g.standard_normal((m, n))
+    elif kind == "sign":
+        x = g.choice([-1.0, 1.0], size=(m, n))
+    elif kind == "decimal":
+        x = np.round(g.uniform(-1.0, 1.0, size=(m, n)), 2)
+    else:
+        x = g.standard_normal((m, n)) * 10.0 ** g.integers(-8, 9, size=(m, n))
+    return FunctionClass(x), RngStream(draw(st.integers(0, 2**16)))
+
+
+class TestSupKernel:
+    """Every average is repr-equal to the one the earlier kernel form gives."""
+
+    @staticmethod
+    def both(patch, estimate):
+        new = estimate()
+        calls = []
+
+        def reference(cols, wt):
+            calls.append(1)
+            return reference_sups(cols, wt)
+
+        patch.setattr(complexity, "_sups", reference)
+        old = estimate()
+        assert calls
+        return repr(new), repr(old)
+
+    @given(case=sup_inputs(), k=st.integers(1, 3),
+           path=st.sampled_from(["exhaustive", "exact-signs", "greedy"]),
+           kind=st.sampled_from(["gaussian", "rademacher"]))
+    def test_ell_parameter_matches_reference(self, case, k, path, kind):
+        F, rng = case
+        exact = path == "exact-signs"
+        with pytest.MonkeyPatch.context() as patch:
+            if path == "greedy":
+                patch.setattr(complexity, "_EXHAUSTIVE_TUPLE_CAP", 1)
+            new, old = self.both(patch, lambda: ell_parameter(
+                F, k, trials=150, rng=rng, kind="rademacher" if exact else kind,
+                exact_signs=exact))
+        assert new == old
+
+    @given(case=sup_inputs(), block=st.sampled_from([7, 2_000_000]),
+           estimate=st.sampled_from([gaussian_complexity, rademacher_complexity]))
+    def test_class_averages_match_reference(self, case, block, estimate):
+        F, rng = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_BLOCK_SCALARS", block)
+            new, old = self.both(patch, lambda: estimate(F, trials=150, rng=rng))
+        assert new == old
 
 
 class TestGaussianComplexity:

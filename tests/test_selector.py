@@ -46,6 +46,43 @@ def brute_mgf(a, delta, lam):
     return total
 
 
+def scalar_log_mgf(v, delta, lam):
+    """log E exp(lam Z) for one lambda, a sum of n two-term logaddexps; 0 at delta = 1, where Z = 0."""
+    if delta == 1.0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        return float(np.logaddexp(math.log1p(-delta) - lam * delta * v,
+                                  math.log(delta) + lam * (1.0 - delta) * v).sum())
+
+
+def scalar_chernoff(a, delta, t):
+    """The Chernoff bound with one scalar log-mgf call per grid point and golden-section step."""
+    v = np.asarray(a, dtype=float)
+    tau = t * delta * v.size
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+    def objective(lam):
+        return -lam * tau + scalar_log_mgf(v, delta, lam)
+
+    grid = np.geomspace(1e-4, 1e4, 161)
+    vals = [objective(lam) for lam in grid]
+    k = int(np.argmin(vals))
+    lo, hi = math.log(grid[max(k - 1, 0)]), math.log(grid[min(k + 1, grid.size - 1)])
+    x1, x2 = hi - golden * (hi - lo), lo + golden * (hi - lo)
+    f1, f2 = objective(math.exp(x1)), objective(math.exp(x2))
+    for _ in range(80):
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - golden * (hi - lo)
+            f1 = objective(math.exp(x1))
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + golden * (hi - lo)
+            f2 = objective(math.exp(x2))
+    best = min(float(vals[k]), f1, f2)
+    return math.exp(best) if best < 0.0 else 1.0
+
+
 def brute_tail(a, delta, threshold):
     """P{Z > threshold} by the product law: a sum over all 2^n selections.
 
@@ -242,6 +279,20 @@ class TestChernoff:
             assert exact is not None
             bound = chernoff_tail_bound(a, delta, t)
             assert exact <= bound + 1e-12
+
+
+    @given(n=st.integers(1, 30), j=st.integers(-300, 300), sign=st.sampled_from([1.0, -1.0, 0.0]),
+           delta=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)), t=st.floats(1e-6, 1e3),
+           lam=st.floats(-1e4, 1e4), seed=st.integers(0, 2**16))
+    @example(n=2, j=306, sign=-1.0, delta=1.0, t=0.5, lam=1e4, seed=0)
+    @example(n=3, j=300, sign=1.0, delta=0.5, t=0.5, lam=1e4, seed=0)
+    def test_grid_pass_matches_scalar_loop(self, n, j, sign, delta, t, lam, seed):
+        # sign +1 or -1 makes every weight that sign; 0 mixes signs. At j near 300
+        # lam * a overflows for every lam on the grid, and the exponent is +inf
+        a = np.random.default_rng(seed).uniform(0.5, 1.0, size=n) * 10.0 ** j
+        a = a * sign if sign else a * np.resize([1.0, -1.0], n)
+        assert repr(chernoff_tail_bound(a, delta, t)) == repr(scalar_chernoff(a, delta, t))
+        assert repr(exact_log_mgf(a, delta, lam)) == repr(scalar_log_mgf(a, delta, lam))
 
 
 class TestExactTail:
