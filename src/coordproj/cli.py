@@ -278,7 +278,7 @@ def _run_shatter(args, data, rng):
 
 def _run_hull(args, data, rng):
     count = data.shape[0]
-    dom = l1_domination(data, norm=args.norm, mode=args.mode,
+    dom = l1_domination(data, norm=_parse_norm(args.norm), mode=args.mode,
                         rng=rng.substream(0), samples=args.samples)
     F = dual_ball_class(data)
     witness = vc_convex_hull(F, CoordinateSubset.full(count), args.t,

@@ -25,6 +25,7 @@ from .core import (
     banach_norm,
     check_bounded_by_one,
     check_count,
+    check_in_unit_ball,
     check_positive,
     digest_inputs,
     mean_and_se,
@@ -437,10 +438,7 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         raise InputError("BAD_RNG", "an RngStream is required")
     x = _stack_unit_rows(vectors)
     n = x.shape[0]
-    with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
-        outside = np.flatnonzero(banach_norm(x, norm) > 1.0 + 1e-9)
-    if outside.size:
-        raise InputError("BAD_INPUT", f"vector {outside[0] + 1} lies outside the unit ball")
+    check_in_unit_ball(x, norm, "vector")
     grid = [float(d) for d in delta_grid]
     if not grid or any(not (0.0 < d <= 1.0) for d in grid) or grid != sorted(grid):
         raise InputError("BAD_GRID", "delta_grid must be increasing fractions in (0, 1]")
@@ -530,29 +528,3 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
                                 vc_curve=tuple(int(v) for v in vc_curve),
                                 integral=integral, flags=tuple(flags))
 
-
-def fit_gaussian_rademacher_ratio(classes, trials=2000, rng=None):
-    """Smallest Gaussian/Rademacher average ratio over a suite of classes.
-
-    The fitted value is min over classes of gaussian mean / rademacher
-    mean, both at the given trial count with separate substreams per
-    class. Classes whose Rademacher average is zero are skipped.
-    """
-    if rng is None:
-        raise InputError("BAD_RNG", "an RngStream is required")
-    ratios = []
-    digests = []
-    for j, F in enumerate(classes):
-        g = gaussian_complexity(F, None, trials=trials, rng=rng.substream(2 * j))
-        r = rademacher_complexity(F, None, trials=trials, rng=rng.substream(2 * j + 1))
-        digests.append(F.values)
-        if r.mean > 0.0:
-            ratios.append(g.mean / r.mean)
-    if not ratios:
-        raise InputError("BAD_SUITE", "no class had a positive Rademacher average")
-    protocol = (
-        f"minimum over {len(ratios)} classes of the ratio of {trials}-trial "
-        f"Gaussian to Rademacher averages, one substream pair per class."
-    )
-    return FittedConstant(name="C_gauss_rademacher", value=min(ratios),
-                          protocol=protocol, inputs_digest=digest_inputs(*digests))

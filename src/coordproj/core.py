@@ -52,6 +52,21 @@ def check_positive(x, name: str, code: str = "BAD_INPUT") -> float:
     return float(x)
 
 
+def check_eps(eps: float) -> float:
+    """eps as a float when it lies in (0, 1); InputError(BAD_EPSILON) otherwise."""
+    if not (0.0 < eps < 1.0):
+        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
+    return float(eps)
+
+
+def check_in_unit_ball(rows: np.ndarray, norm, name: str) -> None:
+    """InputError(BAD_INPUT) when some row has norm above 1 + 1e-9, the one unit-ball rule."""
+    with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
+        outside = np.flatnonzero(banach_norm(rows, norm) > 1.0 + 1e-9)
+    if outside.size:
+        raise InputError("BAD_INPUT", f"{name} {outside[0] + 1} lies outside the unit ball")
+
+
 def check_count(x, name: str, minimum: int, code: str = "BAD_INPUT") -> int:
     """x as an int when it is an integer >= minimum; InputError(code) otherwise."""
     try:
@@ -181,33 +196,6 @@ class FunctionClass:
         return self.values.shape[1]
 
 
-def project(f, sigma: CoordinateSubset) -> np.ndarray:
-    """Restrict a vector to the coordinates in sigma (order preserved)."""
-    v = as_vector(f)
-    if sigma.size == 0:
-        raise InputError("EMPTY_SUBSET", "cannot project onto an empty subset")
-    if sigma.ambient_n != v.size:
-        raise InputError(
-            "DIMENSION", f"subset lives on {sigma.ambient_n} points, vector has {v.size}"
-        )
-    return v[sigma.zero_based()]
-
-
-def normalized_lp(f, p: float) -> float:
-    """L_p norm under the uniform probability measure: (mean |f|^p)^(1/p)."""
-    v = as_vector(f)
-    if v.size == 0:
-        raise InputError("DIMENSION", "empty vector has no normalized L_p norm")
-    _check_exponent(p)
-    return float(np.mean(np.abs(v) ** p) ** (1.0 / p))
-
-
-def _check_exponent(p: float) -> None:
-    # also rejects nan; inf would collapse every norm to 1
-    if not 1.0 <= p < math.inf:
-        raise InputError("BAD_EXPONENT", f"exponent must be finite and >= 1, got {p}")
-
-
 def banach_norm(v, norm="sup"):
     """Unnormalized norm over the last axis: "sup" or a p-norm exponent >= 1.
 
@@ -221,7 +209,8 @@ def banach_norm(v, norm="sup"):
         out = w.max(axis=-1)
     else:
         p = float(norm)
-        _check_exponent(p)
+        if not 1.0 <= p < math.inf:  # also rejects nan; inf would collapse every norm to 1
+            raise InputError("BAD_EXPONENT", f"exponent must be finite and >= 1, got {p}")
         # the root is always taken on an array: numpy's vectorized power can
         # differ from its scalar power in the last bit
         out = (np.sum(w**p, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
@@ -237,17 +226,6 @@ def unit_peak(values) -> tuple[np.ndarray, int]:
     """
     e = math.frexp(float(np.abs(values).max(initial=0.0)))[1]
     return np.ldexp(values, -e), e
-
-
-def project_class(F: FunctionClass, sigma: CoordinateSubset) -> FunctionClass:
-    """Project every row of F onto sigma; duplicates created by projection stay."""
-    if sigma.size == 0:
-        raise InputError("EMPTY_SUBSET", "cannot project a class onto an empty subset")
-    if sigma.ambient_n != F.n:
-        raise InputError(
-            "DIMENSION", f"subset lives on {sigma.ambient_n} points, class has {F.n}"
-        )
-    return FunctionClass(F.values[:, sigma.zero_based()], bounded_by_one=F.bounded_by_one)
 
 
 def sign_patterns(k: int, start: int = 0, stop: int | None = None) -> np.ndarray:

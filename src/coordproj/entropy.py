@@ -160,12 +160,6 @@ def packing_number(F: FunctionClass, t: float) -> CoveringEstimate:
     return CoveringEstimate(t=t, packing_lower=greedy, exact_packing=exact)
 
 
-def covering_number_upper(F: FunctionClass, t: float) -> int:
-    """Greedy internal cover size (an upper bound on the covering number)."""
-    t = check_positive(t, "scale t")
-    return len(_greedy_covering(pairwise_l2_distances(F), t))
-
-
 def covering_estimate(F: FunctionClass, t: float) -> CoveringEstimate:
     """Packing and covering bounds at scale t, exact where the caps allow:
     packing for m <= _EXACT_PACKING_MAX, covering for m <= _EXACT_COVERING_MAX."""

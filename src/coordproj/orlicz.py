@@ -95,25 +95,3 @@ def psi_norm(f, p: float, tol: float = 1e-10) -> PsiNormResult:
     return PsiNormResult(float(batch.values[0]), float(p), batch.iterations,
                          float(batch.residuals[0]))
 
-
-def psi_power_identity_check(a, p: float, tol: float = 1e-8) -> bool:
-    """Check psi_p(a)^p == psi_1(|a|^p) within tol.
-
-    The p-th power of the psi_p norm of a equals the psi_1 norm of the
-    vector of p-th powers; both sides are computed independently.
-    """
-    v = as_vector(a)
-    lhs = psi_norm(v, p, tol=min(1e-12, tol * 1e-2)).value ** p
-    rhs = psi_norm(np.abs(v) ** p, 1.0, tol=min(1e-12, tol * 1e-2)).value
-    return abs(lhs - rhs) <= tol
-
-
-def tail_to_psi2_bound(a: float) -> float:
-    """Tail-decay constant to psi_2 bound.
-
-    If the empirical measure of {|f| > t} is at most exp(1 - t^2/a^2) for
-    all t > 0 with a >= 1, then the psi_2 norm of f is at most 2a.
-    """
-    if not np.isfinite(a) or a < 1.0:
-        raise InputError("BAD_CONSTANT", f"tail constant must be >= 1, got {a}")
-    return 2.0 * float(a)

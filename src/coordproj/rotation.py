@@ -20,6 +20,7 @@ from .core import (
     InputError,
     RngStream,
     check_count,
+    check_eps,
     check_positive,
     digest_inputs,
 )
@@ -64,35 +65,6 @@ def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
     return haar_frame(n, n, rng)
 
 
-def rotated_psi2_tail(
-    x,
-    rotations: int,
-    rng: RngStream,
-    operators: list[np.ndarray] | None = None,
-) -> np.ndarray:
-    """sqrt(n) * psi_2 norms of Ox over independent Haar rotations O.
-
-    Ox is uniform on the unit sphere, so each rotation draws a one-column
-    frame in O(n) rather than a full matrix.  The sqrt(n) factor makes the
-    values dimension-free.  `operators` substitutes explicit matrices for
-    the random draws (test hook).
-    """
-    v = np.asarray(x, dtype=float)
-    if v.ndim != 1 or v.size < 2:
-        raise InputError("DIMENSION", "need a vector on at least 2 coordinates")
-    if abs(np.linalg.norm(v) - 1.0) > 1e-9:
-        raise InputError("BAD_INPUT", "vector must have unit Euclidean norm")
-
-    n = v.size
-    if operators is None:
-        rotations = check_count(rotations, "rotations", 1)
-        # O v is uniform on the sphere for Haar O: a one-column frame
-        rotated = np.array([haar_frame(n, 1, rng.substream(i))[:, 0] for i in range(rotations)])
-    else:
-        rotated = np.array([o @ v for o in operators]).reshape(-1, n)
-    return math.sqrt(n) * psi_norms(rotated, 2.0).values
-
-
 @dataclass(frozen=True)
 class DistortionReport:
     """Per-vector norm ratios of a rotated-then-projected family."""
@@ -125,17 +97,6 @@ def _report(v: np.ndarray, rotated: np.ndarray, subset: CoordinateSubset, psi2_m
         psi2_max=psi2_max,
         **extra,
     )
-
-
-def distortion_report(vectors, operator: np.ndarray, subset: CoordinateSubset) -> DistortionReport:
-    """Ratios |P_sigma O f| / |f| in normalized L_2 norms.
-
-    Pure function of (vectors, operator, subset): recomputation is exact.
-    An empty subset yields zero ratios (deviation 1).
-    """
-    v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    rotated = v @ operator.T
-    return _report(v, rotated, subset, float(psi_norms(rotated, 2.0).values.max()))
 
 
 def coordinate_jl(
@@ -171,8 +132,7 @@ def _unit_family(vectors, eps: float) -> np.ndarray:
     v = np.atleast_2d(np.asarray(vectors, dtype=float))
     if v.ndim != 2 or v.shape[1] < 2:
         raise InputError("DIMENSION", "need vectors on at least 2 coordinates")
-    if not (0.0 < eps < 1.0):
-        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
+    check_eps(eps)
     with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
         norms = np.sqrt(np.mean(v**2, axis=1))
     if np.abs(norms - 1.0).max() > 1e-9:

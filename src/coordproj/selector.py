@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (_BLOCK_SCALARS, CoordinateSubset, InputError, RngStream, as_vector,
-                   check_count, check_positive, monte_carlo, unit_peak)
+                   check_count, check_eps, check_positive, monte_carlo, unit_peak)
 from .orlicz import psi_norm
 
 
@@ -78,10 +78,6 @@ def exact_log_mgf(a, delta: float, lam: float) -> float:
     if not np.isfinite(lam):
         raise InputError("BAD_INPUT", "lambda must be finite")
     return float(_log_mgf(v, delta, lam))
-
-
-def exact_mgf(a, delta: float, lam: float) -> float:
-    return float(np.exp(exact_log_mgf(a, delta, lam)))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -287,12 +283,6 @@ class TailExperimentReport:
     flags: tuple[str, ...]
 
 
-def _check_eps(eps: float) -> float:
-    if not (0.0 < eps < 1.0):
-        raise InputError("BAD_EPSILON", f"eps must lie in (0, 1), got {eps}")
-    return float(eps)
-
-
 def _isometry_bounds(unit: np.ndarray, eps: float) -> tuple[float, float]:
     """lo^2 and hi^2, the squared ends of (1 +/- eps) times the normalized norm of unit."""
     full = math.sqrt(float((unit**2).mean()))
@@ -335,7 +325,7 @@ def exact_success_prob(a, delta: float, eps: float) -> float | None:
     """
     v = as_vector(a)
     delta = _check_delta(delta)
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     unit, _ = unit_peak(v)
     lo2, hi2 = _isometry_bounds(unit, eps)
     values, sizes = _weight_groups(unit)
@@ -384,7 +374,7 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
     """
     v = as_vector(a)
     delta = _check_delta(delta)
-    eps = _check_eps(eps)
+    eps = check_eps(eps)
     trials = check_count(trials, "trials", 1)
     # both events are scale-free, and squares and sums of the weights must stay in range
     unit, e = unit_peak(v)

@@ -36,6 +36,7 @@ from .core import (
     _BLOCK_SCALARS,
     banach_norm,
     check_count,
+    check_in_unit_ball,
     check_positive,
     sign_patterns,
     unit_peak,
@@ -309,8 +310,7 @@ def l1_domination(
         raise InputError("BAD_INPUT", "points must be finite")
     samples = check_count(samples, "samples", 0)
     count, dim = x.shape
-    if np.any(banach_norm(x, norm) > 1.0 + 1e-9):
-        raise InputError("BAD_INPUT", "points must lie in the unit ball of the chosen norm")
+    check_in_unit_ball(x, norm, "point")
 
     if mode == "exact":
         if norm != "sup":

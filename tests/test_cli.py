@@ -520,12 +520,6 @@ class TestTypecmpCommand:
         assert [r["subset_size"] for r in rows] == [3, 6]
         assert all(r["m_emp"] == pytest.approx(1.0, abs=1e-12) for r in rows)
 
-    def test_bad_norm(self, tmp_path, capsys):
-        path = write_csv(tmp_path / "eye3.csv", np.eye(3))
-        code = main(["typecmp", "--input", path, "--norm", "euclidean"])
-        assert code == 2
-        assert json.loads(capsys.readouterr().err)["error"]["code"] == "BAD_NORM"
-
 
 class TestAuditCommand:
     def test_constant_and_curve(self, sign_csv, capsys):
@@ -536,6 +530,15 @@ class TestAuditCommand:
         res = report["results"]
         assert len(res["grid"]) == 9 and len(res["vc_curve"]) == 9
         assert res["vc_curve"][0] == 3
+
+
+@pytest.mark.parametrize("argv", [["hull", "--t", "0.1"], ["typecmp"]],
+                         ids=["hull", "typecmp"])
+def test_bad_norm(tmp_path, capsys, argv):
+    path = write_csv(tmp_path / "eye3.csv", np.eye(3))
+    code = main([argv[0], "--input", path, *argv[1:], "--norm", "euclidean"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"]["code"] == "BAD_NORM"
 
 
 @pytest.mark.parametrize("argv", [
@@ -619,7 +622,8 @@ class TestArgumentContract:
         (["shatter", "--t", "0.5"], [[1e308, 1.0, -1.0], [-1e308, -1.0, 1.0]]),
         (["jl", "--eps", "0.5"], [[1e308, 1e308, -1e308, 1e308]]),
         (["typecmp", "--trials", "100"], [[1e308, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
-    ], ids=["project", "shatter", "jl", "typecmp"])
+        (["hull", "--t", "0.1", "--norm", "2", "--mode", "sampled"], [[1e308, 1e308], [0.5, 0.1]]),
+    ], ids=["project", "shatter", "jl", "typecmp", "hull"])
     def test_weights_near_the_float_maximum_raise_no_warning(self, tmp_path, argv, rows):
         # a fresh interpreter that turns every numpy RuntimeWarning into a traceback
         path = write_csv(tmp_path / "huge.csv", np.array(rows))
@@ -627,7 +631,7 @@ class TestArgumentContract:
             [sys.executable, "-W", "error::RuntimeWarning", "-m", "coordproj", argv[0],
              "--input", path, *argv[1:], "--deterministic"],
             capture_output=True, text=True)
-        if argv[0] in ("jl", "typecmp"):
+        if argv[0] in ("jl", "typecmp", "hull"):
             # off the unit sphere, outside the unit ball: stderr holds the JSON error alone
             assert proc.returncode == 2
             assert json.loads(proc.stderr)["error"]["code"] == "BAD_INPUT"
@@ -710,15 +714,15 @@ _FLAGS = {
                 "--trials": _count("1")},
     "jl": {"--eps": _real("0.5"), "--cfit": _real("0.5")},
     "shatter": {"--t": _real("0.5"), "--max-sigma": _count("2")},
-    "hull": {"--t": _real("0.3"), "--norm": _real("sup"),
+    "hull": {"--t": _real("0.3"), "--norm": st.one_of(_real("sup"), st.just("euclidean")),
              "--mode": st.sampled_from(("exact", "sampled")), "--samples": _count("4"),
              "--max-sigma": _count("4")},
     "entropy": {"--t-grid": _real("0.5"), "--c-assumed": _real("0.25")},
     "complexity": {"--kind": st.sampled_from(("gaussian", "rademacher", "both")),
                    "--trials": _count("100"), "--k": _count("2"), "--eps": _real("0.5"),
                    "--kmax": _count("2")},
-    "typecmp": {"--norm": _real("2"), "--delta-grid": _real("0.5"), "--trials": _count("100"),
-                "--subsets": _count("1")},
+    "typecmp": {"--norm": st.one_of(_real("2"), st.just("euclidean")),
+                "--delta-grid": _real("0.5"), "--trials": _count("100"), "--subsets": _count("1")},
     "audit": {"--trials": _count("100"), "--grid-points": _count("2")},
 }
 

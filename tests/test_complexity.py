@@ -21,7 +21,6 @@ from coordproj.core import (
 from coordproj.complexity import (
     ell_parameter,
     entropy_integral_audit,
-    fit_gaussian_rademacher_ratio,
     gaussian_complexity,
     min_sign_norm,
     rademacher_complexity,
@@ -245,20 +244,6 @@ class TestRademacherComplexity:
             r = rademacher_complexity(F, trials=20000, rng=RngStream(14, i))
             slack = 2.0 * (g.std_error + HALF_NORMAL * r.std_error)
             assert g.mean >= HALF_NORMAL * r.mean - slack
-
-    def test_fitted_ratio_constant(self):
-        rng = RngStream(15).generator()
-        classes = [FunctionClass(rng.uniform(-1.0, 1.0, size=(5, 4))) for _ in range(4)]
-        fit = fit_gaussian_rademacher_ratio(classes, trials=20000, rng=RngStream(16))
-        assert fit.name == "C_gauss_rademacher"
-        assert 0.7 <= fit.value <= 1.5
-        assert fit.protocol
-
-    def test_fitted_ratio_needs_signal(self):
-        with pytest.raises(InputError):
-            fit_gaussian_rademacher_ratio(
-                [FunctionClass(np.zeros((2, 2)))], trials=200, rng=RngStream(17)
-            )
 
 
 class TestEllParameter:

@@ -23,9 +23,6 @@ from coordproj.core import (
     digest_inputs,
     mean_and_se,
     monte_carlo,
-    normalized_lp,
-    project,
-    project_class,
     sign_patterns,
 )
 
@@ -116,30 +113,6 @@ class TestFunctionClass:
             FunctionClass(np.zeros((0, 3)))
         with pytest.raises(InputError):
             FunctionClass(np.array([[np.inf, 0.0]]))
-
-
-def test_project_and_project_class():
-    v = np.array([10.0, 20.0, 30.0, 40.0])
-    s = CoordinateSubset((2, 4), 4)
-    assert list(project(v, s)) == [20.0, 40.0]
-    F = FunctionClass(np.array([[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]]))
-    G = project_class(F, s)
-    assert G.values.tolist() == [[2.0, 4.0], [6.0, 8.0]]
-    with pytest.raises(InputError):
-        project(v, CoordinateSubset((), 4))
-    with pytest.raises(InputError):
-        project(v, CoordinateSubset((1,), 3))
-
-
-def test_normalized_lp_oracles():
-    v = np.array([3.0, -4.0])
-    # mean-power form: ((9 + 16)/2)^(1/2)
-    assert normalized_lp(v, 2.0) == pytest.approx(np.sqrt(12.5))
-    assert normalized_lp(v, 1.0) == pytest.approx(3.5)
-    for p in (0.5, math.nan, math.inf):
-        with pytest.raises(InputError) as exc:
-            normalized_lp(v, p)
-        assert exc.value.code == "BAD_EXPONENT"
 
 
 def test_banach_norm_oracles():
@@ -343,3 +316,20 @@ def test_check_count_rejects_with_the_callers_code(value):
     assert exc.value.code == "BAD_TRIALS"
     assert core.check_count(2.0, "trials", 1) == 2
     assert core.check_count(10**400, "trials", 1) == 10**400
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0, -0.5, math.nan, math.inf])
+def test_check_eps_takes_the_open_unit_interval(value):
+    with pytest.raises(InputError) as exc:
+        core.check_eps(value)
+    assert exc.value.code == "BAD_EPSILON"
+    assert core.check_eps(np.float64(0.25)) == 0.25
+
+
+@pytest.mark.parametrize("norm", ["sup", 1.0, 2.0])
+def test_unit_ball_rule_names_the_first_row_outside(norm):
+    core.check_in_unit_ball(np.array([[1.0, 0.0], [0.0, -1.0]]), norm, "point")
+    with pytest.raises(InputError, match="point 2 lies outside") as exc:
+        # an overflowed norm is inf: outside, with no numpy warning
+        core.check_in_unit_ball(np.array([[0.5, 0.0], [1e308, 1e308], [2.0, 0.0]]), norm, "point")
+    assert exc.value.code == "BAD_INPUT"

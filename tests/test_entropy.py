@@ -7,12 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coordproj import entropy
-from coordproj.core import FunctionClass, InputError, RngStream, normalized_lp
+from coordproj.core import FunctionClass, InputError, RngStream
 from coordproj.entropy import (
     CoveringEstimate,
     _ball_masks,
     covering_estimate,
-    covering_number_upper,
     entropy_inequality_audit,
     packing_number,
     pairwise_l2_distances,
@@ -49,7 +48,7 @@ class TestPairwiseDistances:
         d = pairwise_l2_distances(F)
         for i in range(7):
             for j in range(7):
-                expect = normalized_lp(F.values[i] - F.values[j], 2.0)
+                expect = np.mean((F.values[i] - F.values[j]) ** 2) ** 0.5
                 assert d[i, j] == pytest.approx(expect, abs=1e-12)
 
     def test_metric_axioms(self):
@@ -109,12 +108,12 @@ class TestCoveringNumber:
         base = np.zeros((5, 4))
         base[1:] = 0.05 * np.eye(4)
         F = FunctionClass(base)
-        assert covering_number_upper(F, 0.1) == 1
+        assert covering_estimate(F, 0.1).covering_upper == 1
 
     def test_tiny_scale_needs_all_rows(self):
         rng = RngStream(306).generator()
         F = random_class(rng, 9, 3)
-        assert covering_number_upper(F, 1e-9) == 9
+        assert covering_estimate(F, 1e-9).covering_upper == 9
 
     def test_greedy_upper_bounds_exact(self):
         rng = RngStream(307).generator()

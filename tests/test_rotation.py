@@ -10,11 +10,9 @@ from coordproj.core import CertificateError, CoordinateSubset, InputError, RngSt
 from coordproj.orlicz import psi_norm
 from coordproj.rotation import (
     coordinate_jl,
-    distortion_report,
     fit_jl_constant,
     haar_frame,
     haar_orthogonal,
-    rotated_psi2_tail,
     scaled_basis,
 )
 
@@ -75,34 +73,30 @@ class TestHaarFrame:
 
 
 class TestRotatedPsi2:
-    def test_identity_operator_recovers_plain_psi(self):
-        x = np.zeros(16)
-        x[0] = 1.0
-        out = rotated_psi2_tail(x, 1, RngStream(0), operators=[np.eye(16)])
-        assert out[0] == pytest.approx(4.0 * psi_norm(x, 2.0).value)
-
     def test_rotation_flattens_a_spike(self):
         # a spike has the worst psi_2 on the sphere; Haar rotation brings it
         # down to the generic level sqrt(2/log n) * sqrt(n) or below
         n = 64
-        x = np.zeros(n)
-        x[0] = 1.0
-        vals = rotated_psi2_tail(x, 20, RngStream(7))
+        spike = math.sqrt(n) * np.eye(n)[:1]
+        vals = np.array([coordinate_jl(spike, 0.25, RngStream(7, seed)).psi2_max
+                         for seed in range(20)])
         bound = math.sqrt(2.0 / math.log(n)) * math.sqrt(n)
         assert np.all(vals <= bound)
         spike_level = math.sqrt(n) * math.log(n * (math.e - 1) + 1) ** -0.5
         assert vals.mean() < spike_level
 
-    def test_requires_unit_vector(self):
-        with pytest.raises(InputError):
-            rotated_psi2_tail(np.ones(8), 2, RngStream(0))
+
+def _report(v, operator, subset):
+    """The ratios coordinate_jl reports, for a given operator and subset."""
+    v = np.atleast_2d(v)
+    return rotation._report(v, v @ operator.T, subset, 0.0)
 
 
 class TestDistortionReport:
     def test_identity_full_subset_is_exact(self):
         rng = np.random.default_rng(13)
         v = rng.standard_normal((5, 12))
-        rep = distortion_report(v, np.eye(12), CoordinateSubset.full(12))
+        rep = _report(v, np.eye(12), CoordinateSubset.full(12))
         assert np.allclose(rep.per_vector_ratio, 1.0, atol=1e-12)
         assert rep.max_deviation <= 1e-12
 
@@ -110,18 +104,18 @@ class TestDistortionReport:
         rng = np.random.default_rng(17)
         v = rng.standard_normal((3, 10))
         q = haar_orthogonal(10, RngStream(19))
-        rep = distortion_report(v, q, CoordinateSubset.full(10))
+        rep = _report(v, q, CoordinateSubset.full(10))
         assert np.allclose(rep.per_vector_ratio, 1.0, atol=1e-9)
 
     def test_half_subset_of_duplicated_block_is_exact(self):
         # vector (c, c) restricted to the first half keeps its norm exactly
         c = np.array([1.0, -2.0, 3.0])
         v = np.concatenate([c, c])[None, :]
-        rep = distortion_report(v, np.eye(6), CoordinateSubset((1, 2, 3), 6))
+        rep = _report(v, np.eye(6), CoordinateSubset((1, 2, 3), 6))
         assert rep.per_vector_ratio[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_empty_subset_gives_zero_ratio(self):
-        rep = distortion_report(np.ones((2, 4)), np.eye(4), CoordinateSubset((), 4))
+        rep = _report(np.ones((2, 4)), np.eye(4), CoordinateSubset((), 4))
         assert np.all(rep.per_vector_ratio == 0.0)
         assert rep.max_deviation == 1.0
 

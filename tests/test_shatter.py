@@ -19,7 +19,6 @@ from coordproj.core import (
     RngStream,
     SizeCapError,
     banach_norm,
-    project_class,
 )
 from coordproj.shatter import (
     dual_ball_class,
@@ -478,8 +477,8 @@ class TestVcDimension:
             F = random_pm_class(rng)
             full = vc_dimension(F, 0.6).dimension
             k = int(rng.integers(1, F.n))
-            idx = tuple(sorted(rng.choice(np.arange(1, F.n + 1), size=k, replace=False).tolist()))
-            proj = project_class(F, CoordinateSubset(idx, F.n))
+            cols = np.sort(rng.choice(F.n, size=k, replace=False))
+            proj = FunctionClass(F.values[:, cols])
             assert vc_dimension(proj, 0.6).dimension <= full
 
     def test_caps(self):
