@@ -464,7 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--samples", type=int, default=512,
                     help="directions for sampled mode")
     sp.add_argument("--max-sigma", type=int, default=_DEFAULT_MAX_HULL_SIGMA,
-                    help="hull LP cap on the point count")
+                    help="hull cap on the point count: a witness holds 2^k weight vectors")
 
     sp = sub.add_parser("entropy", help="covering numbers and the entropy audit")
     _add_common(sp)
@@ -520,7 +520,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 6,
+        "schema": 7,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

@@ -380,20 +380,31 @@ def _null_vector(x: np.ndarray) -> np.ndarray | None:
     return a / np.abs(a).sum()
 
 
+def _vertex_blocks(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks x[:, J]^T over the count-subsets J of the columns, and the subsets J.
+
+    A block singular relative to its own scale is dropped: it has no vertex
+    and no basic solution.
+    """
+    count, dim = x.shape
+    cols = np.array(list(itertools.combinations(range(dim), count)))
+    blocks = x.T[cols]
+    sv = np.linalg.svd(blocks, compute_uv=False)
+    keep = sv[:, -1] > count * np.finfo(float).eps * sv[:, 0]
+    return blocks[keep], cols[keep]
+
+
 def _vertex_domination(x: np.ndarray) -> tuple[float, np.ndarray]:
     """(epsilon_star, minimizer) from the vertices of {a : |x^T a| <= 1}, x of full row rank.
 
     Every vertex solves x[:, J]^T a = s for c = count columns J and signs s
-    with s_1 = +1; one batched solve gives them all, and the first feasible
-    one of largest |a|_1 wins.  A block x[:, J] singular relative to its own
-    scale has no vertex and is dropped.  A solved vertex may exceed a
-    constraint by its rounding, up to _VERTEX_TOL.  CertificateError if no
-    candidate is feasible.
+    with s_1 = +1; one batched solve over _vertex_blocks gives them all, and
+    the first feasible one of largest |a|_1 wins.  A solved vertex may
+    exceed a constraint by its rounding, up to _VERTEX_TOL.
+    CertificateError if no candidate is feasible.
     """
-    count, dim = x.shape
-    blocks = x.T[np.array(list(itertools.combinations(range(dim), count)))]
-    sv = np.linalg.svd(blocks, compute_uv=False)
-    blocks = blocks[sv[:, -1] > count * np.finfo(float).eps * sv[:, 0]]
+    count = x.shape[0]
+    blocks, _ = _vertex_blocks(x)
     a = np.linalg.solve(blocks, _half_signs(count).T).transpose(0, 2, 1).reshape(-1, count)
     feasible = banach_norm(a @ x, "sup") <= 1.0 + _VERTEX_TOL
     if not feasible.any():
@@ -435,16 +446,25 @@ def vc_convex_hull(
     t: float,
     max_sigma: int = _DEFAULT_MAX_HULL_SIGMA,
 ) -> ShatterWitness | None:
-    """t-shattering of sigma by the convex hull of F, by one joint LP.
+    """t-shattering of sigma by the convex hull of F: in closed form, else by one joint LP.
 
-    Variables: the level h(x) per point, a simplex weight vector per sign
-    pattern, and a common margin s which the LP maximizes; sigma is
-    shattered at scale t iff the optimal margin reaches t (within
-    _LP_FEAS_TOL relative to t).  The witness of a reached margin is
-    checked by substitution, to within 10 * _LP_FEAS_TOL * t, and
-    CertificateError is raised if it fails.  Raising
-    max_sigma past the default is supported but the LP grows as
-    2^|sigma| * |F|.
+    Both paths take F's columns on sigma at a unit peak (core.unit_peak),
+    find the largest margin at which conv F shatters sigma, with its level
+    and one weight vector per sign pattern, and scale margin and level back
+    by the same power of two:
+
+    - Closed form (_symmetric_hull), when the rows equal their negations as
+      a multiset and the blocks pass l1_domination's _exact_cost gate:
+      level 0, and the margin is epsilon_star of one half of the rows read
+      as points.  No LP runs.
+    - Otherwise one joint LP (_hull_lp) over a level per point, a simplex
+      weight vector per pattern and the margin.
+
+    sigma is shattered at scale t iff the margin reaches t within
+    _LP_FEAS_TOL relative to t.  The witness of a reached margin is checked
+    by substitution, to within 10 * _LP_FEAS_TOL * t, and CertificateError
+    is raised if it fails.  max_sigma caps |sigma|: a witness holds
+    2^|sigma| weight vectors over F's rows.
     """
     t = check_positive(t, "shattering scale")
     if sigma.size == 0:
@@ -455,13 +475,84 @@ def vc_convex_hull(
     k = sigma.size
     if k > max_sigma:
         raise SizeCapError(
-            f"|sigma| = {k} exceeds hull cap {max_sigma}; LP has 2^{k} * {F.m} weight variables",
+            f"|sigma| = {k} exceeds hull cap {max_sigma}; a witness holds 2^{k} weight vectors"
+            f" of {F.m}",
             cost_estimate=float(2**k * F.m),
         )
+    unit, e = unit_peak(F.values[:, sigma.zero_based()])
+    margin, level, weights = _symmetric_hull(unit) or _hull_lp(unit)
+    margin = math.ldexp(margin, e)
+    if margin < t - _LP_FEAS_TOL * t:
+        return None
+
+    assignment = dict(zip(_pattern_table(k)[0], weights))
+    witness = ShatterWitness(
+        sigma=sigma, level=np.ldexp(level, e), assignment=assignment, scale=float(t), margin=margin
+    )
+    if not verify_witness(F, witness, tol=10.0 * _LP_FEAS_TOL * t):
+        raise CertificateError(f"hull witness at margin {margin!r} failed substitution")
+    return witness
+
+
+def _symmetric_hull(sub: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | None:
+    """(margin, level, weights) of conv F on sub in closed form; None unless sub = -sub.
+
+    For rows equal to their negations as a multiset, level 0 is optimal (a
+    witness averaged with its negation is one), and conv F is the l_1 ball
+    over one half H of the rows, each paired with its negation and zero rows
+    dropped.  So the margin is the largest s with s * eps = X a, |a|_1 <= 1,
+    for every pattern eps, where X = H^T: epsilon_star of X's rows.  The
+    least |a|_1 with X a = eps is attained at a basic solution, a solve over
+    one of the blocks of _vertex_blocks; with L the largest of those least
+    norms, the margin is 1 / L.  Pattern eps takes a / L, its positive part
+    on the rows of H and its negative part on their negations, and the
+    slack to 1 split over one such pair.  Dependent points have margin 0,
+    met by equal weights on all rows, whose mean is 0.  None too when the
+    blocks are past the _exact_cost gate.
+    """
+    m, k = sub.shape
+    order = np.lexsort(sub.T[::-1])
+    s = sub[order]
+    # negation reverses the lexicographic order, so row i pairs with row m - 1 - i
+    if not np.array_equal(s, -s[::-1]):
+        return None
+    half = np.flatnonzero(np.any(s[: m // 2] != 0.0, axis=1))
+    x = s[half].T
+    level = np.zeros(k)
+    if len(half) < k or _null_vector(x) is not None:
+        return 0.0, level, np.full((1 << k, m), 1.0 / m)
+    if _exact_cost(k, len(half))[0] != "exact-vertex":
+        return None
+    blocks, cols = _vertex_blocks(x)
+    if not len(blocks):
+        raise CertificateError("no block of the independent hull points is nonsingular")
+    table = _pattern_table(k)[1]
+    a = np.linalg.solve(blocks.transpose(0, 2, 1), table.T.astype(float))
+    size = np.abs(a).sum(axis=1)
+    best, pats = size.argmin(axis=0), np.arange(len(table))
+    scale = size[best, pats].max()
+    w = np.zeros((len(table), len(half)))
+    w[pats[:, None], cols[best]] = a[best, :, pats] / scale
+
+    plus, minus = order[half], order[m - 1 - half]
+    weights = np.zeros((len(table), m))
+    weights[:, plus], weights[:, minus] = np.maximum(w, 0.0), np.maximum(-w, 0.0)
+    slack = np.maximum(1.0 - np.abs(w).sum(axis=1), 0.0) / 2.0
+    weights[:, plus[0]] += slack
+    weights[:, minus[0]] += slack
+    return 1.0 / scale, level, weights
+
+
+def _hull_lp(sub: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(margin, level, weights) of conv F on sub by one joint LP.
+
+    Variables: the level h(x) per point, a simplex weight vector per sign
+    pattern, and a common margin s which the LP maximizes; 2^|sigma| * |F|
+    weights in all.  CertificateError if HiGHS does not solve it.
+    """
     from scipy import sparse
 
-    m = F.m
-    sub = F.values[:, sigma.zero_based()]
+    m, k = sub.shape
     pats, table, _ = _pattern_table(k)
     np_pat = len(pats)
     nvar = k + np_pat * m + 1  # h, w, s
@@ -489,22 +580,8 @@ def vc_convex_hull(
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds, method="highs")
     if res.status != 0:
         raise CertificateError(f"hull shattering LP failed with status {res.status}")
-
-    margin = float(res.x[s_col])
-    if margin < t - _LP_FEAS_TOL * t:
-        return None
-
-    level = np.array(res.x[:k])
-    assignment = {}
-    for pi, pat in enumerate(pats):
-        w = np.clip(res.x[k + pi * m : k + (pi + 1) * m], 0.0, None)
-        assignment[pat] = w / w.sum()
-    witness = ShatterWitness(
-        sigma=sigma, level=level, assignment=assignment, scale=float(t), margin=margin
-    )
-    if not verify_witness(F, witness, tol=10.0 * _LP_FEAS_TOL * t):
-        raise CertificateError(f"hull LP witness at margin {margin!r} failed substitution")
-    return witness
+    weights = np.clip(res.x[k:s_col].reshape(np_pat, m), 0.0, None)
+    return float(res.x[s_col]), np.array(res.x[:k]), weights / weights.sum(axis=1, keepdims=True)
 
 
 def dual_ball_class(points) -> FunctionClass:

@@ -22,7 +22,7 @@ from coordproj.complexity import (
     min_sign_norm,
     type_infratype_report,
 )
-from coordproj.core import CoordinateSubset, FunctionClass, RngStream
+from coordproj.core import CoordinateSubset, FunctionClass, RngStream, unit_peak
 from coordproj.entropy import (
     covering_estimate,
     entropy_inequality_audit,
@@ -32,6 +32,7 @@ from coordproj.orlicz import psi_norm
 from coordproj.rotation import DEFAULT_JL_CONSTANT, coordinate_jl, scaled_basis
 from coordproj.selector import selector_experiment
 from coordproj.shatter import (
+    _hull_lp,
     dual_ball_class,
     l1_domination,
     vc_convex_hull,
@@ -110,8 +111,9 @@ def test_coordinate_jl_success_rate():
 
 
 def test_hull_shattering_matches_domination():
-    # the joint LP and the exact domination constant decide the same
-    # threshold on random point sets in the sup-norm ball
+    # the hull oracle (a closed form for these symmetric classes), the joint
+    # LP and the exact domination constant decide the same threshold on
+    # random point sets in the sup-norm ball
     start = time.perf_counter()
     rng = RngStream(930).generator()
     for _ in range(50):
@@ -126,6 +128,8 @@ def test_hull_shattering_matches_domination():
             t += 1e-3
         shattered = vc_convex_hull(F, sigma, t, max_sigma=count) is not None
         assert shattered == (eps >= t - 1e-7)
+        unit, e = unit_peak(F.values)
+        assert shattered == (math.ldexp(_hull_lp(unit)[0], e) >= t - 1e-7)
         if eps > 1e-3:
             assert vc_convex_hull(F, sigma, 0.9 * eps, max_sigma=count) is not None
             high = 1.1 * eps

@@ -123,7 +123,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 6
+        assert report["schema"] == 7
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -429,13 +429,27 @@ class TestHullCommand:
         assert res["hull_witness"] is None
         assert res["agreement"] is True
 
+    def test_shattering_found_at_tiny_scale(self, tmp_path, capsys):
+        # epsilon_star is 3.3e-301 >= t; at the data's scale the LP's absolute
+        # tolerances gave margin 0, and the report said false with agreement false
+        path = write_csv(tmp_path / "eye3.csv", 1e-300 * np.eye(3))
+        assert main(["hull", "--input", path, "--t", "1e-301", "--seed", "1"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["hull_shattered"] is True
+        assert res["agreement"] is True
+        assert res["hull_witness"]["margin"] == pytest.approx(1e-300 / 3.0, rel=1e-12)
+
     def test_failed_lp_exits_with_certificate_error(self, tmp_path, capsys, monkeypatch):
-        # HiGHS status 4: numerical difficulties
+        # HiGHS status 4: numerical difficulties. Two points in R^200 with 200 distinct
+        # nonzero coordinate pairs are past the vertex gate, so the joint LP decides the
+        # hull; sampled domination runs no LP of its own
         monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(status=4))
-        path = write_csv(tmp_path / "eye2.csv", np.eye(2))
-        assert main(["hull", "--input", path, "--t", "0.4"]) == 5
+        points = np.vstack([np.ones(200), np.linspace(-1.0, 1.0, 200)])
+        path = write_csv(tmp_path / "two200.csv", points)
+        assert main(["hull", "--input", path, "--t", "0.4", "--mode", "sampled"]) == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "CERTIFICATE"
+        assert "hull shattering LP failed with status 4" in err["error"]["message"]
 
     def test_minimizer_off_its_value_exits_with_certificate_error(self, tmp_path, capsys,
                                                                   monkeypatch):
@@ -666,6 +680,19 @@ for argv in json.loads(sys.argv[1]):
 """
 
 
+# the joint LP of an asymmetric class is what still needs scipy: the row (0.5, 0.5)
+# has no negation in the class
+_HULL_LP_PROBE = """
+import sys
+import numpy as np
+from coordproj.core import CoordinateSubset, FunctionClass
+from coordproj.shatter import vc_convex_hull
+rows = [[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-1.0, -1.0], [0.5, 0.5]]
+vc_convex_hull(FunctionClass(np.array(rows)), CoordinateSubset.full(2), 0.5)
+print("scipy.optimize" in sys.modules)
+"""
+
+
 def test_scipy_is_loaded_only_by_hull(tmp_path, sign_csv):
     eye = write_csv(tmp_path / "eye.csv", np.eye(4))
     ones = write_csv(tmp_path / "ones.csv", np.ones((1, 6)))
@@ -687,9 +714,10 @@ def test_scipy_is_loaded_only_by_hull(tmp_path, sign_csv):
     assert proc.returncode == 0, proc.stderr
     lines = [json.loads(line) for line in proc.stdout.splitlines()]
     assert [line[:2] for line in lines] == [[argv[0], 0] for argv in calls]
-    *scipy_free, hull = lines
-    assert all(not loaded for _, _, loaded in scipy_free)
-    assert "scipy.optimize" in hull[2]
+    assert all(not loaded for _, _, loaded in lines)
+    proc = subprocess.run([sys.executable, "-c", _HULL_LP_PROBE], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
 
 
 # half the draws are ordinary, so that runs get past the first check

@@ -19,6 +19,7 @@ from coordproj.core import (
     RngStream,
     SizeCapError,
     banach_norm,
+    unit_peak,
 )
 from coordproj.shatter import (
     dual_ball_class,
@@ -63,6 +64,34 @@ def domination_cases(draw):
     elif kind == "repeat":
         x[-1] = x[rng.integers(count - 1)]
     return seed, x
+
+
+@st.composite
+def symmetric_hull_cases(draw):
+    """(F, sigma, t, c): F is -F on sigma, |sigma| = 1..4, with c = 2^j, j in [-1000, 1000].
+
+    Half the rows are 1 to 6 +-1, one-decimal or six-decimal rows, some
+    repeated; the class is those rows, their negations and 0 to 2 zero rows,
+    shuffled. The other 0 to 2 points carry uniform values, so only sigma's
+    columns are symmetric. t is 2^-u with u in [0, 6].
+    """
+    kind = draw(st.sampled_from(["sign", "decimal", "micro"]))
+    k, extra = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    half = g.uniform(-1.0, 1.0, size=(draw(st.integers(1, 6)), k))
+    if kind == "sign":
+        half = np.where(half < 0.0, -1.0, 1.0)
+    else:
+        half = np.round(half, 1 if kind == "decimal" else 6)
+    half = half[g.integers(len(half), size=len(half) + draw(st.integers(0, 2)))]
+    rows = np.vstack([half, -half, np.zeros((draw(st.integers(0, 2)), k))])
+    n = k + extra
+    values = g.uniform(-1.0, 1.0, size=(len(rows), n)).round(6)
+    cols = np.sort(g.choice(n, size=k, replace=False))
+    values[:, cols] = rows
+    sigma = CoordinateSubset(tuple(int(c) + 1 for c in cols), n)
+    t, c = 2.0 ** -draw(st.floats(0.0, 6.0)), 2.0 ** draw(st.integers(-1000, 1000))
+    return FunctionClass(values[g.permutation(len(rows))]), sigma, t, c
 
 
 @pytest.mark.parametrize("k", range(7))
@@ -271,7 +300,9 @@ def failing_lp(monkeypatch):
 @pytest.mark.parametrize("solve", [
     # two points in R^200: C(200, 2) * 2 * 200 scalars pass the vertex gate, so LPs run
     lambda: l1_domination(np.eye(2, 200), mode="exact"),
-    lambda: vc_convex_hull(sign_class(2), full_subset(2), 0.5),
+    # the row (0.5, 0.5) has no negation in the class, so the joint LP runs
+    lambda: vc_convex_hull(FunctionClass(np.vstack([sign_class(2).values, [0.5, 0.5]])),
+                           full_subset(2), 0.5),
 ], ids=["orthant", "hull"])
 def test_failed_lp_raises_certificate_error(failing_lp, solve):
     with pytest.raises(CertificateError) as exc:
@@ -738,6 +769,42 @@ class TestVcConvexHull:
         a = rng.standard_normal((1000, 4))
         vals = np.abs(a @ x).max(axis=1)
         assert np.all(vals >= t * np.abs(a).sum(axis=1) - 1e-9)
+
+    @settings(max_examples=150)
+    @given(case=symmetric_hull_cases())
+    def test_closed_form_matches_the_joint_lp(self, case):
+        # F = -F on sigma: the closed form and the joint LP decide alike at one margin,
+        # and c F at c t is decided alike with the margin times c
+        F, sigma, t, c = case
+        unit, e = unit_peak(F.values[:, sigma.zero_based()])
+        closed, lp = shatter._symmetric_hull(unit), shatter._hull_lp(unit)
+        assert closed is not None
+        if closed[0] == 0.0:
+            assert abs(lp[0]) <= 1e-9
+        else:
+            assert closed[0] == pytest.approx(lp[0], rel=1e-9, abs=0.0)
+        w = vc_convex_hull(F, sigma, t)
+        margin = math.ldexp(lp[0], e)
+        if abs(margin - t) > 1e-6 * t:
+            assert (w is not None) == (margin >= t - 1e-7 * t)
+        if w is not None:
+            assert w.margin == math.ldexp(closed[0], e)
+            assert not w.level.any()
+        scaled = vc_convex_hull(FunctionClass(c * F.values), sigma, c * t)
+        assert (scaled is None) == (w is None)
+        if w is not None:
+            assert scaled.margin == c * w.margin
+            assert not scaled.level.any()
+
+    def test_asymmetric_class_keeps_its_scale(self):
+        # the joint LP runs at a unit peak, so at 2^-1000 it finds the same margin and levels
+        F = FunctionClass(np.vstack([sign_class(2).values, [0.5, 0.5]]))
+        w = vc_convex_hull(F, full_subset(2), 0.5)
+        tiny = vc_convex_hull(FunctionClass(np.ldexp(F.values, -1000)), full_subset(2),
+                              math.ldexp(0.5, -1000))
+        assert w is not None and tiny is not None
+        assert tiny.margin == math.ldexp(w.margin, -1000)
+        assert np.array_equal(tiny.level, np.ldexp(w.level, -1000))
 
     def test_caps_and_errors(self):
         F = sign_class(2)
