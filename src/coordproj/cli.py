@@ -97,11 +97,12 @@ def read_matrix(path: str) -> np.ndarray:
         lines = [s for s in (raw.strip() for raw in fh) if s and not s.startswith("#")]
     rows: list[list[float]] = []
     for i, line in enumerate(lines):
-        cells = [_number(p) for p in line.split(",")]
-        if None not in cells:
-            rows.append(cells)
-        elif i > 0 or any(c is not None for c in cells):
-            raise InputError("BAD_CSV", f"unparseable row: {line!r}")
+        parts = line.split(",")
+        try:
+            rows.append(list(map(float, parts)))
+        except ValueError:  # a header, or a bad row: only now is each cell tested
+            if i > 0 or any(_number(p) is not None for p in parts):
+                raise InputError("BAD_CSV", f"unparseable row: {line!r}") from None
     if not rows:
         raise InputError("EMPTY_CSV", f"no numeric rows in {path}")
     width = len(rows[0])
@@ -520,7 +521,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 7,
+        "schema": 8,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

@@ -138,15 +138,15 @@ def _sup_average(values, trials, gen, kind):
     return mean_and_se(total, total_sq, trials)
 
 
-def _scale_back(e, mean, se):
-    """mean and se times 2^e; InputError OVERFLOW when either leaves the float range."""
+def _scale_back(e, *values, what="the average or its standard error"):
+    """values times 2^e; InputError OVERFLOW, naming `what`, when one leaves the float range."""
     try:
-        mean, se = math.ldexp(mean, e), math.ldexp(se, e)
+        values = tuple(math.ldexp(v, e) for v in values)
     except OverflowError:
-        mean = math.inf
-    if not (math.isfinite(mean) and math.isfinite(se)):
-        raise InputError("OVERFLOW", "the average or its standard error exceeds the float range")
-    return mean, se
+        values = (math.inf,)
+    if not all(map(math.isfinite, values)):
+        raise InputError("OVERFLOW", f"{what} exceeds the float range")
+    return values
 
 
 def _project_columns(F, sigma):
@@ -343,50 +343,44 @@ def _flip_descent(x, signs, total, val, norm):
     return val
 
 
-def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
-    """Minimizes ||sum_i eta_i v_i|| over sign choices eta_i = +-1.
+def _sign_table(x, norm):
+    """(unit, table, e): x = 2^e * unit with unit's peak in [1/2, 1), and the rows to search.
 
-    Exact mode enumerates 2^(count-1) patterns, the global sign flip
-    being free, and certifies the minimum; it refuses more than
-    _EXACT_SIGN_CAP vectors. Heuristic mode signs vectors greedily in
-    descending norm order, runs single-flip descent, and restarts from
-    random orders, _SIGN_RESTARTS starts in all, so its value is an
-    upper bound on the minimum.
-
-    Returns:
-        SignMinimumResult; signs are normalized to signs[0] = +1.
+    Every norm is homogeneous, so the searches run at a unit peak, where no
+    sum or power leaves the float range, and x and 2^j x search one table.
+    For the Euclidean norm the table holds unit's rows in an orthonormal
+    basis of their span, count x min(count, d): an isometry keeps the norm
+    of every signed sum, and the sums get shorter. Other norms search unit.
     """
-    x = _stack_unit_rows(vectors)
+    unit, e = unit_peak(x)
+    table = np.linalg.qr(unit.T, mode="r").T if norm == 2 else unit
+    return unit, table, e
+
+
+def _exact_signs(x, norm):
+    """The first of the 2^(count-1) sign patterns with signs[0] = +1 whose sum of x has least norm."""
     count = x.shape[0]
-    if count == 1:
-        return SignMinimumResult(banach_norm(x[0], norm), (1,), mode)
-    if mode == "exact":
-        if count > _EXACT_SIGN_CAP:
-            raise SizeCapError(
-                f"exact sign search over {count} vectors needs 2^{count - 1} patterns",
-                cost_estimate=float(2 ** (count - 1)))
-        rest = x[1:]
-        total = 1 << (count - 1)
-        # a chunk's float patterns and its sums each hold at most _BLOCK_SCALARS
-        # scalars; a power of two divides the patterns into equal chunks, so no
-        # chunk is a lone row, whose product may round differently, unless all are
-        chunk = 1 << max(0, (_BLOCK_SCALARS // max(count - 1, x.shape[1])).bit_length() - 1)
-        best_val = math.inf
-        best_idx = 0
-        for lo in range(0, total, chunk):
-            hi = min(lo + chunk, total)
-            vals = banach_norm(x[0] + sign_patterns(count - 1, lo, hi) @ rest, norm)
-            j = int(np.argmin(vals))
-            if vals[j] < best_val:
-                best_val = float(vals[j])
-                best_idx = lo + j
-        signs = (1, *sign_patterns(count - 1, best_idx, best_idx + 1)[0].tolist())
-        return SignMinimumResult(best_val, signs, "exact")
-    if mode != "heuristic":
-        raise InputError("BAD_MODE", f"mode must be exact or heuristic, got {mode!r}")
-    if rng is None:
-        rng = RngStream(0)
-    gen = rng.generator()
+    rest = x[1:]
+    total = 1 << (count - 1)
+    # a chunk's float patterns and its sums each hold at most _BLOCK_SCALARS
+    # scalars; a power of two divides the patterns into equal chunks, so no
+    # chunk is a lone row, whose product may round differently, unless all are
+    chunk = 1 << max(0, (_BLOCK_SCALARS // max(count - 1, x.shape[1])).bit_length() - 1)
+    best_val = math.inf
+    best_idx = 0
+    for lo in range(0, total, chunk):
+        hi = min(lo + chunk, total)
+        vals = banach_norm(x[0] + sign_patterns(count - 1, lo, hi) @ rest, norm)
+        j = int(np.argmin(vals))
+        if vals[j] < best_val:
+            best_val = float(vals[j])
+            best_idx = lo + j
+    return np.concatenate(([1.0], sign_patterns(count - 1, best_idx, best_idx + 1)[0]))
+
+
+def _heuristic_signs(x, norm, gen):
+    """Signs of the best of _SIGN_RESTARTS greedy-plus-descent runs on x, with signs[0] = +1."""
+    count = x.shape[0]
     orders = np.empty((_SIGN_RESTARTS, count), dtype=np.intp)
     orders[0] = np.argsort(-banach_norm(x, norm), kind="stable")
     for r in range(1, _SIGN_RESTARTS):
@@ -405,10 +399,42 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
     vals = banach_norm(totals, norm)
     for r in restarts:
         vals[r] = _flip_descent(x, signs[r], totals[r], vals[r], norm)
-    best = int(np.argmin(vals))
-    best_val = float(vals[best])
-    best_signs = signs[best] if signs[best, 0] > 0 else -signs[best]
-    return SignMinimumResult(best_val, tuple(int(s) for s in best_signs), "heuristic")
+    best = signs[int(np.argmin(vals))]
+    return best if best[0] > 0 else -best
+
+
+def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
+    """Minimizes ||sum_i eta_i v_i|| over sign choices eta_i = +-1.
+
+    Exact mode enumerates 2^(count-1) patterns, the global sign flip
+    being free, and certifies the minimum; it refuses more than
+    _EXACT_SIGN_CAP vectors. Heuristic mode signs vectors greedily in
+    descending norm order, runs single-flip descent, and restarts from
+    random orders, _SIGN_RESTARTS starts in all, so its value is an
+    upper bound on the minimum. Both search the table of _sign_table;
+    the value is the norm of the chosen signed sum of the vectors
+    themselves, at the unit peak, so the signs attain it.
+
+    Returns:
+        SignMinimumResult; signs are normalized to signs[0] = +1.
+    """
+    x = _stack_unit_rows(vectors)
+    count = x.shape[0]
+    if mode not in ("exact", "heuristic"):
+        raise InputError("BAD_MODE", f"mode must be exact or heuristic, got {mode!r}")
+    if mode == "exact" and count > _EXACT_SIGN_CAP:
+        raise SizeCapError(
+            f"exact sign search over {count} vectors needs 2^{count - 1} patterns",
+            cost_estimate=float(2 ** (count - 1)))
+    unit, table, e = _sign_table(x, norm)
+    if count == 1:
+        signs = np.ones(1)
+    elif mode == "exact":
+        signs = _exact_signs(table, norm)
+    else:
+        signs = _heuristic_signs(table, norm, (rng or RngStream(0)).generator())
+    (value,) = _scale_back(e, banach_norm(signs @ unit, norm), what="the sign minimum")
+    return SignMinimumResult(value, tuple(int(s) for s in signs), mode)
 
 
 def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
@@ -443,10 +469,12 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     if not grid or any(not (0.0 < d <= 1.0) for d in grid) or grid != sorted(grid):
         raise InputError("BAD_GRID", "delta_grid must be increasing fractions in (0, 1]")
 
+    # averaged at a unit peak, as in _complexity; the sign minima take their own
+    unit, e = unit_peak(x)
     gen_w = rng.substream(0).generator()
     total, total_sq = monte_carlo(
-        trials, x.shape[1], lambda rows: banach_norm(gen_w.standard_normal((rows, n)) @ x, norm))
-    e_mean, e_se = mean_and_se(total, total_sq, trials)
+        trials, x.shape[1], lambda rows: banach_norm(gen_w.standard_normal((rows, n)) @ unit, norm))
+    e_mean, e_se = _scale_back(e, *mean_and_se(total, total_sq, trials))
 
     gen_s = rng.substream(1).generator()
     flags = set()

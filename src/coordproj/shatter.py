@@ -195,22 +195,22 @@ def _search_cuts(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
 
 
 def verify_witness(F: FunctionClass, w: ShatterWitness, tol: float = 1e-9) -> bool:
-    """Re-check a witness by direct substitution."""
+    """Re-check a witness by direct substitution, all patterns at once.
+
+    The assignment holds row indices throughout, or weight vectors
+    throughout; weights must be at least -tol and sum to within 1e-7 of 1.
+    """
     cols = w.sigma.zero_based()
-    for pat, who in w.assignment.items():
-        if isinstance(who, (int, np.integer)):
-            vals = F.values[int(who), cols]
-        else:
-            weights = np.asarray(who, dtype=float)
-            if np.any(weights < -tol) or abs(weights.sum() - 1.0) > 1e-7:
-                return False
-            vals = weights @ F.values[:, cols]
-        for x, e in enumerate(pat):
-            if e > 0 and vals[x] < w.level[x] + w.scale - tol:
-                return False
-            if e < 0 and vals[x] > w.level[x] - w.scale + tol:
-                return False
-    return True
+    who = list(w.assignment.values())
+    if all(isinstance(v, (int, np.integer)) for v in who):
+        vals = F.values[who][:, cols]
+    else:
+        weights = np.asarray(who, dtype=float)
+        if np.any(weights < -tol) or np.any(np.abs(weights.sum(axis=1) - 1.0) > 1e-7):
+            return False
+        vals = weights @ F.values[:, cols]
+    high = np.array(list(w.assignment)) > 0
+    return not np.where(high, vals < w.level + w.scale - tol, vals > w.level - w.scale + tol).any()
 
 
 def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tuple[VcResult, ...]:

@@ -42,12 +42,15 @@ def chi_mean(n: int) -> float:
     return math.sqrt(2.0) * math.exp(gammaln((n + 1) / 2.0) - gammaln(n / 2.0))
 
 
-def sequential_min_sign(x, norm, rng):
+def sequential_min_sign(vectors, norm, rng):
     """Reference heuristic: each restart signed greedily, then swept one flip per norm call.
 
-    Restart orders, tie rule and the relative 1e-15 descent threshold are
-    those of min_sign_norm. Returns (value, signs) with signs[0] = +1.
+    It searches the table of complexity._sign_table, as min_sign_norm does;
+    restart orders, tie rule and the relative 1e-15 descent threshold are
+    also min_sign_norm's. The value is recomputed from the signs at the unit
+    peak and scaled back. Returns (value, signs) with signs[0] = +1.
     """
+    unit, x, e = complexity._sign_table(vectors, norm)
     count = x.shape[0]
     gen = rng.generator()
     orders = [tuple(np.argsort(-banach_norm(x, norm), kind="stable").tolist())]
@@ -79,7 +82,7 @@ def sequential_min_sign(x, norm, rng):
             best_val, best_signs = val, signs.copy()
     if best_signs[0] < 0:
         best_signs = -best_signs
-    return best_val, tuple(int(s) for s in best_signs)
+    return math.ldexp(banach_norm(best_signs @ unit, norm), e), tuple(int(s) for s in best_signs)
 
 
 @st.composite
@@ -102,6 +105,29 @@ def sign_inputs(draw, norms=("sup", 2.0, 1.0, 3.0)):
     else:
         x = (np.eye(count) * g.choice([-1.0, 1.0], size=(count, 1)))[g.permutation(count)]
     return x, draw(st.sampled_from(norms)), RngStream(draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def euclidean_inputs(draw):
+    """(vectors, rotation): 1 to 8 vectors in R^1..R^10 and a random orthogonal matrix.
+
+    Entries are Gaussian, +-1 or rounded to 2 decimals; or one vector is
+    repeated with random signs; or the rows are spread over 16 decades.
+    """
+    kind = draw(st.sampled_from(["gaussian", "sign", "decimal", "repeated", "scaled"]))
+    count, dim = draw(st.integers(1, 8)), draw(st.integers(1, 10))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "gaussian":
+        x = g.standard_normal((count, dim))
+    elif kind == "sign":
+        x = g.choice([-1.0, 1.0], size=(count, dim))
+    elif kind == "decimal":
+        x = np.round(g.uniform(-1.0, 1.0, size=(count, dim)), 2)
+    elif kind == "repeated":
+        x = g.standard_normal((1, dim)) * g.choice([-1.0, 1.0], size=(count, 1))
+    else:
+        x = g.standard_normal((count, dim)) * 10.0 ** g.integers(-8, 9, size=(count, 1))
+    return x, np.linalg.qr(g.standard_normal((dim, dim)))[0]
 
 
 def reference_sups(cols, wt):
@@ -437,7 +463,7 @@ class TestMinSignNorm:
     def test_duplicated_vector_cancels(self):
         v = np.array([0.3, -0.7])
         res = min_sign_norm([v, v], mode="exact")
-        assert res.value == pytest.approx(0.0, abs=1e-12)
+        assert res.value == 0.0
         assert res.signs == (1, -1)
 
     def test_single_vector(self):
@@ -519,8 +545,10 @@ class TestMinSignNorm:
     def test_errors(self):
         with pytest.raises(SizeCapError):
             min_sign_norm(np.eye(25), mode="exact")
-        with pytest.raises(InputError):
-            min_sign_norm(np.eye(3), mode="annealing")
+        for vectors in (np.eye(3), [[1.0, 0.0]]):
+            with pytest.raises(InputError) as exc:
+                min_sign_norm(vectors, mode="annealing")
+            assert exc.value.code == "BAD_MODE"
         for vectors, code in [([], "EMPTY_INPUT"), (np.zeros((0, 3)), "EMPTY_INPUT"),
                               ([np.ones(2), np.ones(3)], "DIMENSION"),
                               (np.ones(3), "DIMENSION"), (np.ones((2, 2, 2)), "DIMENSION"),
@@ -543,6 +571,30 @@ class TestMinSignNorm:
         scaled = min_sign_norm(np.ldexp(x, j), norm=norm, mode="heuristic", rng=rng)
         assert scaled.signs == base.signs
         assert scaled.value == math.ldexp(base.value, j)
+
+    @given(case=euclidean_inputs())
+    def test_euclidean_search_in_span_coordinates(self, case):
+        # the search runs on the rows' coordinates in their span, an isometry
+        # that rounds; the value is recomputed from the signs at the unit peak
+        x, rot = case
+        res = min_sign_norm(x, norm=2.0, mode="exact")
+        tol = 1e-12 * float(np.linalg.norm(x, axis=1).sum())
+        brute = min(float(np.linalg.norm(np.asarray(pat) @ x))
+                    for pat in itertools.product((1.0, -1.0), repeat=x.shape[0]))
+        assert abs(res.value - brute) <= tol
+        assert abs(min_sign_norm(x @ rot, norm=2.0, mode="exact").value - res.value) <= tol
+        unit, e = core.unit_peak(x)
+        assert res.value == math.ldexp(banach_norm(np.asarray(res.signs, float) @ unit, 2.0), e)
+
+    def test_float_range(self):
+        # at the data's scale the squares underflow to 0 or overflow to inf
+        tiny = min_sign_norm([[1e-170, 0.0], [0.0, 1e-170]])
+        assert tiny.value == pytest.approx(math.sqrt(2.0) * 1e-170, rel=1e-15)
+        huge = min_sign_norm([[1e200, 1e200], [1e200, -1e200]])
+        assert huge.value == pytest.approx(2e200, rel=1e-15)
+        with pytest.raises(InputError) as exc:
+            min_sign_norm([[1.5e308, 1.5e308]])
+        assert exc.value.code == "OVERFLOW"
 
     def test_heuristic_norm_calls(self, monkeypatch):
         # one call for the row norms, one per lockstep greedy step, and per
@@ -620,6 +672,21 @@ class TestTypeInfratypeReport:
         a = type_infratype_report(vecs, trials=300, rng=RngStream(68))
         b = type_infratype_report(vecs, trials=300, rng=RngStream(68))
         assert a == b
+
+    def test_float_range(self):
+        # the Gaussian side and each sign minimum work at a unit peak, so a
+        # power-of-two scaling moves no bit of the ratios, and 1e-170 still averages
+        base = type_infratype_report(np.eye(8), trials=2000, rng=RngStream(69))
+        scaled = type_infratype_report(np.ldexp(np.eye(8), -600), trials=2000, rng=RngStream(69))
+        assert scaled.gaussian_mean == math.ldexp(base.gaussian_mean, -600)
+        assert scaled.gaussian_std_error == math.ldexp(base.gaussian_std_error, -600)
+        assert [r.c_emp for r in scaled.rows] == [r.c_emp for r in base.rows]
+        assert [r.m_emp for r in scaled.rows] == [math.ldexp(r.m_emp, -600) for r in base.rows]
+        tiny = type_infratype_report(1e-170 * np.eye(8), trials=2000, rng=RngStream(69))
+        assert tiny.flags == ()
+        assert tiny.gaussian_mean == pytest.approx(1e-170 * base.gaussian_mean, rel=1e-14)
+        for a, b in zip(tiny.rows, base.rows):
+            assert a.c_emp == pytest.approx(b.c_emp, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(InputError):

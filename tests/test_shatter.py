@@ -826,7 +826,48 @@ class TestDualBallClass:
         assert np.array_equal(F.values[3:], -x.T)
 
 
+def loop_verify_witness(F, w, tol=1e-9):
+    """verify_witness one pattern and one point at a time: its reference."""
+    cols = w.sigma.zero_based()
+    for pat, who in w.assignment.items():
+        if isinstance(who, (int, np.integer)):
+            vals = F.values[int(who), cols]
+        else:
+            weights = np.asarray(who, dtype=float)
+            if np.any(weights < -tol) or abs(weights.sum() - 1.0) > 1e-7:
+                return False
+            vals = weights @ F.values[:, cols]
+        for x, e in enumerate(pat):
+            if e > 0 and vals[x] < w.level[x] + w.scale - tol:
+                return False
+            if e < 0 and vals[x] > w.level[x] - w.scale + tol:
+                return False
+    return True
+
+
 class TestVerifyWitness:
+    @given(seed=st.integers(0, 2**32 - 1), hull=st.booleans())
+    def test_matches_the_loop_reference(self, seed, hull):
+        # shifted levels, scales and weights make some witnesses fail; the
+        # verdict must be the reference's either way
+        from coordproj.shatter import ShatterWitness
+
+        g = np.random.default_rng(seed)
+        if hull:
+            F = dual_ball_class(hadamard(4).astype(float))
+            w = vc_convex_hull(F, full_subset(4), 0.25)
+            # reweighted, the weights stay nonnegative and still sum to 1
+            factors = g.uniform(0.9, 1.1, (len(w.assignment), F.m))
+            assignment = {pat: who * f / (who * f).sum()
+                          for (pat, who), f in zip(w.assignment.items(), factors)}
+        else:
+            F = sign_class(3)
+            w = is_shattered(F, full_subset(3), 0.5)
+            assignment = w.assignment
+        bad = ShatterWitness(w.sigma, w.level + g.normal(0.0, 0.2 * w.scale, w.sigma.size),
+                             assignment, w.scale * g.uniform(0.5, 2.5))
+        assert verify_witness(F, bad) == loop_verify_witness(F, bad)
+
     def test_rejects_tampered_level(self):
         F = sign_class(2)
         w = is_shattered(F, full_subset(2), 1.0)
@@ -838,6 +879,30 @@ class TestVerifyWitness:
             assignment=w.assignment,
             scale=w.scale,
         )
+        assert not verify_witness(F, bad)
+
+    @pytest.mark.parametrize("fault", ["negative", "sum", "side"])
+    def test_rejects_each_corrupt_hull_weight_vector(self, fault):
+        # rows 0 and 4 of the dual ball class are repeated as rows 8 and 9, so
+        # weight moved between a row and its copy leaves every value in place
+        from coordproj.shatter import ShatterWitness
+
+        base = dual_ball_class(hadamard(4).astype(float)).values
+        F = FunctionClass(np.vstack([base, base[[0, 4]]]))
+        w = vc_convex_hull(F, full_subset(4), 0.25)
+        assert verify_witness(F, w)
+        pat = next(iter(w.assignment))
+        b = np.array(w.assignment[pat], dtype=float)
+        if fault == "negative":
+            b[0] += b[8] + 0.1
+            b[8] = -0.1
+        elif fault == "sum":
+            b *= 1.001
+        else:
+            b = np.asarray(w.assignment[tuple(-e for e in pat)], dtype=float)
+        clears = np.all(np.asarray(pat) * (b @ F.values - w.level) >= w.scale)
+        assert clears == (fault != "side")
+        bad = ShatterWitness(w.sigma, w.level, {**w.assignment, pat: b}, w.scale)
         assert not verify_witness(F, bad)
 
     def test_rejects_bad_weights(self):
