@@ -27,7 +27,7 @@ from .complexity import (
     type_infratype_report,
 )
 from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError,
-                   RngStream, SizeCapError)
+                   RngStream, SizeCapError, check_count)
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
@@ -323,6 +323,7 @@ def _run_entropy(args, data, rng):
 
 def _run_complexity(args, data, rng):
     F = FunctionClass(data)
+    k_max = check_count(args.kmax, "k_max", 1, "BAD_K")  # checked with or without --eps
     results: dict = {"trials": args.trials}
     flags: set = set()
     csv = None
@@ -337,7 +338,7 @@ def _run_complexity(args, data, rng):
         results["ell"] = _estimate_json(
             ell_parameter(F, args.k, trials=args.trials, rng=rng.substream(2), kind=kind))
     if args.eps is not None:
-        tres = t_parameter(F, args.eps, args.kmax, trials=args.trials,
+        tres = t_parameter(F, args.eps, k_max, trials=args.trials,
                            rng=rng.substream(3), kind=kind)
         results["t_parameter"] = {
             "value": tres.value,

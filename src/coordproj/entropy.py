@@ -214,7 +214,7 @@ def entropy_inequality_audit(F: FunctionClass, t_grid, c_assumed: float = 0.25) 
     check_bounded_by_one(F.values, "the audited class")
 
     rows: list[EntropyAuditRow] = []
-    flags: list[str] = []
+    flags: set[str] = set()
     k_fit = 0.0
     dist = pairwise_l2_distances(F)
     is_exact = F.m <= _EXACT_COVERING_MAX
@@ -227,7 +227,7 @@ def entropy_inequality_audit(F: FunctionClass, t_grid, c_assumed: float = 0.25) 
         if vc == 0:
             term = None
             if n_cover > 1:
-                flags.append("VC_ZERO_ANOMALY")
+                flags.add("VC_ZERO_ANOMALY")
         else:
             term = log_n / (vc * math.log(2.0 / t))
             k_fit = max(k_fit, term)
@@ -244,4 +244,5 @@ def entropy_inequality_audit(F: FunctionClass, t_grid, c_assumed: float = 0.25) 
         protocol=protocol,
         inputs_digest=digest_inputs(F.values, np.asarray(grid), c_assumed),
     )
-    return EntropyAudit(constant=constant, rows=tuple(rows), c_assumed=c_assumed, flags=tuple(flags))
+    return EntropyAudit(constant=constant, rows=tuple(rows), c_assumed=c_assumed,
+                        flags=tuple(sorted(flags)))

@@ -99,32 +99,20 @@ def _report(v: np.ndarray, rotated: np.ndarray, subset: CoordinateSubset, psi2_m
     )
 
 
-def coordinate_jl(
-    vectors,
-    eps: float,
-    rng: RngStream,
-    c_fit: float = DEFAULT_JL_CONSTANT,
-    operator: np.ndarray | None = None,
-    force_delta: float | None = None,
-) -> DistortionReport:
+def coordinate_jl(vectors, eps: float, rng: RngStream,
+                  c_fit: float = DEFAULT_JL_CONSTANT) -> DistortionReport:
     """Rotate a family of unit vectors and keep a random coordinate subset.
 
     Pipeline: draw a Haar rotation O, measure M = max_i psi_2(O f_i),
     target |sigma| = ceil((c_fit M / eps)^2 log n) capped at n, draw mean-
-    |sigma|/n selectors, and report the norm distortions.  `operator` and
-    `force_delta` override the random choices (test hooks).
+    |sigma|/n selectors, and report the norm distortions.
 
     Vectors must be unit-normalized in L_2^n, i.e. mean f(i)^2 = 1.
     """
     v = _unit_family(vectors, eps)
     c_fit = check_positive(c_fit, "c_fit", "BAD_CONSTANT")
-    count, n = v.shape
-    if force_delta is not None and not (0.0 < force_delta <= 1.0):
-        raise InputError("BAD_DELTA", "forced delta must lie in (0, 1]")
-
-    rotated, m_psi = _rotate(v, rng, operator)
-    return _compress(v, rotated, m_psi, eps, c_fit, rng, force_delta,
-                     ["MANY_VECTORS"] if count > n else [])
+    rotated, m_psi = _rotate(v, rng)
+    return _compress(v, rotated, m_psi, eps, c_fit, rng)
 
 
 def _unit_family(vectors, eps: float) -> np.ndarray:
@@ -140,7 +128,7 @@ def _unit_family(vectors, eps: float) -> np.ndarray:
     return v
 
 
-def _rotate(v: np.ndarray, rng: RngStream, operator: np.ndarray | None) -> tuple[np.ndarray, float]:
+def _rotate(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, float]:
     """The rotated rows V O^T and M = max_i psi_2(O f_i).
 
     For k < n rows, V^T = Q_V C (reduced QR) gives V O^T = C^T (O Q_V)^T,
@@ -148,9 +136,7 @@ def _rotate(v: np.ndarray, rng: RngStream, operator: np.ndarray | None) -> tuple
     O(n k^2) work in place of O(n^3).
     """
     count, n = v.shape
-    if operator is not None:
-        rotated = v @ operator.T
-    elif count < n:
+    if count < n:
         c = np.linalg.qr(v.T, mode="r")
         rotated = c.T @ haar_frame(n, count, rng.substream(0)).T
     else:
@@ -159,19 +145,16 @@ def _rotate(v: np.ndarray, rng: RngStream, operator: np.ndarray | None) -> tuple
 
 
 def _compress(v: np.ndarray, rotated: np.ndarray, m_psi: float, eps: float, c_fit: float,
-              rng: RngStream, force_delta: float | None, flags: list[str]) -> DistortionReport:
+              rng: RngStream) -> DistortionReport:
     """Target cardinality, selector draw and norm ratios of one rotated family."""
-    n = v.shape[1]
-    if force_delta is not None:
-        delta = float(force_delta)
-        target = int(round(delta * n))
-    else:
-        # past n the bound exceeds n whatever the log, and the square stays finite
-        target = math.ceil(min(c_fit * m_psi / eps, n) ** 2 * math.log(n))
-        if target >= n:
-            target = n
-            flags.append("NO_COMPRESSION")
-        delta = target / n
+    count, n = v.shape
+    flags = ["MANY_VECTORS"] if count > n else []
+    # past n the bound exceeds n whatever the log, and the square stays finite
+    target = math.ceil(min(c_fit * m_psi / eps, n) ** 2 * math.log(n))
+    if target >= n:
+        target = n
+        flags.append("NO_COMPRESSION")
+    delta = target / n
 
     draw = draw_selectors(n, delta, rng.substream(1))
     if draw.subset.size == 0:
@@ -240,7 +223,7 @@ def _jl_hits(n: int, eps: float, seeds: int, grid: list[float]) -> list[int]:
     hits = [0] * len(grid)
     for seed in range(seeds):
         rng = RngStream(seed)
-        rotated, m_psi = _rotate(basis, rng, None)
+        rotated, m_psi = _rotate(basis, rng)
         for j, c in enumerate(grid):
-            hits[j] += _compress(basis, rotated, m_psi, eps, c, rng, None, []).max_deviation <= eps
+            hits[j] += _compress(basis, rotated, m_psi, eps, c, rng).max_deviation <= eps
     return hits

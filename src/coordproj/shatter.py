@@ -97,7 +97,17 @@ def _pattern_table(k: int) -> tuple[tuple, np.ndarray, np.ndarray]:
     return tuple(map(tuple, table.tolist())), table, codes
 
 
-def _least_carriers(sub: np.ndarray, two_t: float, order: np.ndarray) -> list[int] | None:
+def _clears(high, low, t: float):
+    """high - low >= 2t elementwise, the one float test of a gap. An overflowed difference is
+    +inf and compares right; where 2t overflows, halves are compared with t instead, and
+    halving is exact on the large values that can span such a gap."""
+    if math.isinf(2.0 * t):
+        return high / 2.0 - low / 2.0 >= t
+    with np.errstate(over="ignore"):
+        return high - low >= 2.0 * t
+
+
+def _least_carriers(sub: np.ndarray, t: float, order: np.ndarray) -> list[int] | None:
     """The least first-carrier vector over the surviving cut choices, or None.
 
     One cut per column of sub gives each row a code (bit x set where it is
@@ -108,8 +118,7 @@ def _least_carriers(sub: np.ndarray, two_t: float, order: np.ndarray) -> list[in
     """
     (m, k), half = sub.shape, 1 << (sub.shape[1] - 1)
     s = np.sort(sub, axis=0)
-    with np.errstate(over="ignore"):  # an overflowed difference is +-inf and compares right
-        gap = s[None] - s[:, None] >= two_t  # gap[i, l, x]: s[l, x] - s[i, x] clears 2t
+    gap = _clears(s[None], s[:, None], t)  # gap[i, l, x]: s[l, x] - s[i, x] clears 2t
     top = np.where(gap[:, -1], s[gap.argmax(axis=1), np.arange(k)], np.inf)  # no hi: nothing high
     low, high = sub.T <= s[..., None], sub.T >= top[..., None]  # [i, x, row]: the cut at s[i, x]
     # each side of a point carries half the patterns, each with its own row; and of the
@@ -154,8 +163,8 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
     for |sigma| <= _MAX_SIGMA and at most _MAX_FUNCTIONS functions.
     The witness is the lexicographically least feasible assignment, with
     patterns by descending +1 count and the level midway between the
-    assigned high and low values. It is checked by substitution before it
-    is returned; CertificateError is raised if it fails.
+    assigned high and low values. It is certified by its gaps (_gaps_clear),
+    with no tolerance; CertificateError is raised if one falls short.
     """
     t = check_positive(t, "shattering scale")
     if sigma.size == 0:
@@ -166,8 +175,7 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
     if k > _MAX_SIGMA or m > _MAX_FUNCTIONS:
         # the cuts of a column: its values that some value clears by 2t
         sub = F.values[:, sigma.zero_based()]
-        with np.errstate(over="ignore"):  # an overflowed difference is +inf and compares right
-            cost = math.prod(float(np.count_nonzero(u[-1] - u >= 2.0 * t)) for u in map(np.unique, sub.T))
+        cost = math.prod(float(np.count_nonzero(_clears(u[-1], u, t))) for u in map(np.unique, sub.T))
         over = (f"|sigma| = {k} exceeds cap {_MAX_SIGMA}" if k > _MAX_SIGMA
                 else f"class size {m} exceeds cap {_MAX_FUNCTIONS}")
         raise SizeCapError(f"{over}; up to {cost:.3g} cut combinations", cost_estimate=cost)
@@ -181,17 +189,22 @@ def _search_cuts(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
         return None
     sub = F.values[:, sigma.zero_based()]
     pats, table, order = _pattern_table(k)
-    first = _least_carriers(sub, 2.0 * t, order)
+    first = _least_carriers(sub, t, order)
     if first is None:
         return None
     min_high = np.where(table > 0, sub[first], np.inf).min(axis=0)
     max_low = np.where(table < 0, sub[first], -np.inf).max(axis=0)
+    if not _gaps_clear(min_high, max_low, t):
+        raise CertificateError("cut-search witness: an assigned gap falls short of 2t")
     # halves first: the sum of two levels near the float maximum overflows
     level = min_high / 2.0 + max_low / 2.0
-    witness = ShatterWitness(sigma, level, dict(zip(pats, first)), scale=t)
-    if not verify_witness(F, witness, tol=1e-12):
-        raise CertificateError("cut-search witness failed substitution")
-    return witness
+    return ShatterWitness(sigma, level, dict(zip(pats, first)), scale=t)
+
+
+def _gaps_clear(min_high: np.ndarray, max_low: np.ndarray, t: float) -> bool:
+    """The cut search's certificate: its own gap test (_clears) at every point, which a
+    correct assignment passes at every scale because float subtraction is monotone."""
+    return bool(_clears(min_high, max_low, t).all())
 
 
 def verify_witness(F: FunctionClass, w: ShatterWitness, tol: float = 1e-9) -> bool:
@@ -296,10 +309,10 @@ def l1_domination(
     - "exact-lp": past that, one LP per sign orthant, 2^(c-1) of them.
 
     Independent points are capped at _MAX_EXACT_DOMINATION.  Every exact
-    path raises CertificateError if its minimizer misses the reported
-    value by more than 10 * _LP_FEAS_TOL.  Sampled mode: minimum over
-    `samples` random and structured directions, which only *over*-estimates
-    epsilon_star.
+    path raises CertificateError if, at the unit peak (core.unit_peak), its
+    minimizer misses the value by more than 10 * _LP_FEAS_TOL.  Sampled
+    mode: minimum over `samples` random and structured directions, which
+    only *over*-estimates epsilon_star.
 
     epsilon_star > 0 iff the points are linearly independent.
     """
@@ -317,10 +330,8 @@ def l1_domination(
             raise InputError("UNSUPPORTED_NORM", "exact mode supports the sup norm only")
         # epsilon_star is homogeneous: a unit peak keeps the vertices inside the float range
         unit, e = unit_peak(x)
-        a = _null_vector(unit)
-        if a is not None:
-            method, value = "exact-rank", float(banach_norm(a @ x, "sup"))
-        else:
+        method, a = "exact-rank", _null_vector(unit)
+        if a is None:
             method, cost, work = _exact_cost(count, dim)
             if count > _MAX_EXACT_DOMINATION:
                 raise SizeCapError(
@@ -329,11 +340,13 @@ def l1_domination(
                 )
             solve = _vertex_domination if method == "exact-vertex" else _orthant_domination
             value, a = solve(unit)
-            value = math.ldexp(value, e)
-        attained = float(banach_norm(a @ x, "sup"))
-        if not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
-            raise CertificateError(f"{method} minimizer attains {attained!r}, not {value!r}")
-        return DominationResult(value, a, method)
+        attained = float(banach_norm(a @ unit, "sup"))
+        if method == "exact-rank":
+            value = attained  # a null vector's value is the one it attains
+        elif not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
+            raise CertificateError(f"{method} minimizer attains {math.ldexp(attained, e)!r},"
+                                   f" not {math.ldexp(value, e)!r}")
+        return DominationResult(math.ldexp(value, e), a, method)
 
     if mode != "sampled":
         raise InputError("BAD_INPUT", f"mode must be 'exact' or 'sampled', got {mode}")

@@ -156,11 +156,27 @@ class TestExitCodes:
         assert exc.value.code == 2
 
     def test_failed_certificate(self, sign_csv, capsys, monkeypatch):
-        monkeypatch.setattr(shatter, "verify_witness", lambda *a, **k: False)
+        monkeypatch.setattr(shatter, "_gaps_clear", lambda *a: False)
         code = main(["shatter", "--input", sign_csv, "--t", "0.5"])
         assert code == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "CERTIFICATE"
+
+    def test_corrupted_solvers_exit_5(self, tmp_path, capsys, monkeypatch):
+        # swapped carriers fail their gaps, and a doubled domination value fails at the
+        # unit peak though at the data's scale 1e-8 it is off by only 5e-9
+        search, solve = shatter._least_carriers, shatter._vertex_domination
+        monkeypatch.setattr(shatter, "_least_carriers", lambda *a: search(*a)[::-1])
+        monkeypatch.setattr(shatter, "_vertex_domination",
+                            lambda x: (2.0 * solve(x)[0], solve(x)[1]))
+        signs = write_csv(tmp_path / "signs.csv", np.array([[1.0], [-1.0]]))
+        tiny = write_csv(tmp_path / "tiny.csv", 1e-8 * np.array([[1.0, 0.3], [0.2, -1.0]]))
+        for argv in (["shatter", "--input", signs, "--t", "0.5"],
+                     ["hull", "--input", tiny, "--t", "1e-9"]):
+            assert main(argv) == 5
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"]["code"] == "CERTIFICATE"
 
     @pytest.mark.parametrize("rows, exit_code", [
         ([[1e308, 0.0, -1.0], [1.0, 1.0, 1.0]], 0),
@@ -499,6 +515,15 @@ class TestEntropyCommand:
         assert const["protocol"]
         assert len(report["results"]["rows"]) == 2
 
+    def test_flags_are_a_sorted_set(self, tmp_path, capsys):
+        # two distinct rows cover apart at t = 0.1 and 0.2 with no shattering at c t,
+        # which flags each scale; the report names the flag once
+        path = write_csv(tmp_path / "pair.csv", np.array([[0.0, 0.0], [0.5, 0.5]]))
+        assert main(["entropy", "--input", path, "--t-grid", "0.1,0.2", "--c-assumed", "4"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert [row["vc"] for row in report["results"]["rows"]] == [0, 0]
+        assert report["flags"] == ["VC_ZERO_ANOMALY"]
+
 
 class TestComplexityCommand:
     def test_both_kinds_with_t(self, sign_csv, capsys, tmp_path):
@@ -522,6 +547,16 @@ class TestComplexityCommand:
         assert "ell" in report["results"]
         assert "rademacher" not in report["results"]
         assert report["results"]["ell"]["support"]
+
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.5"]], ids=["alone", "with-eps"])
+    @pytest.mark.parametrize("kmax", ["0", "-3"])
+    def test_kmax_out_of_range_exits_2(self, sign_csv, capsys, extra, kmax):
+        # no flag is accepted and then ignored: --kmax is checked without --eps too
+        assert main(["complexity", "--input", sign_csv, "--trials", "100", "--kmax", kmax,
+                     *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "BAD_K"
 
 
 class TestTypecmpCommand:

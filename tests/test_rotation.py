@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from coordproj import orlicz, rotation
 from coordproj.core import CertificateError, CoordinateSubset, InputError, RngStream
-from coordproj.orlicz import psi_norm
+from coordproj.orlicz import psi_norm, psi_norms
 from coordproj.rotation import (
     coordinate_jl,
     fit_jl_constant,
@@ -15,6 +15,7 @@ from coordproj.rotation import (
     haar_orthogonal,
     scaled_basis,
 )
+from coordproj.selector import draw_selectors
 
 
 class TestHaarOrthogonal:
@@ -131,14 +132,16 @@ class TestCoordinateJl:
 
     def test_identity_operator_spike_needs_everything(self):
         # an unrotated basis vector concentrates on one coordinate, so the
-        # ratio is either 0 or sqrt(n / |sigma|); the experiment degrades
-        # gracefully rather than erroring
+        # ratio is either 0 or sqrt(n / |sigma|)
         b = scaled_basis(8)
-        rep = coordinate_jl(b, 0.5, RngStream(3), c_fit=0.6, operator=np.eye(8),
-                            force_delta=0.5)
-        present = rep.sigma.size
-        if 0 < present < 8:
-            assert rep.max_deviation >= math.sqrt(8 / present) - 1.0 - 1e-9
+        for seed in range(4):
+            subset = draw_selectors(8, 0.5, RngStream(3, seed)).subset
+            rep = _report(b, np.eye(8), subset)
+            kept = np.isin(np.arange(1, 9), subset.indices)
+            want = np.where(kept, math.sqrt(8 / max(subset.size, 1)), 0.0)
+            assert np.allclose(rep.per_vector_ratio, want, rtol=1e-12, atol=0.0)
+            if 0 < subset.size < 8:
+                assert rep.max_deviation >= math.sqrt(8 / subset.size) - 1.0 - 1e-9
 
     def test_target_formula_and_determinism(self):
         b = scaled_basis(32)
@@ -203,7 +206,7 @@ class TestFramePath:
         v = np.random.default_rng(seed).standard_normal((k, n))
         v[k - min(duplicates, k - 1):] = v[0]
         v /= np.sqrt(np.mean(v**2, axis=1, keepdims=True))
-        rotated, _ = rotation._rotate(v, RngStream(seed), None)
+        rotated, _ = rotation._rotate(v, RngStream(seed))
         assert rotated.shape == (k, n)
         # rows have squared Euclidean norm n
         assert np.abs(rotated @ rotated.T - v @ v.T).max() <= 1e-10 * n
@@ -214,9 +217,9 @@ class TestFramePath:
         v = np.random.default_rng(21).standard_normal((k, n))
         v[0] = scaled_basis(n)[0]
         v /= np.sqrt(np.mean(v**2, axis=1, keepdims=True))
-        frame = [coordinate_jl(v, 0.25, RngStream(s)).psi2_max for s in range(seeds)]
-        full = [coordinate_jl(v, 0.25, RngStream(s), operator=haar_orthogonal(n, RngStream(s, 1)))
-                .psi2_max for s in range(seeds)]
+        frame = [rotation._rotate(v, RngStream(s))[1] for s in range(seeds)]
+        full = [psi_norms(v @ haar_orthogonal(n, RngStream(s, 1)).T, 2.0).values.max()
+                for s in range(seeds)]
         pooled = np.sort(frame + full)
         ecdf = [np.searchsorted(np.sort(x), pooled, side="right") / seeds for x in (frame, full)]
         statistic = np.abs(ecdf[0] - ecdf[1]).max()

@@ -6,7 +6,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import hadamard
 
@@ -402,10 +402,23 @@ class TestIsShattered:
 
     def test_failed_witness_raises(self, monkeypatch):
         # the check must survive python -O, so it cannot be an assert
-        monkeypatch.setattr(shatter, "verify_witness", lambda *a, **k: False)
+        monkeypatch.setattr(shatter, "_gaps_clear", lambda *a: False)
         with pytest.raises(CertificateError) as exc:
             is_shattered(sign_class(3), full_subset(3), 1.0)
         assert exc.value.code == "CERTIFICATE"
+
+    def test_swapped_carriers_fail_their_gaps(self, monkeypatch):
+        # patterns (+,+,+) and (+,+,-) trading rows put a -1 on the high side of point 3
+        search = shatter._least_carriers
+
+        def swapped(*args):
+            first = search(*args)
+            first[0], first[1] = first[1], first[0]
+            return first
+
+        monkeypatch.setattr(shatter, "_least_carriers", swapped)
+        with pytest.raises(CertificateError, match="gap falls short of 2t"):
+            is_shattered(sign_class(3), full_subset(3), 1.0)
 
     def test_cap_cost_is_the_product_of_cut_counts(self, monkeypatch):
         # each column offers three cuts: lo = 0, 0.25 and 0.5 each have a value 2t above
@@ -529,6 +542,13 @@ class TestVcDimension:
         assert res.witness.level[0] == pytest.approx(1.35e308, rel=1e-15)
         assert verify_witness(F, res.witness)
 
+    def test_gaps_whose_double_scale_overflows(self):
+        # 1e308 - (-8e307) overflows, and so does 2t from t = 8.99e307 on; halves decide:
+        # the gap 1.8e308 reaches 2t = 1.798e308 but not 2t = 1.9e308
+        F = FunctionClass([[1e308], [-0.8e308]])
+        assert [vc_dimension(F, t).dimension for t in (0.899e308, 0.95e308)] == [1, 0]
+        assert vc_dimension(F, 0.899e308).witness.level[0] == 0.5e308 - 0.4e308
+
     def test_max_sigma_truncates(self):
         res = vc_dimension(sign_class(3), 1.0, max_sigma=2)
         assert res.dimension == 2
@@ -567,6 +587,27 @@ class TestVcDimensions:
         assert [r.dimension for r in res] == [2, 2, 2, 0]
         assert res[0] is res[2]
         assert len(calls) == len(set(calls))
+
+    @given(case=vc_grid_cases(), j=st.integers(-1000, 1000))
+    # 2^16 times (-0.1, -0.6) at t = 2^16 / 4: the gap is exactly 2t, and the
+    # midpoint level misses the values by rounding
+    @example(case=(FunctionClass([[-0.1], [-0.6]]), [0.25], None), j=16)
+    def test_scaled_class_at_scaled_scales(self, case, j):
+        # shattering is homogeneous, and a power of two rounds nothing: c F at c t
+        # has the same subsets and assignments, with levels exactly c times as large
+        F, scales, max_sigma = case
+        c = math.ldexp(1.0, j)
+        got = vc_dimensions(F, scales, max_sigma)
+        scaled = vc_dimensions(FunctionClass(c * F.values), [c * t for t in scales], max_sigma)
+        for res, big in zip(got, scaled):
+            assert big.dimension == res.dimension
+            if res.witness is None:
+                assert big.witness is None
+                continue
+            assert big.witness.sigma == res.witness.sigma
+            assert big.witness.assignment == res.witness.assignment
+            assert big.witness.scale == c * res.witness.scale
+            assert np.array_equal(big.witness.level, c * res.witness.level)
 
     def test_empty_grid_and_bad_scales(self):
         assert vc_dimensions(sign_class(2), ()) == ()
@@ -643,6 +684,27 @@ class TestL1Domination:
         assert banach_norm(res.minimizer @ x, "sup") == pytest.approx(res.epsilon_star, rel=1e-12)
         sampled = l1_domination(x, mode="sampled", samples=64, rng=RngStream(213, seed))
         assert sampled.epsilon_star >= res.epsilon_star - 1e-12
+
+    @given(case=domination_cases(), j=st.integers(-1000, 0))
+    def test_scaled_points(self, case, j):
+        # epsilon_star is homogeneous and the exact paths work at the unit peak, so
+        # c x with normal entries takes the same path to the same minimizer
+        _, x = case
+        c = math.ldexp(1.0, j)
+        assume(np.all((x == 0.0) | (np.abs(c * x) >= np.finfo(float).tiny)))
+        res, scaled = l1_domination(x), l1_domination(c * x)
+        assert scaled.method == res.method
+        assert np.array_equal(scaled.minimizer, res.minimizer)
+        assert scaled.epsilon_star == c * res.epsilon_star
+
+    def test_value_is_checked_at_the_unit_peak(self, monkeypatch):
+        # on 1e-8-sized points a doubled value misses the attained one by only 5e-9;
+        # at the unit peak it misses by about 0.5
+        solve = shatter._vertex_domination
+        monkeypatch.setattr(shatter, "_vertex_domination",
+                            lambda x: (2.0 * solve(x)[0], solve(x)[1]))
+        with pytest.raises(CertificateError, match="exact-vertex minimizer attains"):
+            l1_domination(1e-8 * np.array([[1.0, 0.3], [0.2, -1.0]]), mode="exact")
 
     def test_two_equal_points_degenerate(self):
         res = l1_domination(np.array([[0.3, -0.7], [0.3, -0.7]]), mode="exact")
