@@ -7,9 +7,10 @@ generating function, so its Chernoff bound can be computed exactly.
 
 Z and the almost-isometry event read only the selector count K_j within
 each group of equal weights, and K_j ~ Bin(s_j, delta) independently. So
-the Monte Carlo draws count tables, not selector masks, and for weight
-vectors with few distinct values both probabilities are exact sums over
-the count vectors.
+for weight vectors with few distinct values both probabilities are exact
+sums over the count vectors, and the Monte Carlo draws how many trials
+land on each count vector; past that it draws count tables, never
+selector masks.
 """
 
 from __future__ import annotations
@@ -101,7 +102,10 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
     grid = np.geomspace(1e-4, 1e4, 161)
     # one pass holds at most _BLOCK_SCALARS terms; a row's sum is the same in any pass
     step = max(1, _BLOCK_SCALARS // max(1, v.size))
-    vals = np.concatenate([objective(grid[i:i + step]) for i in range(0, grid.size, step)])
+    # past the float range -lam tau is -inf, which the infimum then picks: a bound of 0;
+    # the scalar lam of the polish below are Python floats, which overflow silently
+    with np.errstate(over="ignore"):
+        vals = np.concatenate([objective(grid[i:i + step]) for i in range(0, grid.size, step)])
     k = int(np.argmin(vals))
     lo = math.log(grid[max(k - 1, 0)])
     hi = math.log(grid[min(k + 1, grid.size - 1)])
@@ -203,12 +207,13 @@ def _weight_groups(unit: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return values[order], sizes[order]
 
 
-def _enumerated_probability(sizes: np.ndarray, delta: float, event) -> float | None:
-    """P{event(K)} under K_j ~ Bin(s_j, delta) independently; None past the cap.
+def _count_vectors(sizes: np.ndarray, delta: float):
+    """The count vectors of K_j ~ Bin(s_j, delta) with their probabilities; None past the cap.
 
     The prod (s_j + 1) count vectors are enumerated while they number at most
-    _BLOCK_SCALARS, in (rows, r) float tables of at most one Monte-Carlo block.
-    `event` maps such a table to one bool per row.
+    _BLOCK_SCALARS, in mixed radix with the last group's count varying fastest.
+    Returns an iterator of (counts, p) chunks: a (rows, r) float table of at
+    most one Monte-Carlo block, and the probability of each of its rows.
     """
     r = sizes.size
     # each group at least doubles the count vectors: many groups skip the product
@@ -219,16 +224,31 @@ def _enumerated_probability(sizes: np.ndarray, delta: float, event) -> float | N
         return None
     log_pmfs = [_binomial_log_pmf(int(s), delta) for s in sizes]
     rows = max(1, _BLOCK_SCALARS // max(1, r))
+
+    def chunks():
+        for start in range(0, total, rows):
+            rest = np.arange(start, min(start + rows, total))
+            counts = np.empty((rest.size, r))
+            log_p = np.zeros(rest.size)
+            for j in range(r - 1, -1, -1):
+                rest, k = np.divmod(rest, sizes[j] + 1)
+                counts[:, j] = k
+                log_p += log_pmfs[j][k]
+            yield counts, np.exp(log_p)
+
+    return chunks()
+
+
+def _enumerated_probability(sizes: np.ndarray, delta: float, event) -> float | None:
+    """P{event(K)} under K_j ~ Bin(s_j, delta) independently; None past the cap.
+
+    `event` maps a chunk of `_count_vectors` to one bool per row.
+    """
+    chunks = _count_vectors(sizes, delta)
+    if chunks is None:
+        return None
     hit = miss = 0.0
-    for start in range(0, total, rows):
-        rest = np.arange(start, min(start + rows, total))
-        counts = np.empty((rest.size, r))
-        log_p = np.zeros(rest.size)
-        for j in range(r - 1, -1, -1):  # the last group's count varies fastest
-            rest, k = np.divmod(rest, sizes[j] + 1)
-            counts[:, j] = k
-            log_p += log_pmfs[j][k]
-        p = np.exp(log_p)
+    for counts, p in chunks:
         inside = event(counts)
         hit += float(p[inside].sum())
         miss += float(p[~inside].sum())
@@ -336,22 +356,23 @@ def exact_success_prob(a, delta: float, eps: float) -> float | None:
 def _count_sampler(sizes: np.ndarray, delta: float, rng: RngStream):
     """A function of rows that draws (rows, r) count tables, column j ~ Bin(s_j, delta).
 
-    A group of two or more weights draws one binomial count, O(1) each; a
-    single weight draws one uniform below delta, which is cheaper there. The
-    two kinds come from two substreams, each read in trial order, so
-    successive tables continue one sequence whatever their row counts.
+    The groups of two or more weights that share a size s draw their columns
+    in one call with that one n, which keeps numpy from redoing the binomial
+    set-up for every count; a single weight draws one uniform below delta,
+    which is cheaper there. Each call reads its own substream in trial order,
+    so successive tables continue one sequence whatever their row counts.
     """
     split = int(np.count_nonzero(sizes >= 2))  # _weight_groups puts these first
-    many = rng.substream(0).generator()
     single = rng.substream(1).generator()
+    shared = [(s, np.flatnonzero(sizes[:split] == s), rng.substream(2 + i).generator())
+              for i, s in enumerate(np.unique(sizes[:split]).tolist())]
 
     def draw(rows):
-        ones = single.random((rows, sizes.size - split))
-        np.less(ones, delta, out=ones)  # 1.0 where selected, with no second table
-        if split == 0:
-            return ones
-        return np.concatenate([many.binomial(sizes[:split], delta, size=(rows, split)), ones],
-                              axis=1)
+        counts = np.empty((rows, sizes.size))
+        for s, columns, gen in shared:
+            counts[:, columns] = gen.binomial(s, delta, size=(rows, columns.size))
+        counts[:, split:] = single.random((rows, sizes.size - split)) < delta
+        return counts
 
     return draw
 
@@ -361,14 +382,17 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
     """Monte-Carlo frequencies of two selector events, read off one sample.
 
     Both events read only the selector counts K_j within the groups of equal
-    weights, so each trial draws one row of a count table (`_count_sampler`)
-    rather than a mask of n selectors. Its success is the almost-isometry
-    event: sigma is nonempty and the normalized projection of a lands within
-    (1 +/- eps) of its full norm. When t is given, the same counts give the
-    one- and two-sided frequencies of Z > t delta n, reported against the
-    exact Chernoff bound, the exact probability when the weight vector
-    admits one, and the constant c fitted to exp(-c t^2 delta n / M^2) with
-    M the psi_1 norm.
+    weights. Where the count vectors can be enumerated (`_count_vectors`),
+    one multinomial draw says how many of the trials land on each, and each
+    event is decided once per count vector: the histogram of `trials`
+    independent count vectors has exactly that multinomial law. Past the cap
+    each trial draws one row of a count table (`_count_sampler`). Its
+    success is the almost-isometry event: sigma is nonempty and the
+    normalized projection of a lands within (1 +/- eps) of its full norm.
+    When t is given, the same counts give the one- and two-sided frequencies
+    of Z > t delta n, reported against the exact Chernoff bound, the exact
+    probability when the weight vector admits one, and the constant c
+    fitted to exp(-c t^2 delta n / M^2) with M the psi_1 norm.
 
     Returns the success frequency and the tail report (None without t).
     """
@@ -386,18 +410,26 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
         tau = t * delta * n
         unit_tau = _ldexp(tau, -e)
         shift = delta * unit.sum()
-    draw = _count_sampler(sizes, delta, rng)
 
-    def block(rows):
-        counts = draw(rows)
+    def events(counts):
         stats = [_isometry_hits(counts, values, lo2, hi2)]
         if t is not None:
             z = _row_dot(counts, values) - shift
             stats += [z > unit_tau, z < -unit_tau]
         return np.column_stack(stats)
 
-    # a trial holds its r counts and about six per-trial sums and tests
-    totals, _ = monte_carlo(trials, values.size + 6, block)
+    chunks = _count_vectors(sizes, delta)
+    if chunks is None:
+        draw = _count_sampler(sizes, delta, rng)
+        # a trial holds its r counts and about six per-trial sums and tests
+        totals, _ = monte_carlo(trials, values.size + 6, lambda rows: events(draw(rows)))
+    else:
+        p, hits = zip(*((p, events(counts)) for counts, p in chunks))
+        try:
+            landed = rng.substream(0).generator().multinomial(trials, np.concatenate(p))
+        except OverflowError:  # numpy counts in 64-bit integers
+            raise InputError("BAD_INPUT", f"trials must lie below 2^63, got {trials}") from None
+        totals = (landed @ np.concatenate(hits)).tolist()
     success = totals[0] / trials
     if t is None:
         return success, None

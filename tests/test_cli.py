@@ -123,7 +123,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 8
+        assert report["schema"] == 9
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -668,11 +668,13 @@ class TestArgumentContract:
 
     @pytest.mark.parametrize("argv, rows", [
         (["project", "--delta", "0.5", "--t", "0.5", "--trials", "100"], [[1e308, 1e308, -1e308]]),
+        (["project", "--delta", "0.5", "--trials", "100", "--t", "1e308"],
+         [[1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, -1.0]]),
         (["shatter", "--t", "0.5"], [[1e308, 1.0, -1.0], [-1e308, -1.0, 1.0]]),
         (["jl", "--eps", "0.5"], [[1e308, 1e308, -1e308, 1e308]]),
         (["typecmp", "--trials", "100"], [[1e308, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
         (["hull", "--t", "0.1", "--norm", "2", "--mode", "sampled"], [[1e308, 1e308], [0.5, 0.1]]),
-    ], ids=["project", "shatter", "jl", "typecmp", "hull"])
+    ], ids=["project", "project-huge-t", "shatter", "jl", "typecmp", "hull"])
     def test_weights_near_the_float_maximum_raise_no_warning(self, tmp_path, argv, rows):
         # a fresh interpreter that turns every numpy RuntimeWarning into a traceback
         path = write_csv(tmp_path / "huge.csv", np.array(rows))
@@ -687,7 +689,11 @@ class TestArgumentContract:
             return
         assert (proc.returncode, proc.stderr) == (0, "")
         results = json.loads(proc.stdout)["results"]
-        if argv[0] == "project":
+        if argv[-1] == "1e308":
+            # no sum of the sign rows comes near t delta n
+            assert all(row["tail"]["exact_prob"] == row["tail"]["chernoff_bound"] == 0.0
+                       for row in results["rows"])
+        elif argv[0] == "project":
             # Z > 0.75 is Z > 0 at this scale, as for the weights (1, 1, -1)
             assert abs(results["rows"][0]["tail"]["exact_prob"] - 0.5) <= 2**-52
         else:

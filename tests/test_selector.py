@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import mpmath
@@ -9,7 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.stats import binom, chisquare
 
-from coordproj import core
+from coordproj import core, selector
 from coordproj.core import CoordinateSubset, InputError, RngStream, monte_carlo, unit_peak
 from coordproj.orlicz import psi_norm
 from coordproj.selector import (
@@ -201,6 +202,13 @@ def brute_success(a, delta, eps):
         if k and lo2 <= sum(u * u for b, u in zip(bits, unit) if b) / k <= hi2:
             total += math.prod(delta if b else 1.0 - delta for b in bits)
     return total
+
+
+def forbid_table_sampler(mp):
+    """Make selector_experiment fail if it draws a count table instead of the histogram."""
+    def table_sampler(*args):
+        raise AssertionError("an enumerable input reached the table sampler")
+    mp.setattr(selector, "_count_sampler", table_sampler)
 
 
 def vector_of(kind, n, gen):
@@ -561,9 +569,10 @@ class TestSelectorExperiment:
         v = np.ldexp(vector_of(kind, n, gen), j)
         assume(np.any(v))
         rng = RngStream(seed, 5)
-        want = selector_experiment(v, delta, eps, trials, rng, t=t)
-        with pytest.MonkeyPatch.context() as mp:  # split the trials into many blocks
-            mp.setattr(core, "_BLOCK_SCALARS", block_scalars)
+        with pytest.MonkeyPatch.context() as mp:  # no enumeration: both calls draw count tables
+            mp.setattr(selector, "_BLOCK_SCALARS", 1)
+            want = selector_experiment(v, delta, eps, trials, rng, t=t)
+            mp.setattr(core, "_BLOCK_SCALARS", block_scalars)  # split the trials into many blocks
             got = selector_experiment(v, delta, eps, trials, rng, t=t)
         assert repr(got) == repr(want)
 
@@ -581,11 +590,13 @@ class TestSelectorExperiment:
 
     def test_sampled_counts_follow_the_binomial_law(self):
         # every column, binomial or single-uniform, against Bin(s_j, delta); the
-        # cells of the tails are merged into the first and last cells holding 5
-        sizes = np.array([2, 3, 7, 40, 170, 1, 1, 1])
+        # cells of the tails are merged into the first and last cells holding 5.
+        # The two groups of 7 share one draw, which must fill two distinct columns
+        sizes = np.array([2, 7, 3, 40, 7, 170, 1, 1, 1])
         delta, rows = 0.3, 20_000
         counts = _count_sampler(sizes, delta, RngStream(47))(rows)
         assert counts.shape == (rows, sizes.size)
+        assert not np.array_equal(counts[:, 1], counts[:, 4])
         for column, s in zip(counts.T, sizes):
             observed = np.bincount(column.astype(int), minlength=s + 1)
             assert observed.size == s + 1
@@ -599,10 +610,11 @@ class TestSelectorExperiment:
             exp[-1] += expected[hi:].sum()
             assert chisquare(obs, exp).pvalue > 1e-4, s
 
-    def test_frequencies_agree_with_the_mask_references(self):
-        # independent samples of the count sampler and of per-coordinate masks
+    def test_frequencies_agree_with_the_mask_references(self, monkeypatch):
+        # independent samples of the count histogram and of per-coordinate masks
         v = np.random.default_rng(53).choice([0.0, 0.5, 1.0, 2.0, 3.0], 30)
         delta, eps, t, trials = 0.3, 0.2, 0.2, 20_000
+        forbid_table_sampler(monkeypatch)
         success, tail = selector_experiment(v, delta, eps, trials, RngStream(59), t=t)
         ref_success = reference_isometry(v, delta, eps, trials, RngStream(61))
         ref_tail = reference_tail(v, delta, t, trials, RngStream(61))
@@ -624,6 +636,45 @@ class TestSelectorExperiment:
             assert exact is not None and 0.01 < exact < 0.99
             success, _ = selector_experiment(v, delta, eps, trials, RngStream(71, seed))
             assert abs(success - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
+
+    def test_histogram_and_table_sampler_agree_with_the_exact_law(self, monkeypatch):
+        v = np.random.default_rng(97).choice([0.0, -0.5, 1.0, 2.0], 40)
+        delta, eps, t, trials = 0.4, 0.15, 0.1, 40_000
+        exact = exact_success_prob(v, delta, eps)
+        exact_tail = exact_tail_probability(v, delta, t * delta * v.size)
+        with monkeypatch.context() as mp:
+            forbid_table_sampler(mp)
+            histogram = selector_experiment(v, delta, eps, trials, RngStream(101), t=t)
+        assert histogram[1].exact_prob == exact_tail
+        monkeypatch.setattr(selector, "_BLOCK_SCALARS", 1)  # past every enumeration
+        table = selector_experiment(v, delta, eps, trials, RngStream(101), t=t)
+        assert table[1].exact_prob is None
+        for success, tail in (histogram, table):
+            for p, q in ((success, exact), (tail.empirical_prob, exact_tail)):
+                assert 0.01 < q < 0.99
+                assert abs(p - q) <= 5.0 * math.sqrt(q * (1.0 - q) / trials)
+
+    def test_one_trial_gives_zero_or_one(self, monkeypatch):
+        v = np.random.default_rng(103).choice([0.0, 1.0, 3.0], 20)
+        for gate in (selector._BLOCK_SCALARS, 1):  # the histogram, then the table sampler
+            monkeypatch.setattr(selector, "_BLOCK_SCALARS", gate)
+            for seed in range(20):
+                success, tail = selector_experiment(v, 0.5, 0.3, 1, RngStream(107, seed), t=0.05)
+                assert success in (0.0, 1.0)
+                assert tail.empirical_prob in (0.0, 1.0) and tail.two_sided_prob in (0.0, 1.0)
+
+    def test_a_trillion_trials_cost_one_histogram(self):
+        # the benchmark's row: 200 weights, ones on a random support, zeros elsewhere
+        v = np.zeros(200)
+        v[np.random.default_rng(109).choice(200, size=170, replace=False)] = 1.0
+        start = time.perf_counter()
+        success, tail = selector_experiment(v, 0.3, 0.1, 10**12, RngStream(113), t=0.1525)
+        assert time.perf_counter() - start < 0.5
+        assert 0.0 <= success <= 1.0 and 0.0 < tail.empirical_prob < 1.0
+        assert abs(success - exact_success_prob(v, 0.3, 0.1)) < 1e-5
+        assert abs(tail.empirical_prob - tail.exact_prob) < 1e-5
+        with pytest.raises(InputError):  # past numpy's 64-bit counts
+            selector_experiment(v, 0.3, 0.1, 2**63, RngStream(113), t=0.1525)
 
 
 class TestExactSuccess:
