@@ -31,7 +31,7 @@ from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
-from .selector import exact_success_prob, selector_experiment
+from .selector import _selector_experiment
 from .shatter import (_DEFAULT_MAX_HULL_SIGMA, _LP_FEAS_TOL, dual_ball_class, l1_domination,
                       vc_convex_hull, vc_dimension)
 
@@ -214,9 +214,8 @@ def _run_project(args, data, rng):
     if args.t is not None:
         header += ["empirical_prob", "chernoff_bound", "fitted_c"]
     for i, vec in enumerate(data):
-        success, tail = selector_experiment(vec, args.delta, args.eps, args.trials,
-                                            rng.substream(2 * i + 1), t=args.t)
-        exact = exact_success_prob(vec, args.delta, args.eps)
+        success, exact, tail = _selector_experiment(vec, args.delta, args.eps, args.trials,
+                                                    rng.substream(2 * i + 1), t=args.t)
         entry = {"index": i + 1, "success_prob": success, "exact_success_prob": exact}
         line = [i + 1, success, exact if exact is not None else math.nan]
         if tail is not None:

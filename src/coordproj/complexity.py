@@ -520,12 +520,16 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
     runs from E/n to 1 by the trapezoid rule on a uniform grid, and
     vc is evaluated exactly at each grid point. Classes must be
     bounded by 1. Flag INTEGRAL_ZERO marks a vanishing dimension
-    profile, in which case the fitted value degenerates.
+    profile, in which case the fitted value degenerates. More than
+    _BLOCK_SCALARS grid points raise SizeCapError before any work.
     """
     trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     grid_points = check_count(grid_points, "grid_points", 2, "BAD_GRID")
+    if grid_points > _BLOCK_SCALARS:
+        raise SizeCapError(f"{grid_points} grid points exceed cap {_BLOCK_SCALARS}",
+                           cost_estimate=float(grid_points))
     check_bounded_by_one(F.values, "the audited class")
     n = F.n
     est = gaussian_complexity(F, None, trials=trials, rng=rng.substream(0))

@@ -89,12 +89,18 @@ def chernoff_tail_bound(a, delta: float, t: float) -> float:
 
     The exponent is convex in lam; the infimum is located on a logarithmic
     grid over [1e-4, 1e4], evaluated in passes of many points, and polished by
-    golden-section search between the bracketing grid neighbours.
+    golden-section search between the bracketing grid neighbours. The bound
+    is homogeneous in (a, t), so the search runs on a and t times 2^-e, with
+    the peak |a| in [1, 2): a power of two rounds nothing, and the grid is in
+    the units of the weights.
     """
     v = as_vector(a)
     delta = _check_delta(delta)
     t = check_positive(t, "threshold scale t")
-    tau = t * delta * v.size
+    v, e = unit_peak(v)
+    if v.any():
+        v, e = 2.0 * v, e - 1
+    tau = _ldexp(t, -e) * delta * v.size
 
     def objective(lam):
         return -lam * tau + _log_mgf(v, delta, lam)
@@ -247,9 +253,13 @@ def _enumerated_probability(sizes: np.ndarray, delta: float, event) -> float | N
     chunks = _count_vectors(sizes, delta)
     if chunks is None:
         return None
+    return _event_probability((p, event(counts)) for counts, p in chunks)
+
+
+def _event_probability(chunks) -> float:
+    """The probability of an event from (p, inside) chunks of `_count_vectors` rows."""
     hit = miss = 0.0
-    for counts, p in chunks:
-        inside = event(counts)
+    for p, inside in chunks:
         hit += float(p[inside].sum())
         miss += float(p[~inside].sum())
     # a light side is summed, keeping its relative accuracy; a heavy one is 1 minus
@@ -396,6 +406,15 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
 
     Returns the success frequency and the tail report (None without t).
     """
+    success, _, tail = _selector_experiment(a, delta, eps, trials, rng, t)
+    return success, tail
+
+
+def _selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream,
+                         t: float | None = None):
+    """selector_experiment, with the exact success probability in the middle: the bits of
+    exact_success_prob, summed on the count vectors the histogram decided, or None past
+    the cap."""
     v = as_vector(a)
     delta = _check_delta(delta)
     eps = check_eps(eps)
@@ -423,8 +442,10 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
         draw = _count_sampler(sizes, delta, rng)
         # a trial holds its r counts and about six per-trial sums and tests
         totals, _ = monte_carlo(trials, values.size + 6, lambda rows: events(draw(rows)))
+        exact = None
     else:
         p, hits = zip(*((p, events(counts)) for counts, p in chunks))
+        exact = _event_probability((q, h[:, 0]) for q, h in zip(p, hits))
         try:
             landed = rng.substream(0).generator().multinomial(trials, np.concatenate(p))
         except OverflowError:  # numpy counts in 64-bit integers
@@ -432,7 +453,7 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
         totals = (landed @ np.concatenate(hits)).tolist()
     success = totals[0] / trials
     if t is None:
-        return success, None
+        return success, exact, None
 
     m_psi = psi_norm(v, 1.0).value
     flags: list[str] = []
@@ -451,7 +472,7 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
         fitted_c = None
         flags.append("UNRESOLVED_TAIL")
 
-    return success, TailExperimentReport(
+    return success, exact, TailExperimentReport(
         t=t,
         delta=delta,
         n=n,

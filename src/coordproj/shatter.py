@@ -15,6 +15,12 @@ only through its cut: a value lo and, as hi, the smallest value v with
 v - lo >= 2t.  Functions at or below lo are low there, at or above hi
 high, in between unusable; sigma is t-shattered iff one cut per point
 leaves every pattern a function.  `is_shattered` searches the cuts.
+
+A point's cuts depend on the point and t only (`_point_cuts`), and the
+search (`_least_carriers`) reads nothing else: `vc_dimensions` builds each
+point's cuts once per scale and shares them among the subsets it decides.
+A decision keeps its first-carrier vector, and a witness is built from it
+and certified by its gaps (`_gaps_clear`) only for a subset reported.
 """
 
 from __future__ import annotations
@@ -107,50 +113,77 @@ def _clears(high, low, t: float):
         return high - low >= 2.0 * t
 
 
-def _least_carriers(sub: np.ndarray, t: float, order: np.ndarray) -> list[int] | None:
+def _point_cuts(F: FunctionClass, x: int, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts of point x (zero-based) at scale t that can carry a pattern: a row-state
+    table, one row per cut (1 where a function is high, 0 low, -1 unusable), and each
+    cut's count of functions on its smaller side. It depends on the point and t only."""
+    v = F.values[:, x]
+    s = np.sort(v)
+    gap = _clears(s[None], s[:, None], t)  # gap[i, l]: s[l] - s[i] clears 2t
+    top = np.where(gap[:, -1], s[gap.argmax(axis=1)], np.inf)  # no hi: nothing high
+    low, high = v <= s[:, None], v >= top[:, None]  # [i, row]: the cut at lo = s[i]
+    side = np.minimum(low.sum(axis=1), high.sum(axis=1))
+    # of the values lo sharing one hi keep the largest, whose low side holds theirs
+    keep = side > 0
+    keep[:-1] &= top[1:] != top[:-1]
+    state = np.where(high, 1, low.astype(np.int8) - 1).astype(np.int8)
+    return state[keep], side[keep]
+
+
+def _least_carriers(cuts: list) -> list[int] | None:
     """The least first-carrier vector over the surviving cut choices, or None.
 
-    One cut per column of sub gives each row a code (bit x set where it is
-    high at x) or makes it unusable. A choice survives when every code has
-    a row; its first-carrier vector lists, for each code in `order`, the
-    first row with that code. Choices grow one column at a time, depth
-    first, in blocks of at most _BLOCK_SCALARS codes.
+    `cuts` holds _point_cuts of each point of sigma, in order; callers may
+    share them among subsets. One cut per point gives each row a code (bit
+    x set where it is high at point x) or makes it unusable. A choice
+    survives when every code has a row; its first-carrier vector lists, for
+    each code in _pattern_table order, the first row with that code. Points
+    with one cut set their bits at once; the others extend the choices one
+    point at a time, fewest cuts first, depth first, in blocks of at most
+    _BLOCK_SCALARS codes.
     """
-    (m, k), half = sub.shape, 1 << (sub.shape[1] - 1)
-    s = np.sort(sub, axis=0)
-    gap = _clears(s[None], s[:, None], t)  # gap[i, l, x]: s[l, x] - s[i, x] clears 2t
-    top = np.where(gap[:, -1], s[gap.argmax(axis=1), np.arange(k)], np.inf)  # no hi: nothing high
-    low, high = sub.T <= s[..., None], sub.T >= top[..., None]  # [i, x, row]: the cut at s[i, x]
-    # each side of a point carries half the patterns, each with its own row; and of the
-    # values lo sharing one hi keep the largest, whose low side holds theirs
-    keep = (low.sum(axis=2) >= half) & (high.sum(axis=2) >= half)
-    keep[:-1] &= top[1:] != top[:-1]
-    # a code gains bit x where its row is high at x, and becomes -1 (all bits set) where unusable
+    k = len(cuts)
+    half, m = 1 << (k - 1), cuts[0][0].shape[1]
+    # each side of a point carries half the patterns, each with its own row; a code gains
+    # bit x where its row is high at x, and is negative where unusable (-1 once clipped)
     dtype = np.min_scalar_type(-(1 << k))
-    bits = np.where(high, (1 << np.arange(k))[:, None], np.where(low, 0, -1)).astype(dtype)
-    steps = [bits[keep[:, x], x] for x in range(k)]
+    steps = []
+    for x, (state, side) in enumerate(cuts):
+        state = state[side >= half]
+        if not len(state):
+            return None
+        steps.append(state.astype(dtype) << x)
+    seq = sorted(range(k), key=lambda x: len(steps[x]))
+    forced = sum(len(step) == 1 for step in steps)
+    rows = np.zeros((1, m), dtype)
+    for x in seq[:forced]:
+        rows |= steps[x]
+    codes, order = np.arange(1 << k), _pattern_table(k)[2]
     best = None
-    stack = [(0, np.zeros((1, m), dtype))]
+    stack = [(forced, np.maximum(rows, -1))]
     while stack:
-        x, rows = stack.pop()
-        block = max(1, _BLOCK_SCALARS // max(1, len(steps[x]) * m))
-        if len(rows) > block:
-            stack.append((x, rows[block:]))
-            rows = rows[:block]
-        codes = (rows[:, None] | steps[x]).reshape(-1, m)
-        # bin 0 of a code row counts its unusable rows of sub, bin c + 1 its code c
-        width = (2 << x) + 1
-        bins = codes + (1 + width * np.arange(len(codes)))[:, None]
-        counts = np.bincount(bins.ravel(), minlength=width * len(codes)).reshape(-1, width)
-        # a code on x + 1 columns still spreads over 2^(k - x - 1) patterns
-        alive = (counts[:, 1:] >= 1 << (k - x - 1)).all(axis=1)
-        codes, counts = codes[alive], counts[alive]
-        if x + 1 < k and len(codes):
-            stack.append((x + 1, np.unique(codes, axis=0) if len(codes) > 1 else codes))
-        elif len(codes):
+        done, rows = stack.pop()
+        if done < k:
+            step = steps[seq[done]]
+            block = max(1, _BLOCK_SCALARS // (len(step) * m))
+            if len(rows) > block:
+                stack.append((done, rows[block:]))
+                rows = rows[:block]
+            rows, done = np.maximum((rows[:, None] | step).reshape(-1, m), -1), done + 1
+        # bin 0 of a code row counts its unusable rows, bin c + 1 its code c
+        width = (1 << k) + 1
+        bins = rows + (1 + width * np.arange(len(rows)))[:, None]
+        counts = np.bincount(bins.ravel(), minlength=width * len(rows)).reshape(-1, width)
+        # a code on the points done still spreads over 2^(k - done) patterns
+        unset = sum(1 << x for x in seq[done:])
+        alive = (counts[:, 1 + codes[codes & unset == 0]] >= 1 << (k - done)).all(axis=1)
+        rows, counts = rows[alive], counts[alive]
+        if done < k and len(rows):
+            stack.append((done, np.unique(rows, axis=0) if len(rows) > 1 else rows))
+        elif len(rows):
             # in a code row sorted stably, code c starts after the unusable rows and codes below c
             starts = np.cumsum(counts, axis=1)[:, order]
-            first = np.argsort(codes, 1, kind="stable")[np.arange(len(codes))[:, None], starts]
+            first = np.argsort(rows, 1, kind="stable")[np.arange(len(rows))[:, None], starts]
             least = min(first.tolist())
             best = least if best is None else min(best, least)
     return best
@@ -184,14 +217,16 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
 
 def _search_cuts(F: FunctionClass, sigma: CoordinateSubset, t: float) -> ShatterWitness | None:
     """is_shattered on arguments it has checked, without its size caps."""
-    k, m = sigma.size, F.m
-    if 2**k > m:
+    if 2**sigma.size > F.m:
         return None
+    first = _least_carriers([_point_cuts(F, x, t) for x in sigma.zero_based()])
+    return None if first is None else _carrier_witness(F, sigma, t, first)
+
+
+def _carrier_witness(F: FunctionClass, sigma: CoordinateSubset, t: float, first: list[int]):
+    """The ShatterWitness of a first-carrier vector of sigma at scale t, certified by its gaps."""
     sub = F.values[:, sigma.zero_based()]
-    pats, table, order = _pattern_table(k)
-    first = _least_carriers(sub, t, order)
-    if first is None:
-        return None
+    pats, table, _ = _pattern_table(sigma.size)
     min_high = np.where(table > 0, sub[first], np.inf).min(axis=0)
     max_low = np.where(table < 0, sub[first], -np.inf).max(axis=0)
     if not _gaps_clear(min_high, max_low, t):
@@ -234,8 +269,12 @@ def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tup
     size s+1 is tried only below the least height of its size-s subsets:
     at the largest such scale, the smallest, then by bisection, never twice
     at one scale.  Sizes stop at floor(log2 m) (assignments are injective)
-    and at max_sigma.  A scale's witness is that of its lexicographically
-    least largest subset.  Caps: _MAX_POINTS points, _MAX_FUNCTIONS functions.
+    and at max_sigma.  Each point's cuts are built once per scale and shared
+    by every subset decided there; a decision keeps its first-carrier
+    vector.  A scale's witness is that of its lexicographically least
+    largest subset, built from the kept vector and certified by its gaps,
+    the same bits as is_shattered gives; no other subset gets a witness.
+    Caps: _MAX_POINTS points, _MAX_FUNCTIONS functions.
     """
     scales = [check_positive(t, "shattering scale") for t in scales]
     n, m = F.n, F.m
@@ -249,7 +288,8 @@ def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tup
         limit = min(limit, check_count(max_sigma, "max_sigma", 1))
 
     grid = sorted(set(scales))
-    witness = functools.cache(lambda cand, i: _search_cuts(F, CoordinateSubset(cand, n), grid[i]))
+    cuts = functools.cache(lambda x, i: _point_cuts(F, x, grid[i]))
+    carriers = functools.cache(lambda cand, i: _least_carriers([cuts(j - 1, i) for j in cand]))
     best = [()] * len(grid)  # per scale, the least subset of the largest size
     heights = {(): len(grid)}
     for size in range(1, limit + 1):
@@ -261,7 +301,7 @@ def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tup
                 lo = 0
                 while lo < hi:  # shattered below lo, not from hi on
                     i = hi - 1 if hi == cap else lo if lo == 0 else (lo + hi) // 2
-                    lo, hi = (lo, i) if witness(cand, i) is None else (i + 1, hi)
+                    lo, hi = (lo, i) if carriers(cand, i) is None else (i + 1, hi)
                 if lo:
                     grown[cand] = lo
         if not grown:
@@ -270,7 +310,8 @@ def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tup
             best[:height] = [cand] * height
         heights = grown
 
-    results = [VcResult(len(s), witness(s, i) if s else None) for i, s in enumerate(best)]
+    results = [VcResult(len(s), _carrier_witness(F, CoordinateSubset(s, n), grid[i], carriers(s, i))
+                        if s else None) for i, s in enumerate(best)]
     return tuple(results[grid.index(t)] for t in scales)
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coordproj import __version__, cli, shatter
+from coordproj import __version__, cli, core, selector, shatter
 from coordproj.cli import (
     DEFAULT_SEED,
     build_parser,
@@ -357,6 +357,21 @@ class TestProjectCommand:
         assert lines[0] == "index,success_prob,exact_success_prob"
         assert lines[2].split(",")[2] == "NaN"
 
+    def test_count_vectors_are_enumerated_once_per_row(self, tmp_path, capsys, monkeypatch):
+        # the exact success probability is summed on the histogram's own count vectors
+        rows = np.vstack([np.r_[np.zeros(10), np.ones(30)],
+                          np.r_[np.zeros(5), np.full(10, 0.5), np.ones(25)]])
+        path = write_csv(tmp_path / "two.csv", rows)
+        enumerated, count_vectors = [], selector._count_vectors
+        monkeypatch.setattr(selector, "_count_vectors",
+                            lambda *args: enumerated.append(args) or count_vectors(*args))
+        assert main(["project", "--input", path, "--delta", "0.3", "--eps", "0.2",
+                     "--trials", "1000", "--seed", "3"]) == 0
+        got = [row["exact_success_prob"] for row in
+               json.loads(capsys.readouterr().out)["results"]["rows"]]
+        assert len(enumerated) == 2
+        assert got == [exact_success_prob(row, 0.3, 0.2) for row in rows]
+
     def test_success_prob_does_not_depend_on_t(self, tmp_path, capsys):
         # the tail is read off the same draws as the isometry event
         rows = np.random.default_rng(5).standard_normal((3, 40))
@@ -579,6 +594,19 @@ class TestAuditCommand:
         res = report["results"]
         assert len(res["grid"]) == 9 and len(res["vc_curve"]) == 9
         assert res["vc_curve"][0] == 3
+
+    def test_grid_points_past_the_cap_exit_3(self, sign_csv, capsys, monkeypatch):
+        # refused before the grid is built: np.linspace must not run
+        def no_linspace(*args, **kwargs):
+            raise AssertionError("np.linspace ran")
+
+        monkeypatch.setattr(np, "linspace", no_linspace)
+        code = main(["audit", "--input", sign_csv, "--trials", "100",
+                     "--grid-points", str(core._BLOCK_SCALARS + 1)])
+        assert code == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"
 
 
 @pytest.mark.parametrize("argv", [["hull", "--t", "0.1"], ["typecmp"]],

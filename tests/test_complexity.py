@@ -766,6 +766,20 @@ class TestEntropyIntegralAudit:
         with pytest.raises(InputError):
             entropy_integral_audit(F, trials=10, rng=RngStream(0))
 
+    def test_grid_points_past_the_cap(self, monkeypatch):
+        # refused before the grid is built or any average or search runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work ran past the grid cap")
+
+        for module, name in ((np, "linspace"), (complexity, "gaussian_complexity"),
+                             (complexity, "vc_dimensions")):
+            monkeypatch.setattr(module, name, forbidden)
+        points = core._BLOCK_SCALARS + 1
+        with pytest.raises(SizeCapError) as exc:
+            entropy_integral_audit(sign_class(2), trials=200, rng=RngStream(0), grid_points=points)
+        assert exc.value.code == "SIZE_CAP"
+        assert exc.value.cost_estimate == float(points)
+
     def test_digest_tracks_inputs(self):
         a = entropy_integral_audit(sign_class(2), trials=200, rng=RngStream(74))
         b = entropy_integral_audit(sign_class(2), trials=200, rng=RngStream(75))

@@ -56,9 +56,11 @@ def scalar_log_mgf(v, delta, lam):
 
 
 def scalar_chernoff(a, delta, t):
-    """The Chernoff bound with one scalar log-mgf call per grid point and golden-section step."""
+    """The Chernoff bound with one scalar log-mgf call per grid point and golden-section step,
+    on a and t times the power of two 2^-e that puts a nonzero peak |a| in [1, 2)."""
     v = np.asarray(a, dtype=float)
-    tau = t * delta * v.size
+    e = math.frexp(float(np.abs(v).max()))[1] - 1 if v.any() else 0
+    v, tau = np.ldexp(v, -e), _ldexp(t, -e) * delta * v.size
     golden = (math.sqrt(5.0) - 1.0) / 2.0
 
     def objective(lam):
@@ -274,6 +276,21 @@ class TestChernoff:
 
     def test_bound_is_at_most_one(self):
         assert chernoff_tail_bound(np.ones(4), 0.5, 1e-9) <= 1.0
+
+    def test_bound_does_not_depend_on_the_weight_scale(self):
+        # a lambda grid in absolute units read 0.946 at 1e-5 times (a, t), and 1 at 1e5
+        a, bound = np.array([1.0, 1.0, -1.0, 0.5]), 0.7972913520343071
+        assert chernoff_tail_bound(a, 0.5, 0.3) == bound
+        for c in (1e-5, 1e5, 1e300, 1e-300):
+            assert chernoff_tail_bound(c * a, 0.5, c * 0.3) == pytest.approx(bound, abs=math.ulp(bound))
+
+    @given(a=st.lists(st.integers(-400, 400), min_size=1, max_size=12).filter(any),
+           delta=st.floats(0.01, 1.0), t=st.floats(0.01, 2.0), j=st.integers(-1000, 1000))
+    def test_scaled_weights_at_a_scaled_threshold(self, a, delta, t, j):
+        # the bound is homogeneous in (a, t), and a power of two rounds nothing on
+        # weights in hundredths: 2^j a at 2^j t gives the same bits
+        a, c = np.array(a) / 100.0, math.ldexp(1.0, j)
+        assert repr(chernoff_tail_bound(c * a, delta, c * t)) == repr(chernoff_tail_bound(a, delta, t))
 
     def test_dominates_exact_tail(self):
         rng = np.random.default_rng(11)

@@ -280,14 +280,23 @@ def assert_same_result(res, ref):
 
 
 def counting_oracle(mp):
-    """Patch shatter._search_cuts to record its (sigma, t) arguments; returns the record."""
-    calls, search = [], shatter._search_cuts
+    """Patch the cut search's decision, shatter._least_carriers, to record the (sigma, t) of
+    each call; returns the record. Its per-point cut tables are named by the (point, t)
+    that a patched shatter._point_cuts built them for."""
+    calls, built, cuts, search = [], {}, shatter._point_cuts, shatter._least_carriers
 
-    def counted(F, sigma, t):
-        calls.append((sigma.indices, t))
-        return search(F, sigma, t)
+    def traced(F, x, t):
+        table = cuts(F, x, t)
+        built[id(table)] = (int(x) + 1, t)
+        return table
 
-    mp.setattr(shatter, "_search_cuts", counted)
+    def counted(tables):
+        points, scales = zip(*(built[id(table)] for table in tables))
+        calls.append((points, scales[0]))
+        return search(tables)
+
+    mp.setattr(shatter, "_point_cuts", traced)
+    mp.setattr(shatter, "_least_carriers", counted)
     return calls
 
 
@@ -572,6 +581,25 @@ class TestVcDimensions:
             assert ours == (len(calls) - ours) // len(scales)
         for res, ref in zip(got, want):
             assert_same_result(res, ref)
+
+    @given(case=shatter_cases())
+    def test_reported_witnesses_are_those_of_is_shattered(self, case):
+        # a witness is built from the decision's kept carriers, not from a second search
+        F, _, t = case
+        for res in vc_dimensions(F, (t / 2.0, t, 2.0 * t)):
+            if res.witness is not None:
+                w = is_shattered(F, res.witness.sigma, res.witness.scale)
+                assert res.witness.assignment == w.assignment
+                assert res.witness.level.tobytes() == w.level.tobytes()
+
+    @given(case=vc_grid_cases())
+    def test_point_cuts_are_built_once_per_point_and_scale(self, case):
+        F, scales, max_sigma = case
+        built, cuts = [], shatter._point_cuts
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(shatter, "_point_cuts", lambda F, x, t: built.append((x, t)) or cuts(F, x, t))
+            vc_dimensions(F, scales, max_sigma)
+        assert len(built) == len(set(built))
 
     def test_vc_dimension_is_the_one_scale_case(self):
         F = sign_class(3)
