@@ -31,7 +31,7 @@ from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
-from .selector import _selector_experiment
+from .selector import selector_experiment
 from .shatter import (_DEFAULT_MAX_HULL_SIGMA, _LP_FEAS_TOL, dual_ball_class, l1_domination,
                       vc_convex_hull, vc_dimension)
 
@@ -214,8 +214,8 @@ def _run_project(args, data, rng):
     if args.t is not None:
         header += ["empirical_prob", "chernoff_bound", "fitted_c"]
     for i, vec in enumerate(data):
-        success, exact, tail = _selector_experiment(vec, args.delta, args.eps, args.trials,
-                                                    rng.substream(2 * i + 1), t=args.t)
+        success, exact, tail = selector_experiment(vec, args.delta, args.eps, args.trials,
+                                                   rng.substream(2 * i + 1), t=args.t)
         entry = {"index": i + 1, "success_prob": success, "exact_success_prob": exact}
         line = [i + 1, success, exact if exact is not None else math.nan]
         if tail is not None:
@@ -321,6 +321,8 @@ def _run_entropy(args, data, rng):
 
 
 def _run_complexity(args, data, rng):
+    if args.csv_out and args.eps is None:  # the plot-ready curve is t(F, eps)
+        raise InputError("BAD_INPUT", "complexity writes --csv-out only with --eps")
     F = FunctionClass(data)
     k_max = check_count(args.kmax, "k_max", 1, "BAD_K")  # checked with or without --eps
     results: dict = {"trials": args.trials}

@@ -10,7 +10,10 @@ each group of equal weights, and K_j ~ Bin(s_j, delta) independently. So
 for weight vectors with few distinct values both probabilities are exact
 sums over the count vectors, and the Monte Carlo draws how many trials
 land on each count vector; past that it draws count tables, never
-selector masks.
+selector masks. One float expression gives Z on a count table (`_z`), and
+the exact tail, the histogram and the table sampler all decide Z > tau on
+it: a Z equal to tau in exact arithmetic counts where its float value
+lands, on every path alike.
 """
 
 from __future__ import annotations
@@ -70,15 +73,6 @@ def _log_mgf(v: np.ndarray, delta: float, lam) -> np.ndarray:
         term0 = math.log1p(-delta) - lam * delta * v
         term1 = math.log(delta) + lam * (1.0 - delta) * v
         return np.logaddexp(term0, term1).sum(axis=-1)
-
-
-def exact_log_mgf(a, delta: float, lam: float) -> float:
-    """log E exp(lam * Z) for Z = sum (delta_i - delta) a_i, computed exactly."""
-    v = as_vector(a)
-    delta = _check_delta(delta)
-    if not np.isfinite(lam):
-        raise InputError("BAD_INPUT", "lambda must be finite")
-    return float(_log_mgf(v, delta, lam))
 
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -188,7 +182,7 @@ def _binomial_log_pmf(s: int, delta: float) -> np.ndarray:
     binomial probabilities", 2000).
     """
     out = np.full(s + 1, -math.inf)
-    if delta == 1.0:
+    if delta == 1.0 or s == 0:
         out[s] = 0.0
         return out
     out[0] = s * math.log1p(-delta)
@@ -222,8 +216,8 @@ def _count_vectors(sizes: np.ndarray, delta: float):
     most one Monte-Carlo block, and the probability of each of its rows.
     """
     r = sizes.size
-    # each group at least doubles the count vectors: many groups skip the product
-    if r >= _BLOCK_SCALARS.bit_length():
+    # each nonempty group at least doubles the count vectors: many groups skip the product
+    if np.count_nonzero(sizes) >= _BLOCK_SCALARS.bit_length():
         return None
     total = math.prod((sizes + 1).tolist())
     if total > _BLOCK_SCALARS:
@@ -245,17 +239,6 @@ def _count_vectors(sizes: np.ndarray, delta: float):
     return chunks()
 
 
-def _enumerated_probability(sizes: np.ndarray, delta: float, event) -> float | None:
-    """P{event(K)} under K_j ~ Bin(s_j, delta) independently; None past the cap.
-
-    `event` maps a chunk of `_count_vectors` to one bool per row.
-    """
-    chunks = _count_vectors(sizes, delta)
-    if chunks is None:
-        return None
-    return _event_probability((p, event(counts)) for counts, p in chunks)
-
-
 def _event_probability(chunks) -> float:
     """The probability of an event from (p, inside) chunks of `_count_vectors` rows."""
     hit = miss = 0.0
@@ -267,35 +250,48 @@ def _event_probability(chunks) -> float:
     return hit if hit <= miss else 1.0 - miss
 
 
+def _row_dot(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """counts @ weights, with each row's sum taken on its own by one kernel.
+
+    A row's value then never depends on the table it sits in: the sampler's
+    blocks and the enumeration's chunks give the same bits. A BLAS product
+    does not promise this; it may round a row differently by its position.
+    """
+    return np.einsum("ij,j->i", counts, weights)
+
+
+def _z(counts: np.ndarray, values: np.ndarray, unit: np.ndarray, delta: float) -> np.ndarray:
+    """Z = sum_j K_j u_j - delta sum_i u_i in floats, on each row of a count table.
+
+    unit holds the weights at their unit peak, and the columns and `values`
+    are those of `_weight_groups(unit)`. Every tail decides on these bits.
+    """
+    return _row_dot(counts, values) - delta * unit.sum()
+
+
 def exact_tail_probability(a, delta: float, threshold: float) -> float | None:
     """P{Z > threshold} exactly, where tractable; None otherwise.
 
     The selector count K_j among the s_j weights equal to u_j is
-    Bin(s_j, delta), independently across values, so Z = sum u_j (K_j -
-    delta s_j) takes one value per vector of counts. The prod (s_j + 1)
-    count vectors are enumerated while they fit in one Monte-Carlo block.
-    Z > threshold is decided on Z as evaluated in floats: the weights and
-    the threshold moved to a unit peak by one power of two, then the terms
-    summed from 0 in the column order of `_weight_groups`, zero left out.
+    Bin(s_j, delta), independently across values, so Z takes one value per
+    vector of counts. The prod (s_j + 1) count vectors are enumerated while
+    they fit in one Monte-Carlo block; the zero weights, which move no Z,
+    keep their column at size 0. Z > threshold is decided on Z as the
+    sampler evaluates it (`_z`, the weights and the threshold moved to a unit
+    peak by one power of two), so a Z equal to the threshold in exact
+    arithmetic counts where its float value lands, as in the Monte Carlo.
     """
     v = as_vector(a)
     delta = _check_delta(delta)
-    if delta == 1.0:
-        return 1.0 if 0.0 > threshold else 0.0
     # the event is scale-free, and sums of the weights must not overflow
-    v, e = unit_peak(v)
+    unit, e = unit_peak(v)
     threshold = _ldexp(threshold, -e)
-    values, sizes = _weight_groups(v)
-    nonzero = values != 0.0
-    values, sizes = values[nonzero], sizes[nonzero]
-
-    def above(counts):
-        z = np.zeros(counts.shape[0])
-        for j, (u, s) in enumerate(zip(values, sizes)):
-            z = z + u * (counts[:, j] - delta * s)
-        return z > threshold
-
-    return _enumerated_probability(sizes, delta, above)
+    values, sizes = _weight_groups(unit)
+    chunks = _count_vectors(np.where(values == 0.0, 0, sizes), delta)
+    if chunks is None:
+        return None
+    return _event_probability((p, _z(counts, values, unit, delta) > threshold)
+                              for counts, p in chunks)
 
 
 @dataclass(frozen=True)
@@ -319,16 +315,6 @@ def _isometry_bounds(unit: np.ndarray, eps: float) -> tuple[float, float]:
     if full == 0.0:
         raise InputError("BAD_INPUT", "vector must be nonzero")
     return ((1.0 - eps) * full) ** 2, ((1.0 + eps) * full) ** 2
-
-
-def _row_dot(counts: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """counts @ weights, with each row's sum taken on its own by one kernel.
-
-    A row's value then never depends on the table it sits in: the sampler's
-    blocks and the enumeration's chunks give the same bits. A BLAS product
-    does not promise this; it may round a row differently by its position.
-    """
-    return np.einsum("ij,j->i", counts, weights)
 
 
 def _isometry_hits(counts: np.ndarray, values: np.ndarray, lo2: float, hi2: float) -> np.ndarray:
@@ -359,8 +345,10 @@ def exact_success_prob(a, delta: float, eps: float) -> float | None:
     unit, _ = unit_peak(v)
     lo2, hi2 = _isometry_bounds(unit, eps)
     values, sizes = _weight_groups(unit)
-    return _enumerated_probability(
-        sizes, delta, lambda counts: _isometry_hits(counts, values, lo2, hi2))
+    chunks = _count_vectors(sizes, delta)
+    if chunks is None:
+        return None
+    return _event_probability((p, _isometry_hits(counts, values, lo2, hi2)) for counts, p in chunks)
 
 
 def _count_sampler(sizes: np.ndarray, delta: float, rng: RngStream):
@@ -388,7 +376,8 @@ def _count_sampler(sizes: np.ndarray, delta: float, rng: RngStream):
 
 
 def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream,
-                        t: float | None = None) -> tuple[float, TailExperimentReport | None]:
+                        t: float | None = None
+                        ) -> tuple[float, float | None, TailExperimentReport | None]:
     """Monte-Carlo frequencies of two selector events, read off one sample.
 
     Both events read only the selector counts K_j within the groups of equal
@@ -404,17 +393,11 @@ def selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream
     probability when the weight vector admits one, and the constant c
     fitted to exp(-c t^2 delta n / M^2) with M the psi_1 norm.
 
-    Returns the success frequency and the tail report (None without t).
+    Returns (success, exact_success, tail): the success frequency; its exact
+    probability, the bits of exact_success_prob summed on the count vectors
+    the histogram decided, or None past the cap; and the tail report, or
+    None without t.
     """
-    success, _, tail = _selector_experiment(a, delta, eps, trials, rng, t)
-    return success, tail
-
-
-def _selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStream,
-                         t: float | None = None):
-    """selector_experiment, with the exact success probability in the middle: the bits of
-    exact_success_prob, summed on the count vectors the histogram decided, or None past
-    the cap."""
     v = as_vector(a)
     delta = _check_delta(delta)
     eps = check_eps(eps)
@@ -428,12 +411,11 @@ def _selector_experiment(a, delta: float, eps: float, trials: int, rng: RngStrea
         t = check_positive(t, "threshold scale t")
         tau = t * delta * n
         unit_tau = _ldexp(tau, -e)
-        shift = delta * unit.sum()
 
     def events(counts):
         stats = [_isometry_hits(counts, values, lo2, hi2)]
         if t is not None:
-            z = _row_dot(counts, values) - shift
+            z = _z(counts, values, unit, delta)
             stats += [z > unit_tau, z < -unit_tau]
         return np.column_stack(stats)
 

@@ -49,7 +49,6 @@ from .core import (
 )
 
 # size caps of the exact searches
-_MAX_SIGMA = 5
 _MAX_FUNCTIONS = 64
 _MAX_POINTS = 20
 _MAX_EXACT_DOMINATION = 15
@@ -193,7 +192,8 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
     """Search for a t-shattering witness of sigma; None when impossible.
 
     Exact search over the cuts of each point (see the module docstring),
-    for |sigma| <= _MAX_SIGMA and at most _MAX_FUNCTIONS functions.
+    for at most _MAX_FUNCTIONS functions; a sigma with 2^|sigma| > m is
+    refused before any search.
     The witness is the lexicographically least feasible assignment, with
     patterns by descending +1 count and the level midway between the
     assigned high and low values. It is certified by its gaps (_gaps_clear),
@@ -204,14 +204,12 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
         raise InputError("EMPTY_SUBSET", "cannot shatter an empty subset")
     if sigma.ambient_n != F.n:
         raise InputError("DIMENSION", "subset and class live on different point counts")
-    k, m = sigma.size, F.m
-    if k > _MAX_SIGMA or m > _MAX_FUNCTIONS:
+    if F.m > _MAX_FUNCTIONS:
         # the cuts of a column: its values that some value clears by 2t
         sub = F.values[:, sigma.zero_based()]
         cost = math.prod(float(np.count_nonzero(_clears(u[-1], u, t))) for u in map(np.unique, sub.T))
-        over = (f"|sigma| = {k} exceeds cap {_MAX_SIGMA}" if k > _MAX_SIGMA
-                else f"class size {m} exceeds cap {_MAX_FUNCTIONS}")
-        raise SizeCapError(f"{over}; up to {cost:.3g} cut combinations", cost_estimate=cost)
+        raise SizeCapError(f"class size {F.m} exceeds cap {_MAX_FUNCTIONS};"
+                           f" up to {cost:.3g} cut combinations", cost_estimate=cost)
     return _search_cuts(F, sigma, t)
 
 

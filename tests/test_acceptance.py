@@ -84,7 +84,7 @@ def test_selector_tail_certificates():
     trials = 100000
     fitted = []
     for j, (delta, t) in enumerate([(d, t) for d in (0.1, 0.3) for t in (0.25, 0.5)]):
-        _, rep = selector_experiment(np.ones(100), delta, 0.25, trials, RngStream(900, j), t=t)
+        _, _, rep = selector_experiment(np.ones(100), delta, 0.25, trials, RngStream(900, j), t=t)
         se = math.sqrt(rep.exact_prob * (1.0 - rep.exact_prob) / trials)
         assert abs(rep.empirical_prob - rep.exact_prob) <= 3.0 * se
         assert rep.exact_prob <= rep.chernoff_bound + 1e-12

@@ -372,6 +372,17 @@ class TestProjectCommand:
         assert len(enumerated) == 2
         assert got == [exact_success_prob(row, 0.3, 0.2) for row in rows]
 
+    @pytest.mark.parametrize("t", ["0.025", "0.024999999999999988"])
+    def test_tie_row_frequency_meets_its_exact_tail(self, tmp_path, capsys, t):
+        # three selections give Z = t delta n in exact arithmetic: the exact tail must
+        # put them on the side where a trillion trials put them
+        path = write_csv(tmp_path / "tie.csv", np.array([[0.8, -0.9, 0.1, -0.1]]))
+        assert main(["project", "--input", path, "--delta", "0.2", "--t", t,
+                     "--trials", str(10**12), "--deterministic"]) == 0
+        tail = json.loads(capsys.readouterr().out)["results"]["rows"][0]["tail"]
+        p = tail["exact_prob"]
+        assert abs(tail["empirical_prob"] - p) <= 5.0 * math.sqrt(p * (1.0 - p) / 10**12)
+
     def test_success_prob_does_not_depend_on_t(self, tmp_path, capsys):
         # the tail is read off the same draws as the isometry event
         rows = np.random.default_rng(5).standard_normal((3, 40))
@@ -572,6 +583,19 @@ class TestComplexityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["code"] == "BAD_K"
+
+
+    def test_csv_out_without_eps_exits_2(self, sign_csv, capsys, tmp_path, monkeypatch):
+        # the plot-ready curve is t(F, eps): refused before any average is drawn
+        monkeypatch.setattr(cli, "gaussian_complexity", None)
+        monkeypatch.setattr(cli, "rademacher_complexity", None)
+        csv_out = tmp_path / "curve.csv"
+        assert main(["complexity", "--input", sign_csv, "--trials", "100",
+                     "--csv-out", str(csv_out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "BAD_INPUT"
+        assert not csv_out.exists()
 
 
 class TestTypecmpCommand:

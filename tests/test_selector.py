@@ -18,14 +18,16 @@ from coordproj.selector import (
     _STIRLERR,
     _binomial_log_pmf,
     _count_sampler,
+    _count_vectors,
     _isometry_hits,
     _ldexp,
+    _log_mgf,
     _row_dot,
     _stirlerr,
     _weight_groups,
+    _z,
     chernoff_tail_bound,
     draw_selectors,
-    exact_log_mgf,
     exact_success_prob,
     exact_tail_probability,
     selector_experiment,
@@ -88,25 +90,21 @@ def scalar_chernoff(a, delta, t):
 def brute_tail(a, delta, threshold):
     """P{Z > threshold} by the product law: a sum over all 2^n selections.
 
-    Ties follow the convention of exact_tail_probability, which decides
-    Z > threshold on Z as evaluated in floats: weights and threshold moved
-    to a unit peak by one power of two, then u (K - delta s) summed from 0 over
-    the groups of equal nonzero weights, K of the s weights equal to u being
-    selected: first the groups of two or more weights, then the single
-    weights, each in ascending order of u.  A Z equal to the threshold in exact
-    arithmetic can land on either side by rounding, and the law counts it
-    where its float value lands; so does this sum.
+    Ties follow the one float Z of the sampler and of exact_tail_probability:
+    the weights and the threshold moved to a unit peak by one power of two,
+    each selection's count vector in the columns of _weight_groups, and Z its
+    _row_dot with the group weights minus delta times the sum of the weights.
+    A Z equal to the threshold in exact arithmetic can land on either side by
+    rounding, and the law counts it where its float value lands; so does this sum.
     """
-    v, e = unit_peak(np.asarray(a, dtype=float))
-    tau = _ldexp(threshold, -e)
-    groups = sorted(zip(*np.unique(v[v != 0.0], return_counts=True)),
-                    key=lambda g: (g[1] == 1, g[0]))
+    v = np.asarray(a, dtype=float)
+    unit, e = unit_peak(v)
+    masks = np.array(list(itertools.product((0, 1), repeat=v.size)), dtype=bool)
+    counts, values = group_counts(masks, v)
+    z = _row_dot(counts, values) - delta * unit.sum()
     total = 0.0
-    for bits in itertools.product((0, 1), repeat=v.size):
-        z = 0.0
-        for u, s in groups:
-            z += u * (sum(b for b, w in zip(bits, v) if w == u) - delta * s)
-        if z > tau:
+    for bits, above in zip(masks, z > _ldexp(threshold, -e)):
+        if above:
             total += math.prod(delta if b else 1.0 - delta for b in bits)
     return total
 
@@ -228,19 +226,19 @@ class TestMgf:
             a = rng.uniform(-2.0, 2.0, size=n)
             delta = float(rng.uniform(0.05, 0.95))
             lam = float(rng.uniform(-1.5, 1.5))
-            got = math.exp(exact_log_mgf(a, delta, lam))
+            got = math.exp(float(_log_mgf(a, delta, lam)))
             assert got == pytest.approx(brute_mgf(a, delta, lam), rel=1e-10)
 
     def test_log_form_handles_huge_lambda(self):
         a = np.ones(50)
-        val = exact_log_mgf(a, 0.3, 900.0)
+        val = float(_log_mgf(a, 0.3, 900.0))
         # dominated by all-ones outcome: 50*(log 0.3 + 900*0.7)
         assert val == pytest.approx(50 * (math.log(0.3) + 900 * 0.7), rel=1e-6)
 
     def test_degenerate_delta_one(self):
         a = np.array([1.0, -2.0])
         # selectors always fire, Z = 0 deterministically
-        assert math.exp(exact_log_mgf(a, 1.0, 3.7)) == pytest.approx(1.0)
+        assert math.exp(float(_log_mgf(a, 1.0, 3.7))) == pytest.approx(1.0)
 
     def test_symmetrization_chain(self):
         # Cauchy-Schwarz then Jensen: mgf(lam)^2 <= mgf(2 lam) <= prod(1 +
@@ -251,8 +249,8 @@ class TestMgf:
             a = rng.uniform(-3.0, 3.0, size=n)
             delta = float(rng.uniform(0.05, 0.95))
             lam = float(rng.uniform(0.0, 2.0))
-            lo = 2.0 * exact_log_mgf(a, delta, lam)
-            mid = exact_log_mgf(a, delta, 2.0 * lam)
+            lo = 2.0 * float(_log_mgf(a, delta, lam))
+            mid = float(_log_mgf(a, delta, 2.0 * lam))
             c = 2.0 * delta * (1.0 - delta)
             log_cosh = np.logaddexp(2.0 * lam * a, -2.0 * lam * a) - math.log(2.0)
             hi = float(np.logaddexp(
@@ -316,7 +314,7 @@ class TestChernoff:
         a = np.random.default_rng(seed).uniform(0.5, 1.0, size=n) * 10.0 ** j
         a = a * sign if sign else a * np.resize([1.0, -1.0], n)
         assert repr(chernoff_tail_bound(a, delta, t)) == repr(scalar_chernoff(a, delta, t))
-        assert repr(exact_log_mgf(a, delta, lam)) == repr(scalar_log_mgf(a, delta, lam))
+        assert repr(float(_log_mgf(a, delta, lam))) == repr(scalar_log_mgf(a, delta, lam))
 
 
 class TestExactTail:
@@ -427,6 +425,9 @@ class TestExactTail:
     # = 0 at one selected weight of three, so only two or three selected weights count
     @example(a=[5e-324], delta=0.5, threshold=0.0)
     @example(a=[1.0, 1.0, 1.0], delta=1 / 3, threshold=0.0)
+    # project's tie row at t = 0.025: three selections give Z = tau = t delta n in exact
+    # arithmetic, and the float Z puts all three below tau
+    @example(a=[0.8, -0.9, 0.1, -0.1], delta=0.2, threshold=0.025 * 0.2 * 4)
     def test_enumeration_path_matches_product_brute_force(self, a, delta, threshold):
         got = exact_tail_probability(a, delta, threshold)
         assert got == pytest.approx(brute_tail(a, delta, threshold), rel=1e-9, abs=1e-12)
@@ -447,6 +448,27 @@ class TestExactTail:
         threshold = math.ldexp(k, -10)
         got = exact_tail_probability(np.ldexp(a, j), delta, math.ldexp(threshold, j))
         assert got == exact_tail_probability(a, delta, threshold)
+
+    @given(
+        a=st.lists(st.one_of(st.sampled_from([0.0, 0.1, -0.1, 0.8, -0.9, 1 / 3]),
+                             st.floats(-2.0, 2.0)), min_size=1, max_size=10),
+        delta=st.floats(0.1, 0.9),
+        pick=st.integers(0, 2**10),
+        j=st.sampled_from((0, 900, -900)),
+    )
+    @example(a=[0.8, -0.9, 0.1, -0.1], delta=0.2, pick=0, j=0)
+    def test_ties_match_the_histogram_tail_column(self, a, delta, pick, j):
+        # at a threshold equal to an attained Z, the exact tail holds the law of the count
+        # vectors on which the histogram's tail column holds, the zero weights' counts included
+        v = np.ldexp(np.array(a), j)
+        assume(np.any(v))
+        unit, e = unit_peak(v)
+        values, sizes = _weight_groups(unit)
+        counts, p = map(np.concatenate, zip(*_count_vectors(sizes, delta)))
+        z = _z(counts, values, unit, delta)
+        tau = z[pick % z.size]
+        got = exact_tail_probability(v, delta, math.ldexp(tau, e))
+        assert got == pytest.approx(math.fsum(p[z > tau]), rel=1e-12, abs=0.0)
 
     def test_ties_follow_the_float_value_of_z(self):
         assert exact_tail_probability([5e-324], 0.5, 0.0) == 0.5
@@ -480,7 +502,7 @@ class TestDrawSelectors:
 
 class TestTailExperiment:
     def test_constant_weights_against_binomial(self):
-        _, rep = selector_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(21), t=0.25)
+        _, _, rep = selector_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(21), t=0.25)
         assert rep.exact_prob is not None
         se = math.sqrt(rep.exact_prob * (1 - rep.exact_prob) / rep.trials)
         assert abs(rep.empirical_prob - rep.exact_prob) <= 3 * se
@@ -488,19 +510,19 @@ class TestTailExperiment:
         assert rep.two_sided_prob >= rep.empirical_prob
 
     def test_fitted_c_inverts_the_fit(self):
-        _, rep = selector_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(23), t=0.25)
+        _, _, rep = selector_experiment(np.ones(100), 0.3, 0.25, 40_000, RngStream(23), t=0.25)
         assert rep.fitted_c is not None
         refit = math.exp(-rep.fitted_c * rep.t**2 * rep.delta * rep.n / rep.psi1**2)
         assert refit == pytest.approx(rep.empirical_prob, rel=1e-9)
 
     def test_flags(self):
-        _, rep = selector_experiment(np.ones(50), 0.7, 0.25, 1000, RngStream(25), t=0.2)
+        _, _, rep = selector_experiment(np.ones(50), 0.7, 0.25, 1000, RngStream(25), t=0.2)
         assert "DELTA_ABOVE_HALF" in rep.flags
         # psi_1 of the all-ones vector is 1, so t = 0.6 >= M/2
-        _, rep = selector_experiment(np.ones(50), 0.3, 0.25, 1000, RngStream(27), t=0.6)
+        _, _, rep = selector_experiment(np.ones(50), 0.3, 0.25, 1000, RngStream(27), t=0.6)
         assert "T_EXCEEDS_HALF_M" in rep.flags
         # an unreachable threshold leaves the tail unresolved
-        _, rep = selector_experiment(np.ones(20), 0.5, 0.25, 500, RngStream(29), t=2.5)
+        _, _, rep = selector_experiment(np.ones(20), 0.5, 0.25, 500, RngStream(29), t=2.5)
         assert rep.empirical_prob == 0.0
         assert "UNRESOLVED_TAIL" in rep.flags and rep.fitted_c is None
 
@@ -515,7 +537,7 @@ class TestAlmostIsometry:
     def test_constant_vector_success_is_nonempty_prob(self):
         # constant rows project to themselves, so success = P(sigma nonempty)
         n, delta, trials = 12, 0.2, 30_000
-        p, _ = selector_experiment(np.ones(n), delta, 0.25, trials, RngStream(31))
+        p, _, _ = selector_experiment(np.ones(n), delta, 0.25, trials, RngStream(31))
         want = 1.0 - (1.0 - delta) ** n
         se = math.sqrt(want * (1 - want) / trials)
         assert abs(p - want) <= 4 * se
@@ -523,8 +545,8 @@ class TestAlmostIsometry:
     def test_success_monotone_in_eps(self):
         rng = np.random.default_rng(37)
         v = rng.standard_normal(64)
-        p_small, _ = selector_experiment(v, 0.4, 0.05, 4000, RngStream(41))
-        p_big, _ = selector_experiment(v, 0.4, 0.5, 4000, RngStream(41))
+        p_small, _, _ = selector_experiment(v, 0.4, 0.05, 4000, RngStream(41))
+        p_big, _, _ = selector_experiment(v, 0.4, 0.5, 4000, RngStream(41))
         assert p_big >= p_small
 
     def test_rejects_bad_eps(self):
@@ -563,7 +585,7 @@ class TestSelectorExperiment:
         assert np.array_equal(got[~near], want[~near])
 
         z_want, tau, size = reference_z(mask, v, delta, t)
-        z = _row_dot(counts, values) - delta * unit_peak(v)[0].sum()
+        z = _z(counts, values, unit_peak(v)[0], delta)
         near = np.abs(z_want - tau) <= ulps * size
         assert np.array_equal((z > tau)[~near], (z_want > tau)[~near])
         near = np.abs(z_want + tau) <= ulps * size
@@ -632,7 +654,7 @@ class TestSelectorExperiment:
         v = np.random.default_rng(53).choice([0.0, 0.5, 1.0, 2.0, 3.0], 30)
         delta, eps, t, trials = 0.3, 0.2, 0.2, 20_000
         forbid_table_sampler(monkeypatch)
-        success, tail = selector_experiment(v, delta, eps, trials, RngStream(59), t=t)
+        success, _, tail = selector_experiment(v, delta, eps, trials, RngStream(59), t=t)
         ref_success = reference_isometry(v, delta, eps, trials, RngStream(61))
         ref_tail = reference_tail(v, delta, t, trials, RngStream(61))
         assert tail.exact_prob == ref_tail.exact_prob
@@ -651,7 +673,7 @@ class TestSelectorExperiment:
                                                 (vector_of("pool", 30, gen), 0.2, 0.25)]):
             exact = exact_success_prob(v, delta, eps)
             assert exact is not None and 0.01 < exact < 0.99
-            success, _ = selector_experiment(v, delta, eps, trials, RngStream(71, seed))
+            success, _, _ = selector_experiment(v, delta, eps, trials, RngStream(71, seed))
             assert abs(success - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / trials)
 
     def test_histogram_and_table_sampler_agree_with_the_exact_law(self, monkeypatch):
@@ -662,11 +684,11 @@ class TestSelectorExperiment:
         with monkeypatch.context() as mp:
             forbid_table_sampler(mp)
             histogram = selector_experiment(v, delta, eps, trials, RngStream(101), t=t)
-        assert histogram[1].exact_prob == exact_tail
+        assert histogram[1] == exact and histogram[2].exact_prob == exact_tail
         monkeypatch.setattr(selector, "_BLOCK_SCALARS", 1)  # past every enumeration
         table = selector_experiment(v, delta, eps, trials, RngStream(101), t=t)
-        assert table[1].exact_prob is None
-        for success, tail in (histogram, table):
+        assert table[1] is None and table[2].exact_prob is None
+        for success, _, tail in (histogram, table):
             for p, q in ((success, exact), (tail.empirical_prob, exact_tail)):
                 assert 0.01 < q < 0.99
                 assert abs(p - q) <= 5.0 * math.sqrt(q * (1.0 - q) / trials)
@@ -676,7 +698,7 @@ class TestSelectorExperiment:
         for gate in (selector._BLOCK_SCALARS, 1):  # the histogram, then the table sampler
             monkeypatch.setattr(selector, "_BLOCK_SCALARS", gate)
             for seed in range(20):
-                success, tail = selector_experiment(v, 0.5, 0.3, 1, RngStream(107, seed), t=0.05)
+                success, _, tail = selector_experiment(v, 0.5, 0.3, 1, RngStream(107, seed), t=0.05)
                 assert success in (0.0, 1.0)
                 assert tail.empirical_prob in (0.0, 1.0) and tail.two_sided_prob in (0.0, 1.0)
 
@@ -685,7 +707,7 @@ class TestSelectorExperiment:
         v = np.zeros(200)
         v[np.random.default_rng(109).choice(200, size=170, replace=False)] = 1.0
         start = time.perf_counter()
-        success, tail = selector_experiment(v, 0.3, 0.1, 10**12, RngStream(113), t=0.1525)
+        success, _, tail = selector_experiment(v, 0.3, 0.1, 10**12, RngStream(113), t=0.1525)
         assert time.perf_counter() - start < 0.5
         assert 0.0 <= success <= 1.0 and 0.0 < tail.empirical_prob < 1.0
         assert abs(success - exact_success_prob(v, 0.3, 0.1)) < 1e-5

@@ -401,13 +401,12 @@ class TestIsShattered:
             is_shattered(F, CoordinateSubset((), 3), 0.5)
         with pytest.raises(InputError):
             is_shattered(F, CoordinateSubset((1,), 4), 0.5)
-        big = FunctionClass(np.ones((2, 8)))
-        with pytest.raises(SizeCapError) as exc:
-            is_shattered(big, full_subset(8), 0.5)
-        assert exc.value.cost_estimate is not None
+        # 2 functions cannot realize the 256 patterns of 8 points: no cap, no search
+        assert is_shattered(FunctionClass(np.ones((2, 8))), full_subset(8), 0.5) is None
         crowd = FunctionClass(np.ones((65, 2)))
-        with pytest.raises(SizeCapError):
+        with pytest.raises(SizeCapError) as exc:
             is_shattered(crowd, CoordinateSubset((1,), 2), 0.5)
+        assert exc.value.cost_estimate is not None
 
     def test_failed_witness_raises(self, monkeypatch):
         # the check must survive python -O, so it cannot be an assert
@@ -432,16 +431,18 @@ class TestIsShattered:
     def test_cap_cost_is_the_product_of_cut_counts(self, monkeypatch):
         # each column offers three cuts: lo = 0, 0.25 and 0.5 each have a value 2t above
         F = FunctionClass(np.repeat([[0.0], [0.25], [0.5], [1.0]], 3, axis=1))
-        monkeypatch.setattr(shatter, "_MAX_SIGMA", 2)
-        with pytest.raises(SizeCapError) as exc:
-            is_shattered(F, full_subset(3), 0.25)
-        assert exc.value.cost_estimate == 27.0
-        assert "27 cut combinations" in str(exc.value)
-        monkeypatch.undo()
         monkeypatch.setattr(shatter, "_MAX_FUNCTIONS", 3)
         with pytest.raises(SizeCapError) as exc:
             is_shattered(F, full_subset(3), 0.25)
         assert exc.value.cost_estimate == 27.0
+        assert "27 cut combinations" in str(exc.value)
+
+    def test_all_sign_patterns_of_six_points(self):
+        # the 64 sign patterns shatter all 6 points; the two searches give one witness
+        F = sign_class(6)
+        want = vc_dimension(F, 0.5)
+        assert want.dimension == 6
+        assert_same_result(shatter.VcResult(6, is_shattered(F, full_subset(6), 0.5)), want)
 
     @given(case=shatter_cases(), tiny_blocks=st.booleans())
     def test_matches_backtracking_reference(self, case, tiny_blocks):
