@@ -214,7 +214,7 @@ def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
 
 
 def _search_cuts(F: FunctionClass, sigma: CoordinateSubset, t: float) -> ShatterWitness | None:
-    """is_shattered on arguments it has checked, without its size caps."""
+    """is_shattered on arguments it has checked, without its size cap."""
     if 2**sigma.size > F.m:
         return None
     first = _least_carriers([_point_cuts(F, x, t) for x in sigma.zero_based()])

@@ -584,7 +584,6 @@ class TestComplexityCommand:
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["code"] == "BAD_K"
 
-
     def test_csv_out_without_eps_exits_2(self, sign_csv, capsys, tmp_path, monkeypatch):
         # the plot-ready curve is t(F, eps): refused before any average is drawn
         monkeypatch.setattr(cli, "gaussian_complexity", None)
