@@ -330,10 +330,10 @@ def _run_complexity(args, data, rng):
     csv = None
     if args.kind in ("gaussian", "both"):
         results["gaussian"] = _estimate_json(
-            gaussian_complexity(F, None, trials=args.trials, rng=rng.substream(0)))
+            gaussian_complexity(F, trials=args.trials, rng=rng.substream(0)))
     if args.kind in ("rademacher", "both"):
         results["rademacher"] = _estimate_json(
-            rademacher_complexity(F, None, trials=args.trials, rng=rng.substream(1)))
+            rademacher_complexity(F, trials=args.trials, rng=rng.substream(1)))
     kind = "rademacher" if args.kind == "rademacher" else "gaussian"
     if args.k is not None:
         results["ell"] = _estimate_json(

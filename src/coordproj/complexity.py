@@ -17,11 +17,11 @@ import numpy as np
 
 from .core import (
     _BLOCK_SCALARS,
-    CoordinateSubset,
     FittedConstant,
     InputError,
     RngStream,
     SizeCapError,
+    as_table,
     banach_norm,
     check_bounded_by_one,
     check_count,
@@ -131,8 +131,6 @@ def _sups(cols, wt):
 def _sup_average(values, trials, gen, kind):
     """Mean and standard error of sup_f |sum_i w_i f(i)| over random weights."""
     m, k = values.shape
-    if k == 0:
-        return 0.0, 0.0
     total, total_sq = monte_carlo(
         trials, m, lambda rows: _sups(values, _draw_weights(gen, rows, k, kind).T))
     return mean_and_se(total, total_sq, trials)
@@ -149,45 +147,32 @@ def _scale_back(e, *values, what="the average or its standard error"):
     return values
 
 
-def _project_columns(F, sigma):
-    if sigma is None:
-        return F.values
-    if not isinstance(sigma, CoordinateSubset):
-        raise InputError("BAD_SUBSET", "sigma must be a CoordinateSubset or None")
-    if sigma.ambient_n != F.n:
-        raise InputError("DIMENSION", f"subset ambient {sigma.ambient_n} != class width {F.n}")
-    if sigma.size == 0:
-        return F.values[:, :0]
-    return F.values[:, list(sigma.zero_based())]
-
-
-def gaussian_complexity(F, sigma=None, trials=2000, rng=None):
-    """Estimates E sup_f |sum_{i in sigma} g_i f(i)| with standard normals.
+def gaussian_complexity(F, trials=2000, rng=None):
+    """Estimates E sup_f |sum_i g_i f(i)| with standard normals.
 
     Args:
         F: FunctionClass to average over.
-        sigma: CoordinateSubset restricting the sum, or None for all coordinates.
         trials: Monte-Carlo sample count, at least 100.
         rng: RngStream supplying the weights.
 
     Returns:
         ComplexityEstimate with kind "gaussian".
     """
-    return _complexity(F, sigma, trials, rng, "gaussian")
+    return _complexity(F, trials, rng, "gaussian")
 
 
-def rademacher_complexity(F, sigma=None, trials=2000, rng=None):
+def rademacher_complexity(F, trials=2000, rng=None):
     """Same average as gaussian_complexity with uniform +-1 weights."""
-    return _complexity(F, sigma, trials, rng, "rademacher")
+    return _complexity(F, trials, rng, "rademacher")
 
 
-def _complexity(F, sigma, trials, rng, kind):
+def _complexity(F, trials, rng, kind):
     trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     # the average is positively homogeneous; at a unit peak no weighted sum or
     # square leaves the float range
-    values, e = unit_peak(_project_columns(F, sigma))
+    values, e = unit_peak(F.values)
     mean, se = _scale_back(e, *_sup_average(values, trials, rng.generator(), kind))
     return ComplexityEstimate(mean=mean, std_error=se, trials=trials, kind=kind)
 
@@ -204,9 +189,9 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
     When the multiset count C(n+k-1, k) is within _EXHAUSTIVE_TUPLE_CAP
     every tuple is scored against one shared weight sample; otherwise
     greedy coordinate ascent from _ELL_RESTARTS starts is used and the
-    result is a lower bound. With exact_signs and kind "rademacher" the
-    per-tuple mean is an exact average over all 2^k sign patterns instead
-    of Monte Carlo.
+    result is a lower bound. With exact_signs, which needs kind
+    "rademacher" (InputError BAD_KIND otherwise), the per-tuple mean is an
+    exact average over all 2^k sign patterns instead of Monte Carlo.
 
     Returns:
         ComplexityEstimate with method "exhaustive", "exhaustive-exact",
@@ -216,10 +201,12 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     k = check_count(k, "k", 1, "BAD_K")
+    if exact_signs and kind != "rademacher":
+        raise InputError("BAD_KIND", f"exact_signs needs kind rademacher, got {kind!r}")
     n = F.n
     # scaled as in _complexity, which also makes the greedy tolerance relative
     values, e = unit_peak(F.values)
-    exact = bool(exact_signs) and kind == "rademacher" and (1 << k) * max(1, F.m) <= 1 << 22
+    exact = bool(exact_signs) and (1 << k) * F.m <= 1 << 22
 
     def score(tup, weights):
         # the 2^k sign patterns are the whole Rademacher law, so an exact mean has no error
@@ -295,22 +282,6 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_sig
             value = k
     return TParameterResult(value=value, capped=(value == k_max), epsilon=eps,
                             kind=kind, per_k=tuple(rows))
-
-
-def _stack_unit_rows(vectors):
-    """The vectors as the rows of one finite 2-d float array."""
-    try:
-        x = np.asarray(vectors, dtype=float)
-    except ValueError:  # ragged rows or non-numeric entries
-        raise InputError("DIMENSION",
-                         "vectors must be numeric and share a common dimension") from None
-    if x.ndim >= 1 and x.shape[0] == 0:
-        raise InputError("EMPTY_INPUT", "at least one vector is required")
-    if x.ndim != 2:
-        raise InputError("DIMENSION", f"expected a stack of 1-d vectors, got shape {x.shape}")
-    if not np.isfinite(x).all():
-        raise InputError("BAD_INPUT", "vector entries must be finite")
-    return x
 
 
 def _flip_descent(x, signs, total, val, norm):
@@ -418,7 +389,7 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
     Returns:
         SignMinimumResult; signs are normalized to signs[0] = +1.
     """
-    x = _stack_unit_rows(vectors)
+    x = as_table(vectors, "vectors")
     count = x.shape[0]
     if mode not in ("exact", "heuristic"):
         raise InputError("BAD_MODE", f"mode must be exact or heuristic, got {mode!r}")
@@ -462,7 +433,7 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     subsets_per_size = check_count(subsets_per_size, "subsets_per_size", 1)
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
-    x = _stack_unit_rows(vectors)
+    x = as_table(vectors, "vectors")
     n = x.shape[0]
     check_in_unit_ball(x, norm, "vector")
     grid = [float(d) for d in delta_grid]
@@ -532,7 +503,7 @@ def entropy_integral_audit(F, trials=2000, rng=None, grid_points=17):
                            cost_estimate=float(grid_points))
     check_bounded_by_one(F.values, "the audited class")
     n = F.n
-    est = gaussian_complexity(F, None, trials=trials, rng=rng.substream(0))
+    est = gaussian_complexity(F, trials=trials, rng=rng.substream(0))
     lo = min(max(est.mean / n, _GRID_FLOOR), 1.0 - 1e-6)
     grid = np.linspace(lo, 1.0, grid_points)
     vc_curve = [res.dimension for res in vc_dimensions(F, grid)]

@@ -94,6 +94,28 @@ def as_vector(x) -> np.ndarray:
     return v
 
 
+def as_table(x, name: str, promote: bool = False) -> np.ndarray:
+    """Coerce to a finite 2-d float array with at least one row and one column.
+
+    The one table rule: ragged or non-numeric input gives DIMENSION, no
+    rows EMPTY_INPUT, a shape other than rows by columns DIMENSION, and a
+    non-finite entry BAD_INPUT. With promote, a 1-d x is one row.
+    """
+    try:
+        t = np.asarray(x, dtype=float)
+    except (TypeError, ValueError):  # ragged rows or non-numeric entries
+        raise InputError("DIMENSION", f"{name} must be numeric rows of one length") from None
+    if t.ndim >= 1 and t.shape[0] == 0:
+        raise InputError("EMPTY_INPUT", f"{name} must have at least one row")
+    if promote and t.ndim == 1:
+        t = t[None, :]
+    if t.ndim != 2 or t.shape[1] == 0:
+        raise InputError("DIMENSION", f"{name} must be a 2-d table with columns, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise InputError("BAD_INPUT", f"{name} entries must be finite")
+    return t
+
+
 @dataclass(frozen=True)
 class CoordinateSubset:
     """Strictly increasing subset of {1..ambient_n}; indices are 1-based.
@@ -169,21 +191,14 @@ class FunctionClass:
     """m functions on {1..n} under the uniform measure, as an m-by-n table.
 
     Rows are functions, columns are points.  Duplicate rows are retained:
-    the class is a multiset.  `bounded_by_one` asserts sup |f| <= 1 and is
-    checked at construction.
+    the class is a multiset.  The table is checked by as_table and stored
+    as a read-only copy.
     """
 
     values: np.ndarray
-    bounded_by_one: bool = False
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float, copy=True)
-        if v.ndim != 2 or v.shape[0] < 1 or v.shape[1] < 1:
-            raise InputError("DIMENSION", f"values must be a nonempty 2-d table, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise InputError("BAD_INPUT", "table entries must be finite")
-        if self.bounded_by_one:
-            check_bounded_by_one(v, "a class with bounded_by_one set")
+        v = as_table(self.values, "values").copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -151,15 +151,6 @@ def _exact_covering(dist: np.ndarray, t: float, incumbent: int) -> int:
     return best
 
 
-def packing_number(F: FunctionClass, t: float) -> CoveringEstimate:
-    """Greedy maximal t-separated subset size, exact maximum when m <= _EXACT_PACKING_MAX."""
-    t = check_positive(t, "scale t")
-    dist = pairwise_l2_distances(F)
-    greedy = len(_greedy_packing(dist, t))
-    exact = _exact_packing(dist, t) if F.m <= _EXACT_PACKING_MAX else None
-    return CoveringEstimate(t=t, packing_lower=greedy, exact_packing=exact)
-
-
 def covering_estimate(F: FunctionClass, t: float) -> CoveringEstimate:
     """Packing and covering bounds at scale t, exact where the caps allow:
     packing for m <= _EXACT_PACKING_MAX, covering for m <= _EXACT_COVERING_MAX."""

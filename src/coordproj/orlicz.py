@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InputError, as_vector, check_positive
+from .core import InputError, as_table, as_vector, check_positive
 
 
 @dataclass(frozen=True)
@@ -54,12 +54,7 @@ def psi_norms(rows, p: float, tol: float = 1e-10) -> PsiNormBatch:
         at the returned values, and the bisection steps.  Every row takes the
         same steps, so its value does not depend on the other rows.
     """
-    a = np.abs(np.asarray(rows, dtype=float))
-    if a.ndim != 2 or a.shape[1] == 0:
-        raise InputError("DIMENSION",
-                         f"psi norm needs rows of at least one value, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise InputError("BAD_INPUT", "vector entries must be finite")
+    a = np.abs(as_table(rows, "rows"))
     if not 1.0 <= p < math.inf:
         raise InputError("BAD_EXPONENT", f"exponent must be finite with p >= 1, got {p}")
     tol = check_positive(tol, "tolerance")

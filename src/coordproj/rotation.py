@@ -19,6 +19,7 @@ from .core import (
     FittedConstant,
     InputError,
     RngStream,
+    as_table,
     check_count,
     check_eps,
     check_positive,
@@ -58,11 +59,6 @@ def haar_frame(n: int, k: int, rng: RngStream) -> np.ndarray:
         if np.abs(q.T @ q - np.eye(k)).max() <= 1e-10:
             return q
     raise CertificateError("could not draw a numerically orthogonal frame in 8 attempts")
-
-
-def haar_orthogonal(n: int, rng: RngStream) -> np.ndarray:
-    """Haar-distributed n-by-n orthogonal matrix: the full frame haar_frame(n, n, rng)."""
-    return haar_frame(n, n, rng)
 
 
 @dataclass(frozen=True)
@@ -117,8 +113,8 @@ def coordinate_jl(vectors, eps: float, rng: RngStream,
 
 def _unit_family(vectors, eps: float) -> np.ndarray:
     """The rows as a 2-d float array, checked unit-normalized, with eps checked in (0, 1)."""
-    v = np.atleast_2d(np.asarray(vectors, dtype=float))
-    if v.ndim != 2 or v.shape[1] < 2:
+    v = as_table(vectors, "vectors", promote=True)
+    if v.shape[1] < 2:
         raise InputError("DIMENSION", "need vectors on at least 2 coordinates")
     check_eps(eps)
     with np.errstate(over="ignore"):  # an overflowed norm is inf and fails the check
@@ -133,14 +129,11 @@ def _rotate(v: np.ndarray, rng: RngStream) -> tuple[np.ndarray, float]:
 
     For k < n rows, V^T = Q_V C (reduced QR) gives V O^T = C^T (O Q_V)^T,
     and O Q_V is a uniform k-frame for Haar O, so only that frame is drawn:
-    O(n k^2) work in place of O(n^3).
+    O(n k^2) work in place of O(n^3). For k >= n, C = V^T and the frame is O.
     """
     count, n = v.shape
-    if count < n:
-        c = np.linalg.qr(v.T, mode="r")
-        rotated = c.T @ haar_frame(n, count, rng.substream(0)).T
-    else:
-        rotated = v @ haar_orthogonal(n, rng.substream(0)).T
+    c = np.linalg.qr(v.T, mode="r") if count < n else v.T
+    rotated = c.T @ haar_frame(n, min(count, n), rng.substream(0)).T
     return rotated, float(psi_norms(rotated, 2.0).values.max())
 
 

@@ -40,6 +40,7 @@ from .core import (
     RngStream,
     SizeCapError,
     _BLOCK_SCALARS,
+    as_table,
     banach_norm,
     check_count,
     check_in_unit_ball,
@@ -338,8 +339,8 @@ def l1_domination(
     combination.  Exact mode (sup norm only) takes one of three paths,
     named in `method`:
 
-    - "exact-rank": dependent points (see _null_vector) give the attained
-      value of a null vector, about 0.  No LP runs.
+    - "exact-rank": dependent points (see _null_vector) give 0, the true
+      value, and a null vector as minimizer.  No LP runs.
     - "exact-vertex": epsilon_star = 1 / max{|a|_1 : |x^T a| <= 1}, and a
       convex maximum over a polytope sits at a vertex (Avis and Fukuda,
       DCG 1992); see _vertex_domination.  Taken while C(dim, c) *
@@ -355,11 +356,7 @@ def l1_domination(
 
     epsilon_star > 0 iff the points are linearly independent.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise InputError("DIMENSION", "need at least one point")
-    if not np.all(np.isfinite(x)):
-        raise InputError("BAD_INPUT", "points must be finite")
+    x = as_table(points, "points", promote=True)
     samples = check_count(samples, "samples", 0)
     count, dim = x.shape
     check_in_unit_ball(x, norm, "point")
@@ -369,7 +366,7 @@ def l1_domination(
             raise InputError("UNSUPPORTED_NORM", "exact mode supports the sup norm only")
         # epsilon_star is homogeneous: a unit peak keeps the vertices inside the float range
         unit, e = unit_peak(x)
-        method, a = "exact-rank", _null_vector(unit)
+        method, value, a = "exact-rank", 0.0, _null_vector(unit)
         if a is None:
             method, cost, work = _exact_cost(count, dim)
             if count > _MAX_EXACT_DOMINATION:
@@ -380,9 +377,7 @@ def l1_domination(
             solve = _vertex_domination if method == "exact-vertex" else _orthant_domination
             value, a = solve(unit)
         attained = float(banach_norm(a @ unit, "sup"))
-        if method == "exact-rank":
-            value = attained  # a null vector's value is the one it attains
-        elif not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
+        if not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
             raise CertificateError(f"{method} minimizer attains {math.ldexp(attained, e)!r},"
                                    f" not {math.ldexp(value, e)!r}")
         return DominationResult(math.ldexp(value, e), a, method)
@@ -644,6 +639,6 @@ def dual_ball_class(points) -> FunctionClass:
     dim+j is -e_j, so the convex hull of the rows is the full unit l_1
     ball acting by inner products.
     """
-    x = np.atleast_2d(np.asarray(points, dtype=float))
+    x = as_table(points, "points", promote=True)
     table = np.vstack([x.T, -x.T])
     return FunctionClass(table)

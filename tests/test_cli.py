@@ -481,6 +481,19 @@ class TestHullCommand:
         assert res["agreement"] is True
         assert res["hull_witness"]["margin"] == pytest.approx(1e-300 / 3.0, rel=1e-12)
 
+    @pytest.mark.parametrize("scale, t", [(1.0, "1e-17"), (1e-200, "1e-217")])
+    def test_dependent_points_agree_at_small_scales(self, tmp_path, capsys, scale, t):
+        # four points in R^2: epsilon_star is 0, not the float residue of a null
+        # vector (2.99e-16, 3.07e-216), which passed t while the hull margin is 0
+        rows = scale * np.array([[1.0, -1.0], [-1.0, 1.0], [1.0, 1.0], [-1.0, -1.0]])
+        path = write_csv(tmp_path / "dependent.csv", rows)
+        assert main(["hull", "--input", path, "--t", t, "--seed", "1"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["domination_method"] == "exact-rank"
+        assert res["epsilon_star"] == 0.0
+        assert res["hull_shattered"] is False
+        assert res["agreement"] is True
+
     def test_failed_lp_exits_with_certificate_error(self, tmp_path, capsys, monkeypatch):
         # HiGHS status 4: numerical difficulties. Two points in R^200 with 200 distinct
         # nonzero coordinate pairs are past the vertex gate, so the joint LP decides the

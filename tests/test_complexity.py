@@ -34,7 +34,7 @@ HALF_NORMAL = math.sqrt(2.0 / math.pi)
 
 def sign_class(n: int) -> FunctionClass:
     rows = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    return FunctionClass(rows, bounded_by_one=True)
+    return FunctionClass(rows)
 
 
 def chi_mean(n: int) -> float:
@@ -224,13 +224,12 @@ class TestGaussianComplexity:
         assert a.mean == b.mean and a.std_error == b.std_error
 
     def test_subset_restriction(self):
+        # the average over sigma is that of the class restricted to sigma
         f = np.array([3.0, 0.0, 4.0])
-        F = FunctionClass(f[None, :])
         sigma = CoordinateSubset((1, 3), 3)
-        est = gaussian_complexity(F, sigma, trials=40000, rng=RngStream(7))
+        F = FunctionClass(f[None, sigma.zero_based()])
+        est = gaussian_complexity(F, trials=40000, rng=RngStream(7))
         assert abs(est.mean - HALF_NORMAL * 5.0) <= 4.0 * est.std_error
-        empty = gaussian_complexity(F, CoordinateSubset((), 3), trials=200, rng=RngStream(8))
-        assert empty.mean == 0.0
 
     def test_reproducible(self):
         F = sign_class(3)
@@ -244,8 +243,6 @@ class TestGaussianComplexity:
             gaussian_complexity(F, trials=50, rng=RngStream(0))
         with pytest.raises(InputError):
             gaussian_complexity(F, trials=200, rng=None)
-        with pytest.raises(InputError):
-            gaussian_complexity(F, sigma=(1, 2), trials=200, rng=RngStream(0))
 
 
 class TestRademacherComplexity:
@@ -347,6 +344,18 @@ class TestEllParameter:
             with pytest.raises(InputError) as exc:
                 ell_parameter(F, 2, trials=200, rng=RngStream(0), kind="bogus")
             assert exc.value.code == "BAD_KIND"
+
+    def test_exact_signs_need_the_rademacher_kind(self, monkeypatch):
+        # refused before any draw, by ell_parameter and t_parameter alike
+        monkeypatch.setattr(complexity, "_draw_weights", None)
+        for kind in ("gaussian", "bogus"):
+            for run in (lambda: ell_parameter(sign_class(2), 2, trials=200, rng=RngStream(0),
+                                              kind=kind, exact_signs=True),
+                        lambda: t_parameter(sign_class(2), 0.5, 2, trials=200, rng=RngStream(0),
+                                            kind=kind, exact_signs=True)):
+                with pytest.raises(InputError) as exc:
+                    run()
+                assert exc.value.code == "BAD_KIND"
 
 
 class TestFloatRange:

@@ -18,6 +18,7 @@ from coordproj.core import (
     InputError,
     RngStream,
     SizeCapError,
+    as_table,
     as_vector,
     banach_norm,
     digest_inputs,
@@ -25,6 +26,10 @@ from coordproj.core import (
     monte_carlo,
     sign_patterns,
 )
+from coordproj.complexity import min_sign_norm
+from coordproj.orlicz import psi_norms
+from coordproj.rotation import coordinate_jl
+from coordproj.shatter import dual_ball_class, l1_domination
 
 
 def test_as_vector_rejects_matrices_and_nan():
@@ -34,6 +39,43 @@ def test_as_vector_rejects_matrices_and_nan():
         as_vector([1.0, float("nan")])
     v = as_vector([1, 2, 3])
     assert v.dtype == float and v.shape == (3,)
+
+
+# public functions that read a table, each with its other arguments valid
+TABLE_READERS = {
+    "as_table": lambda x: as_table(x, "x"),
+    "FunctionClass": FunctionClass,
+    "psi_norms": lambda x: psi_norms(x, 2.0),
+    "l1_domination": l1_domination,
+    "coordinate_jl": lambda x: coordinate_jl(x, 0.5, RngStream(0)),
+    "min_sign_norm": min_sign_norm,
+    "dual_ball_class": dual_ball_class,
+}
+
+
+@pytest.mark.parametrize("table, code", [
+    ([[1.0, 0.5], [0.5]], "DIMENSION"), ([["a", "b"]], "DIMENSION"), ([[{}]], "DIMENSION"),
+    ([], "EMPTY_INPUT"), (np.zeros((0, 3)), "EMPTY_INPUT"), (np.zeros((2, 0)), "DIMENSION"),
+    (np.ones((2, 2, 2)), "DIMENSION"), (1.0, "DIMENSION"),
+    ([[1.0, math.nan]], "BAD_INPUT"), ([[1.0, -math.inf]], "BAD_INPUT"),
+])
+def test_every_table_reader_applies_one_rule(table, code):
+    for name, read in TABLE_READERS.items():
+        with pytest.raises(InputError) as exc:
+            read(table)
+        assert exc.value.code == code, name
+
+
+def test_a_single_point_is_one_row_only_where_points_are_read():
+    point = [1.0, -1.0]
+    assert as_table(point, "x", promote=True).shape == (1, 2)
+    assert l1_domination(point).epsilon_star == 1.0
+    assert coordinate_jl(point, 0.5, RngStream(0)).per_vector_ratio.shape == (1,)
+    assert dual_ball_class(point).values.shape == (4, 1)
+    for name in ("as_table", "FunctionClass", "psi_norms", "min_sign_norm"):
+        with pytest.raises(InputError) as exc:
+            TABLE_READERS[name](point)
+        assert exc.value.code == "DIMENSION", name
 
 
 class TestCoordinateSubset:
@@ -103,16 +145,13 @@ class TestFunctionClass:
         with pytest.raises(ValueError):
             F.values[0, 0] = 5.0
 
-    def test_bounded_flag_enforced(self):
-        FunctionClass(np.array([[1.0, -1.0]]), bounded_by_one=True)
-        with pytest.raises(InputError):
-            FunctionClass(np.array([[1.0001, 0.0]]), bounded_by_one=True)
-
     def test_rejects_empty_and_nonfinite(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError) as exc:
             FunctionClass(np.zeros((0, 3)))
-        with pytest.raises(InputError):
+        assert exc.value.code == "EMPTY_INPUT"
+        with pytest.raises(InputError) as exc:
             FunctionClass(np.array([[np.inf, 0.0]]))
+        assert exc.value.code == "BAD_INPUT"
 
 
 def test_banach_norm_oracles():

@@ -13,14 +13,13 @@ from coordproj.entropy import (
     _ball_masks,
     covering_estimate,
     entropy_inequality_audit,
-    packing_number,
     pairwise_l2_distances,
 )
 
 
 def sign_class(n: int) -> FunctionClass:
     rows = np.array(list(itertools.product((1.0, -1.0), repeat=n)))
-    return FunctionClass(rows, bounded_by_one=True)
+    return FunctionClass(rows)
 
 
 def random_class(rng, m, n, pm=False) -> FunctionClass:
@@ -72,8 +71,8 @@ class TestPackingNumber:
         v = np.array([[0.0, 0.0], [0.6, 0.8]])  # normalized distance 1/sqrt(2)
         F = FunctionClass(v)
         d = pairwise_l2_distances(F)[0, 1]
-        below = packing_number(F, d * 0.99)
-        above = packing_number(F, d * 1.01)
+        below = covering_estimate(F, d * 0.99)
+        above = covering_estimate(F, d * 1.01)
         assert below.packing_lower == below.exact_packing == 2
         assert above.packing_lower == above.exact_packing == 1
 
@@ -81,26 +80,26 @@ class TestPackingNumber:
         rng = RngStream(303).generator()
         F = random_class(rng, 8, 3)
         diam = pairwise_l2_distances(F).max()
-        assert packing_number(F, diam + 0.01).exact_packing == 1
+        assert covering_estimate(F, diam + 0.01).exact_packing == 1
 
     def test_greedy_below_exact(self):
         rng = RngStream(304).generator()
         for i in range(15):
             F = random_class(rng, 20, 4)
             for t in (0.2, 0.5, 0.9):
-                est = packing_number(F, t)
+                est = covering_estimate(F, t)
                 assert est.packing_lower <= est.exact_packing
 
     def test_cap_disables_exact(self, monkeypatch):
         rng = RngStream(305).generator()
         F = random_class(rng, 12, 3)
         monkeypatch.setattr(entropy, "_EXACT_PACKING_MAX", 10)
-        est = packing_number(F, 0.4)
+        est = covering_estimate(F, 0.4)
         assert est.exact_packing is None and est.packing_lower >= 1
 
     def test_rejects_bad_scale(self):
         with pytest.raises(InputError):
-            packing_number(sign_class(2), 0.0)
+            covering_estimate(sign_class(2), 0.0)
 
 
 class TestCoveringNumber:
@@ -140,8 +139,8 @@ class TestSandwich:
             F = random_class(rng, int(rng.integers(3, 19)), int(rng.integers(2, 6)))
             for t in (0.15, 0.3, 0.6, 1.1):
                 n_t = covering_estimate(F, t).exact_covering
-                p_t = packing_number(F, t).exact_packing
-                p_2t = packing_number(F, 2.0 * t).exact_packing
+                p_t = covering_estimate(F, t).exact_packing
+                p_2t = covering_estimate(F, 2.0 * t).exact_packing
                 assert p_2t <= n_t <= p_t
 
     def test_monotone_in_scale(self):
@@ -149,7 +148,7 @@ class TestSandwich:
         F = random_class(rng, 14, 4)
         grid = (0.1, 0.2, 0.4, 0.8, 1.6)
         covers = [covering_estimate(F, t).exact_covering for t in grid]
-        packs = [packing_number(F, t).exact_packing for t in grid]
+        packs = [covering_estimate(F, t).exact_packing for t in grid]
         assert all(a >= b for a, b in zip(covers, covers[1:]))
         assert all(a >= b for a, b in zip(packs, packs[1:]))
 
@@ -161,7 +160,7 @@ class TestSandwich:
         assert np.allclose(pairwise_l2_distances(Fs), s * pairwise_l2_distances(F))
         for t in (0.2, 0.5):
             assert covering_estimate(Fs, s * t).exact_covering == covering_estimate(F, t).exact_covering
-            assert packing_number(Fs, s * t).exact_packing == packing_number(F, t).exact_packing
+            assert covering_estimate(Fs, s * t).exact_packing == covering_estimate(F, t).exact_packing
 
 
 class TestEntropyAudit:

@@ -12,7 +12,6 @@ from coordproj.rotation import (
     coordinate_jl,
     fit_jl_constant,
     haar_frame,
-    haar_orthogonal,
     scaled_basis,
 )
 from coordproj.selector import draw_selectors
@@ -21,13 +20,13 @@ from coordproj.selector import draw_selectors
 class TestHaarOrthogonal:
     def test_orthogonality(self):
         for n in (1, 2, 5, 32):
-            q = haar_orthogonal(n, RngStream(3, n))
+            q = haar_frame(n, n, RngStream(3, n))
             assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-10
             assert abs(abs(np.linalg.det(q)) - 1.0) < 1e-8
 
     def test_reproducible(self):
-        a = haar_orthogonal(6, RngStream(9))
-        b = haar_orthogonal(6, RngStream(9))
+        a = haar_frame(6, 6, RngStream(9))
+        b = haar_frame(6, 6, RngStream(9))
         assert np.array_equal(a, b)
 
     def test_rotation_invariance_sample_mean(self):
@@ -36,18 +35,18 @@ class TestHaarOrthogonal:
         n, draws = 4, 400
         acc = 0.0
         for i in range(draws):
-            q = haar_orthogonal(n, RngStream(5, i))
+            q = haar_frame(n, n, RngStream(5, i))
             acc += q[0, 0] ** 2
         assert acc / draws == pytest.approx(1.0 / n, abs=0.02)
 
     def test_non_orthogonal_draws_raise(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "qr", lambda g: (2.0 * np.eye(len(g)), np.eye(len(g))))
         with pytest.raises(CertificateError):
-            haar_orthogonal(3, RngStream(1))
+            haar_frame(3, 3, RngStream(1))
 
     def test_rejects_bad_n(self):
         with pytest.raises(InputError):
-            haar_orthogonal(0, RngStream(0))
+            haar_frame(0, 0, RngStream(0))
 
 
 class TestHaarFrame:
@@ -104,7 +103,7 @@ class TestDistortionReport:
     def test_rotation_preserves_full_norm(self):
         rng = np.random.default_rng(17)
         v = rng.standard_normal((3, 10))
-        q = haar_orthogonal(10, RngStream(19))
+        q = haar_frame(10, 10, RngStream(19))
         rep = _report(v, q, CoordinateSubset.full(10))
         assert np.allclose(rep.per_vector_ratio, 1.0, atol=1e-9)
 
@@ -181,7 +180,7 @@ class TestCoordinateJl:
         rep = coordinate_jl(scaled_basis(32), 0.3, RngStream(11), c_fit=0.8)
         assert seen == [(32, 32)]
         monkeypatch.undo()
-        q = haar_orthogonal(32, RngStream(11).substream(0))
+        q = haar_frame(32, 32, RngStream(11).substream(0))
         assert rep.psi2_max == max(psi_norm(row, 2.0).value for row in scaled_basis(32) @ q.T)
 
     def test_rejects_bad_eps(self):
@@ -218,7 +217,7 @@ class TestFramePath:
         v[0] = scaled_basis(n)[0]
         v /= np.sqrt(np.mean(v**2, axis=1, keepdims=True))
         frame = [rotation._rotate(v, RngStream(s))[1] for s in range(seeds)]
-        full = [psi_norms(v @ haar_orthogonal(n, RngStream(s, 1)).T, 2.0).values.max()
+        full = [psi_norms(v @ haar_frame(n, n, RngStream(s, 1)).T, 2.0).values.max()
                 for s in range(seeds)]
         pooled = np.sort(frame + full)
         ecdf = [np.searchsorted(np.sort(x), pooled, side="right") / seeds for x in (frame, full)]
