@@ -89,12 +89,18 @@ def _number(text: str) -> float | None:
 def read_matrix(path: str) -> np.ndarray:
     """Parses a CSV of row vectors.
 
-    Comma-separated decimals, one vector per row; blank lines and lines
-    starting with # are skipped; the first remaining line may be a header
-    with no numeric field, and any other unparseable line is an error.
+    Comma-separated decimals, one vector per row; a UTF-8 byte order mark
+    is dropped, blank lines and lines starting with # are skipped; the
+    first remaining line may be a header with no numeric field, and any
+    other unparseable line is an error.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         lines = [s for s in (raw.strip() for raw in fh) if s and not s.startswith("#")]
+    if lines:
+        try:
+            return np.loadtxt(lines, delimiter=",", comments=None, ndmin=2, dtype=float)
+        except ValueError:  # a header, a field float() reads and loadtxt does not, or a bad row
+            pass
     rows: list[list[float]] = []
     for i, line in enumerate(lines):
         parts = line.split(",")

@@ -284,36 +284,6 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_sig
                             kind=kind, per_k=tuple(rows))
 
 
-def _flip_descent(x, signs, total, val, norm):
-    """First-improvement single-flip descent from total = signs @ x at value val.
-
-    Flips signs in place and returns the final value. Sweeps run over
-    indices 0..count-1 and repeat until a sweep improves nothing. Each
-    norm call scores every flip from the current index on and takes the
-    first that improves by more than 1e-15 relative, then continues past
-    it: the order of a one-flip-at-a-time sweep, so the same signs result.
-    """
-    count = x.shape[0]
-    pos = 0
-    improved = False
-    while pos < count or improved:
-        if pos == count:
-            pos, improved = 0, False
-        cands = total - 2.0 * signs[pos:, None] * x[pos:]
-        cvals = banach_norm(cands, norm)
-        hits = np.flatnonzero(cvals < val - 1e-15 * val)
-        if hits.size == 0:
-            pos = count
-            continue
-        j = int(hits[0])
-        total = cands[j]
-        val = float(cvals[j])
-        signs[pos + j] = -signs[pos + j]
-        pos += j + 1
-        improved = True
-    return val
-
-
 def _sign_table(x, norm):
     """(unit, table, e): x = 2^e * unit with unit's peak in [1/2, 1), and the rows to search.
 
@@ -349,29 +319,77 @@ def _exact_signs(x, norm):
     return np.concatenate(([1.0], sign_patterns(count - 1, best_idx, best_idx + 1)[0]))
 
 
-def _heuristic_signs(x, norm, gen):
-    """Signs of the best of _SIGN_RESTARTS greedy-plus-descent runs on x, with signs[0] = +1."""
-    count = x.shape[0]
-    orders = np.empty((_SIGN_RESTARTS, count), dtype=np.intp)
-    orders[0] = np.argsort(-banach_norm(x, norm), kind="stable")
-    for r in range(1, _SIGN_RESTARTS):
-        orders[r] = gen.permutation(count)
-    # lockstep greedy: at step j every restart signs its j-th vector, and the
-    # plus and minus candidates of all restarts are scored in one norm call
-    restarts = np.arange(_SIGN_RESTARTS)
-    signs = np.zeros((_SIGN_RESTARTS, count))
-    totals = np.zeros((_SIGN_RESTARTS, x.shape[1]))
+def _heuristic_signs(tables, norm, gens):
+    """Signs of the best of _SIGN_RESTARTS greedy-plus-descent runs on each table, signs[:, 0] = +1.
+
+    tables is a stack (s, count, d), and gens holds one generator per
+    table for its random restart orders. The s * _SIGN_RESTARTS restarts
+    run in lockstep, in blocks of at most _BLOCK_SCALARS candidate scalars
+    (restarts * count * d). Greedy: at step j every restart signs its j-th
+    vector, and the plus and minus candidates of all restarts are scored in
+    one norm call. Descent: each restart keeps its own sweep position and
+    improved flag; each step scores every flip of every live restart in one
+    call, masks the flips before each restart's position, and takes its
+    first flip that improves by more than 1e-15 relative. That is the order
+    of a one-flip-at-a-time sweep, and banach_norm gives a row the same
+    bits alone or in a stack, so no table's signs depend on the others.
+    """
+    s, count, d = tables.shape
+    orders = np.empty((s, _SIGN_RESTARTS, count), dtype=np.intp)
+    orders[:, 0] = np.argsort(-banach_norm(tables, norm), axis=-1, kind="stable")
+    for t, gen in enumerate(gens):
+        for r in range(1, _SIGN_RESTARTS):
+            orders[t, r] = gen.permutation(count)
+    orders = orders.reshape(s * _SIGN_RESTARTS, count)
+    owner = np.repeat(np.arange(s), _SIGN_RESTARTS)
+    signs = np.zeros((s * _SIGN_RESTARTS, count))
+    vals = np.empty(s * _SIGN_RESTARTS)
+    step = max(1, _BLOCK_SCALARS // (count * d))
+    for lo in range(0, s * _SIGN_RESTARTS, step):
+        hi = min(lo + step, s * _SIGN_RESTARTS)
+        vals[lo:hi] = _lockstep_search(tables, owner[lo:hi], orders[lo:hi], signs[lo:hi], norm)
+    best = signs[np.arange(s) * _SIGN_RESTARTS
+                 + np.argmin(vals.reshape(s, _SIGN_RESTARTS), axis=1)]
+    return np.where(best[:, :1] > 0, best, -best)
+
+
+def _lockstep_search(tables, owner, orders, signs, norm):
+    """Greedy signing then single-flip descent for restarts of tables[owner] in orders.
+
+    Writes each restart's signs into signs in place and returns their values.
+    """
+    restarts, count = orders.shape
+    rows = np.arange(restarts)
+    totals = np.zeros((restarts, tables.shape[2]))
     for idx in orders.T:
-        vecs = x[idx]
+        vecs = tables[owner, idx]
         scores = banach_norm(np.concatenate((totals + vecs, totals - vecs)), norm)
-        s = np.where(scores[:_SIGN_RESTARTS] <= scores[_SIGN_RESTARTS:], 1.0, -1.0)
-        signs[restarts, idx] = s
+        s = np.where(scores[:restarts] <= scores[restarts:], 1.0, -1.0)
+        signs[rows, idx] = s
         totals = totals + s[:, None] * vecs
     vals = banach_norm(totals, norm)
-    for r in restarts:
-        vals[r] = _flip_descent(x, signs[r], totals[r], vals[r], norm)
-    best = signs[int(np.argmin(vals))]
-    return best if best[0] > 0 else -best
+    pos = np.zeros(restarts, dtype=np.intp)
+    improved = np.zeros(restarts, dtype=bool)
+    index = np.arange(count)
+    while True:
+        # a sweep that improved something starts over from index 0
+        wrap = (pos == count) & improved
+        pos[wrap], improved[wrap] = 0, False
+        live = np.flatnonzero(pos < count)
+        if live.size == 0:
+            return vals
+        cands = totals[live, None] - 2.0 * signs[live, :, None] * tables[owner[live]]
+        cvals = banach_norm(cands, norm)
+        val = vals[live, None]
+        hits = (cvals < val - 1e-15 * val) & (index >= pos[live, None])
+        found = hits.any(axis=1)
+        pos[live[~found]] = count
+        r, k = live[found], np.argmax(hits[found], axis=1)
+        totals[r] = cands[found, k]
+        vals[r] = cvals[found, k]
+        signs[r, k] = -signs[r, k]
+        pos[r] = k + 1
+        improved[r] = True
 
 
 def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
@@ -397,15 +415,29 @@ def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
         raise SizeCapError(
             f"exact sign search over {count} vectors needs 2^{count - 1} patterns",
             cost_estimate=float(2 ** (count - 1)))
-    unit, table, e = _sign_table(x, norm)
-    if count == 1:
-        signs = np.ones(1)
+    values, signs = _sign_minima(x[None], norm, mode, [rng or RngStream(0)])
+    return SignMinimumResult(values[0], tuple(int(s) for s in signs[0]), mode)
+
+
+def _sign_minima(stack, norm, mode, rngs):
+    """Values and signs (s, count) of the sign minima of the tables in stack (s, count, d).
+
+    Exact mode searches each table alone and reads no rngs. Heuristic mode
+    searches all of them in one _heuristic_signs call, table t drawing its
+    restart orders from rngs[t]. Each value is the norm of the table's chosen signed sum
+    at its unit peak, scaled back, so the signs attain it.
+    """
+    prepared = [_sign_table(x, norm) for x in stack]
+    tables = np.stack([table for _, table, _ in prepared])
+    if stack.shape[1] == 1:
+        signs = np.ones((len(stack), 1))
     elif mode == "exact":
-        signs = _exact_signs(table, norm)
+        signs = np.stack([_exact_signs(table, norm) for table in tables])
     else:
-        signs = _heuristic_signs(table, norm, (rng or RngStream(0)).generator())
-    (value,) = _scale_back(e, banach_norm(signs @ unit, norm), what="the sign minimum")
-    return SignMinimumResult(value, tuple(int(s) for s in signs), mode)
+        signs = _heuristic_signs(tables, norm, [rng.generator() for rng in rngs])
+    values = [_scale_back(e, banach_norm(sg @ unit, norm), what="the sign minimum")[0]
+              for (unit, _, e), sg in zip(prepared, signs)]
+    return values, signs
 
 
 def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
@@ -431,6 +463,9 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     """
     trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     subsets_per_size = check_count(subsets_per_size, "subsets_per_size", 1)
+    if subsets_per_size > _BLOCK_SCALARS:
+        raise SizeCapError(f"{subsets_per_size} subsets per size exceed cap {_BLOCK_SCALARS}",
+                           cost_estimate=float(subsets_per_size))
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     x = as_table(vectors, "vectors")
@@ -454,28 +489,28 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     sub_id = 2
     for lam in grid:
         size = max(1, int(math.floor(lam * n)))
-        methods = set()
         draws = 1 if size == n else subsets_per_size
-        for _ in range(draws):
-            idx = np.sort(gen_s.choice(n, size=size, replace=False))
-            chosen = x[idx]
-            if size <= _EXACT_SIGN_CAP:
-                res = min_sign_norm(chosen, norm=norm, mode="exact")
-            else:
-                res = min_sign_norm(chosen, norm=norm, mode="heuristic",
-                                    rng=rng.substream(sub_id))
-                flags.add("HEURISTIC_MIN_SIGN")
-            sub_id += 1
-            methods.add(res.method)
-            running_m = max(running_m, res.value / math.sqrt(size))
+        mode = "exact" if size <= _EXACT_SIGN_CAP else "heuristic"
+        # all subsets of a size are searched as one stack, in blocks that keep
+        # the candidates of their restarts within _BLOCK_SCALARS scalars
+        block = max(1, _BLOCK_SCALARS // (_SIGN_RESTARTS * size * x.shape[1]))
+        for lo in range(0, draws, block):
+            idx = [np.sort(gen_s.choice(n, size=size, replace=False))
+                   for _ in range(min(block, draws - lo))]
+            rngs = (None if mode == "exact"
+                    else [rng.substream(sub_id + lo + k) for k in range(len(idx))])
+            values, _ = _sign_minima(x[np.array(idx)], norm, mode, rngs)
+            running_m = max(running_m, max(values) / math.sqrt(size))
+        sub_id += draws
+        if mode == "heuristic":
+            flags.add("HEURISTIC_MIN_SIGN")
         if running_m > 0.0:
             c_emp = e_mean / (running_m * math.sqrt(n / lam))
         else:
             c_emp = math.inf
             flags.add("ZERO_MIN_SIGN")
         rows.append(TypeComparisonRow(lam=lam, subset_size=size, m_emp=running_m,
-                                      c_emp=c_emp,
-                                      min_sign_method="+".join(sorted(methods))))
+                                      c_emp=c_emp, min_sign_method=mode))
     return TypeInfratypeReport(n=n, norm=norm, gaussian_mean=e_mean,
                                gaussian_std_error=e_se, trials=trials,
                                rows=tuple(rows), flags=tuple(sorted(flags)))

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from coordproj import __version__, cli, core, selector, shatter
+from coordproj import __version__, cli, complexity, core, selector, shatter
 from coordproj.cli import (
     DEFAULT_SEED,
     build_parser,
@@ -99,6 +99,86 @@ class TestReadMatrix:
         write_matrix(str(p), ["a", "b", "c", "d"], data.tolist())
         back = read_matrix(str(p))
         assert np.array_equal(back, data)
+
+
+def reference_read(path):
+    """The per-line parser read_matrix must agree with: the array, or the error's (code, message)."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        lines = [s for s in (raw.strip() for raw in fh) if s and not s.startswith("#")]
+    rows = []
+    for i, line in enumerate(lines):
+        parts = line.split(",")
+        try:
+            rows.append([float(p) for p in parts])
+        except ValueError:
+            numeric = []
+            for p in parts:
+                try:
+                    numeric.append(float(p))
+                except ValueError:
+                    pass
+            if i > 0 or numeric:
+                return ("BAD_CSV", f"unparseable row: {line!r}")
+    if not rows:
+        return ("EMPTY_CSV", f"no numeric rows in {path}")
+    for i, r in enumerate(rows):
+        if len(r) != len(rows[0]):
+            return ("RAGGED_CSV", f"row {i + 1} has {len(r)} fields, expected {len(rows[0])}")
+    return np.array(rows)
+
+
+_CSV_PLAIN = ("1", "-2.5", "0.1", "3e-7", "+.5")
+_CSV_ODD = (" 1 ", "\t2", "\xa03", "1_0", "\u0661\u0662", "nan", "-nan", "inf", "-Infinity",
+            "1e500", "-1e-400", "", "x", "2#c", "0x1p3")
+
+
+@st.composite
+def _csv_files(draw):
+    """CSV text: rows of plain and odd cells, with blank lines, comments, trailing
+    commas, ragged rows, a header and a byte order mark, each drawn or not."""
+    width = draw(st.integers(1, 3))
+    cell = st.sampled_from(_CSV_PLAIN * 6 + _CSV_ODD)
+    lines = []
+    for _ in range(draw(st.integers(0, 4))):
+        row = draw(st.lists(cell, min_size=width, max_size=width))
+        if draw(st.integers(0, 7)) == 0:  # ragged
+            row = row + [draw(cell)] if draw(st.booleans()) or width == 1 else row[1:]
+        lines.append(",".join(row) + ("," if draw(st.integers(0, 9)) == 0 else ""))
+        if draw(st.integers(0, 4)) == 0:
+            lines.append(draw(st.sampled_from(("", "   ", "# note", "#1,2"))))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(["a"] * width))
+    return ("\ufeff" if draw(st.booleans()) else "") + "\n".join(lines) + "\n"
+
+
+class TestReadMatrixAgainstReference:
+    @given(text=_csv_files())
+    def test_matches_the_per_line_parser(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "prop.csv"
+        path.write_text(text, encoding="utf-8")
+        expected = reference_read(str(path))
+        try:
+            got = read_matrix(str(path))
+        except InputError as exc:
+            assert (exc.code, str(exc)) == expected
+            return
+        assert isinstance(expected, np.ndarray), expected
+        assert got.dtype == np.float64 and got.shape == expected.shape
+        assert got.tobytes() == expected.tobytes()
+
+    def test_byte_order_mark_is_dropped(self, tmp_path):
+        p = tmp_path / "bom.csv"
+        p.write_text("\ufeff1,2\n3,4\n", encoding="utf-8")
+        assert np.array_equal(read_matrix(str(p)), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        p.write_text("\ufeffx,y\n1,2\n", encoding="utf-8")
+        assert np.array_equal(read_matrix(str(p)), np.array([[1.0, 2.0]]))
+
+    @pytest.mark.parametrize("text, shape", [("1\n2\n3\n", (3, 1)), ("5\n", (1, 1)),
+                                             ("1_0,\u0661\n", (1, 2))])
+    def test_shapes_and_float_spellings(self, tmp_path, text, shape):
+        p = tmp_path / "s.csv"
+        p.write_text(text, encoding="utf-8")
+        assert read_matrix(str(p)).shape == shape
 
 
 class TestRenderReport:
@@ -619,6 +699,17 @@ class TestTypecmpCommand:
         rows = report["results"]["rows"]
         assert [r["subset_size"] for r in rows] == [3, 6]
         assert all(r["m_emp"] == pytest.approx(1.0, abs=1e-12) for r in rows)
+
+    def test_subsets_past_the_cap_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(complexity, "_BLOCK_SCALARS", 7)
+        path = write_csv(tmp_path / "eye6.csv", np.eye(6))
+        argv = ["typecmp", "--input", path, "--delta-grid", "0.5", "--trials", "100"]
+        assert main(argv + ["--subsets", "7"]) == 0
+        capsys.readouterr()
+        assert main(argv + ["--subsets", "8"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"
 
 
 class TestAuditCommand:

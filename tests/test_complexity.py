@@ -85,6 +85,16 @@ def sequential_min_sign(vectors, norm, rng):
     return math.ldexp(banach_norm(best_signs @ unit, norm), e), tuple(int(s) for s in best_signs)
 
 
+def _sign_vectors(kind, count, dim, g):
+    if kind == "gaussian":
+        return g.standard_normal((count, dim))
+    if kind == "sign":
+        return g.choice([-1.0, 1.0], size=(count, dim))
+    if kind == "decimal":
+        return np.round(g.uniform(-1.0, 1.0, size=(count, dim)), 2)
+    return (np.eye(count) * g.choice([-1.0, 1.0], size=(count, 1)))[g.permutation(count)]
+
+
 @st.composite
 def sign_inputs(draw, norms=("sup", 2.0, 1.0, 3.0)):
     """(vectors, norm, rng) for the heuristic: 2 to 60 vectors in R^1..R^8.
@@ -96,15 +106,22 @@ def sign_inputs(draw, norms=("sup", 2.0, 1.0, 3.0)):
     count = draw(st.integers(2, 60))
     dim = draw(st.integers(1, 8))
     g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if kind == "gaussian":
-        x = g.standard_normal((count, dim))
-    elif kind == "sign":
-        x = g.choice([-1.0, 1.0], size=(count, dim))
-    elif kind == "decimal":
-        x = np.round(g.uniform(-1.0, 1.0, size=(count, dim)), 2)
-    else:
-        x = (np.eye(count) * g.choice([-1.0, 1.0], size=(count, 1)))[g.permutation(count)]
+    x = _sign_vectors(kind, count, dim, g)
     return x, draw(st.sampled_from(norms)), RngStream(draw(st.integers(0, 2**16)))
+
+
+@st.composite
+def sign_stacks(draw):
+    """(stack, norm, rngs): a sign_inputs table and 0 to 3 more of its shape, each of any kind."""
+    x, norm, rng = draw(sign_inputs())
+    kinds = ["gaussian", "sign", "decimal"] + (["basis"] if x.shape[0] == x.shape[1] else [])
+    tables, rngs = [x], [rng]
+    for _ in range(draw(st.integers(0, 3))):
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        tables.append(_sign_vectors(draw(st.sampled_from(kinds)), *x.shape, g))
+        rngs.append(RngStream(draw(st.integers(0, 2**16))))
+    order = draw(st.permutations(range(len(tables))))
+    return np.stack([tables[i] for i in order]), norm, [rngs[i] for i in order]
 
 
 @st.composite
@@ -605,9 +622,23 @@ class TestMinSignNorm:
             min_sign_norm([[1.5e308, 1.5e308]])
         assert exc.value.code == "OVERFLOW"
 
+    @given(case=sign_stacks())
+    def test_a_stack_keeps_each_tables_signs(self, case):
+        # each table of the stack gets the signs the reference gives it alone,
+        # whatever the other tables, and however the restarts are cut in blocks
+        stack, norm, rngs = case
+        expected = [sequential_min_sign(x, norm, rng) for x, rng in zip(stack, rngs)]
+        for block in (None, 22, 50, 4000):
+            with pytest.MonkeyPatch.context() as patch:
+                if block is not None:
+                    patch.setattr(complexity, "_BLOCK_SCALARS", block)
+                values, signs = complexity._sign_minima(stack, norm, "heuristic", rngs)
+            assert [(v, tuple(int(e) for e in sg)) for v, sg in zip(values, signs)] == expected
+
     def test_heuristic_norm_calls(self, monkeypatch):
-        # one call for the row norms, one per lockstep greedy step, and per
-        # restart at most one for its value and one for a sweep that finds nothing
+        # one call for the row norms, one per lockstep greedy step, one for the
+        # restarts' values and one per lockstep descent step; on eye(51) every
+        # signing has norm sqrt(51), so one descent step finds no flip anywhere
         calls = []
 
         def counting_norm(v, norm="sup"):
@@ -617,7 +648,9 @@ class TestMinSignNorm:
         monkeypatch.setattr(complexity, "banach_norm", counting_norm)
         res = min_sign_norm(np.eye(51), mode="heuristic", rng=RngStream(56))
         assert res.value == math.sqrt(51.0)
-        assert len(calls) <= 1 + 51 + 2 * complexity._SIGN_RESTARTS
+        search, value = calls[:-1], calls[-1]
+        assert len(search) == 1 + 51 + 1 + 1
+        assert search[-1] == (complexity._SIGN_RESTARTS, 51, 51) and value == (51,)
 
 
 class TestTypeInfratypeReport:
@@ -675,6 +708,38 @@ class TestTypeInfratypeReport:
         rep = type_infratype_report(vecs, delta_grid=(0.5,), trials=500, rng=RngStream(67))
         assert "HEURISTIC_MIN_SIGN" in rep.flags
         assert "heuristic" in rep.rows[0].min_sign_method
+
+    def test_blocks_keep_the_report(self, monkeypatch):
+        # subsets are searched in stacks cut by _BLOCK_SCALARS; the cut moves no bit
+        vecs = RngStream(66).generator().standard_normal((10, 4))
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True) * 1.01
+        monkeypatch.setattr(complexity, "_EXACT_SIGN_CAP", 2)
+
+        def report():
+            return type_infratype_report(vecs, delta_grid=(0.2, 0.3, 0.6), trials=200,
+                                         rng=RngStream(67), subsets_per_size=5)
+
+        whole = report()
+        assert [r.min_sign_method for r in whole.rows] == ["exact", "heuristic", "heuristic"]
+        for block in (22, 50, 4000):
+            monkeypatch.setattr(complexity, "_BLOCK_SCALARS", block)
+            assert report() == whole
+
+    def test_subsets_past_the_cap(self, monkeypatch):
+        # refused before the Gaussian average or any subset search runs
+        def forbidden(*args, **kwargs):
+            raise AssertionError("work ran past the subset cap")
+
+        monkeypatch.setattr(complexity, "_BLOCK_SCALARS", 5)
+        rep = type_infratype_report(np.eye(8), delta_grid=(0.5,), trials=200, rng=RngStream(0),
+                                    subsets_per_size=5)
+        assert rep.rows[0].m_emp == pytest.approx(1.0, abs=1e-12)
+        for name in ("monte_carlo", "_sign_minima"):
+            monkeypatch.setattr(complexity, name, forbidden)
+        with pytest.raises(SizeCapError) as exc:
+            type_infratype_report(np.eye(8), trials=200, rng=RngStream(0), subsets_per_size=6)
+        assert exc.value.code == "SIZE_CAP"
+        assert exc.value.cost_estimate == 6.0
 
     def test_reproducible(self):
         vecs = np.eye(6)
