@@ -27,7 +27,7 @@ from .complexity import (
     type_infratype_report,
 )
 from .core import (CertificateError, CoordinateSubset, FunctionClass, InputError,
-                   RngStream, SizeCapError, check_count)
+                   RngStream, SizeCapError, check_count, check_substreams)
 from .entropy import entropy_inequality_audit
 from .orlicz import psi_norms
 from .rotation import DEFAULT_JL_CONSTANT, coordinate_jl
@@ -219,6 +219,7 @@ def _run_project(args, data, rng):
     header = ["index", "success_prob", "exact_success_prob"]
     if args.t is not None:
         header += ["empirical_prob", "chernoff_bound", "fitted_c"]
+    check_substreams(2 * len(data), f"{len(data)} rows")  # row i takes label 2i + 1
     for i, vec in enumerate(data):
         success, exact, tail = selector_experiment(vec, args.delta, args.eps, args.trials,
                                                    rng.substream(2 * i + 1), t=args.t)
@@ -284,8 +285,8 @@ def _run_shatter(args, data, rng):
 
 def _run_hull(args, data, rng):
     count = data.shape[0]
-    dom = l1_domination(data, norm=_parse_norm(args.norm), mode=args.mode,
-                        rng=rng.substream(0), samples=args.samples)
+    dom = l1_domination(data, norm=_parse_norm(args.norm), rng=rng.substream(0),
+                        samples=args.samples)
     F = dual_ball_class(data)
     witness = vc_convex_hull(F, CoordinateSubset.full(count), args.t,
                              max_sigma=args.max_sigma)
@@ -469,9 +470,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(sp)
     sp.add_argument("--t", type=float, required=True, help="shattering scale, t > 0")
     sp.add_argument("--norm", default="sup", help="'sup' or a p >= 1 exponent")
-    sp.add_argument("--mode", choices=["exact", "sampled"], default="exact")
     sp.add_argument("--samples", type=int, default=512,
-                    help="directions for sampled mode")
+                    help="directions when the domination is sampled: under a p-norm,"
+                         " or past the exact cap on independent points")
     sp.add_argument("--max-sigma", type=int, default=_DEFAULT_MAX_HULL_SIGMA,
                     help="hull cap on the point count: a witness holds 2^k weight vectors")
 
@@ -529,7 +530,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 9,
+        "schema": 10,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

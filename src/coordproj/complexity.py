@@ -27,6 +27,7 @@ from .core import (
     check_count,
     check_in_unit_ball,
     check_positive,
+    check_substreams,
     digest_inputs,
     mean_and_se,
     monte_carlo,
@@ -182,16 +183,17 @@ def _tuple_mean(values, tup, weights):
     return mean_and_se(float(sups.sum()), float((sups * sups).sum()), sups.size)
 
 
-def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=False):
+def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian"):
     """Estimates ell_k(F): the largest k-point weighted-sup average.
 
     The supremum runs over k-tuples of domain points with repetition.
     When the multiset count C(n+k-1, k) is within _EXHAUSTIVE_TUPLE_CAP
     every tuple is scored against one shared weight sample; otherwise
     greedy coordinate ascent from _ELL_RESTARTS starts is used and the
-    result is a lower bound. With exact_signs, which needs kind
-    "rademacher" (InputError BAD_KIND otherwise), the per-tuple mean is an
-    exact average over all 2^k sign patterns instead of Monte Carlo.
+    result is a lower bound. For kind "rademacher" with 2^k <= trials the
+    shared sample is all 2^k sign patterns, the whole Rademacher law, so
+    each tuple's mean is exact and carries no standard error; that is no
+    more work than the `trials` draws it replaces.
 
     Returns:
         ComplexityEstimate with method "exhaustive", "exhaustive-exact",
@@ -201,19 +203,15 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     k = check_count(k, "k", 1, "BAD_K")
-    if exact_signs and kind != "rademacher":
-        raise InputError("BAD_KIND", f"exact_signs needs kind rademacher, got {kind!r}")
     n = F.n
     # scaled as in _complexity, which also makes the greedy tolerance relative
     values, e = unit_peak(F.values)
-    exact = bool(exact_signs) and (1 << k) * F.m <= 1 << 22
+    exact = kind == "rademacher" and k < trials.bit_length()  # 2^k <= trials
 
     def score(tup, weights):
-        # the 2^k sign patterns are the whole Rademacher law, so an exact mean has no error
         mean, se = _tuple_mean(values, tup, weights)
         return mean, 0.0 if exact else se
 
-    # weights are drawn k-by-trials so the first k rows coincide across nested k
     if math.comb(n + k - 1, k) <= _EXHAUSTIVE_TUPLE_CAP:
         weights = sign_patterns(k).T if exact else _draw_weights(rng.generator(), k, trials, kind)
         best = None
@@ -260,13 +258,14 @@ def ell_parameter(F, k, trials=2000, rng=None, kind="gaussian", exact_signs=Fals
                               support=tuple(i + 1 for i in best[2]))
 
 
-def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_signs=False):
+def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian"):
     """Largest k <= k_max whose ell_k estimate reaches eps * k.
 
     A k qualifies when mean(ell_k) >= eps * k - std_error, the one
-    standard error of slack guarding Monte-Carlo boundary flicker;
-    exact sign enumeration carries zero slack. Returns value 0 when no
-    k qualifies and sets capped when k = k_max itself qualifies.
+    standard error of slack guarding Monte-Carlo boundary flicker; an
+    exact Rademacher ell_k (see ell_parameter) carries zero slack.
+    Returns value 0 when no k qualifies and sets capped when k = k_max
+    itself qualifies.
     """
     eps = check_positive(eps, "eps", "BAD_EPSILON")
     k_max = check_count(k_max, "k_max", 1, "BAD_K")
@@ -275,8 +274,7 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian", exact_sig
     rows = []
     value = 0
     for k in range(1, k_max + 1):
-        est = ell_parameter(F, k, trials=trials, rng=rng.substream(k), kind=kind,
-                            exact_signs=exact_signs)
+        est = ell_parameter(F, k, trials=trials, rng=rng.substream(k), kind=kind)
         rows.append(est)
         if est.mean >= eps * k - est.std_error:
             value = k
@@ -392,52 +390,45 @@ def _lockstep_search(tables, owner, orders, signs, norm):
         improved[r] = True
 
 
-def min_sign_norm(vectors, norm=2.0, mode="exact", rng=None):
+def min_sign_norm(vectors, norm=2.0, rng=None):
     """Minimizes ||sum_i eta_i v_i|| over sign choices eta_i = +-1.
 
-    Exact mode enumerates 2^(count-1) patterns, the global sign flip
-    being free, and certifies the minimum; it refuses more than
-    _EXACT_SIGN_CAP vectors. Heuristic mode signs vectors greedily in
-    descending norm order, runs single-flip descent, and restarts from
-    random orders, _SIGN_RESTARTS starts in all, so its value is an
-    upper bound on the minimum. Both search the table of _sign_table;
-    the value is the norm of the chosen signed sum of the vectors
-    themselves, at the unit peak, so the signs attain it.
+    Up to _EXACT_SIGN_CAP vectors it enumerates the 2^(count-1) patterns,
+    the global sign flip being free, and certifies the minimum (method
+    "exact"). Past the cap it signs vectors greedily in descending norm
+    order, runs single-flip descent, and restarts from random orders drawn
+    from rng, _SIGN_RESTARTS starts in all, so its value is an upper bound
+    on the minimum (method "heuristic"). Both search the table of
+    _sign_table; the value is the norm of the chosen signed sum of the
+    vectors themselves, at the unit peak, so the signs attain it.
 
     Returns:
         SignMinimumResult; signs are normalized to signs[0] = +1.
     """
     x = as_table(vectors, "vectors")
-    count = x.shape[0]
-    if mode not in ("exact", "heuristic"):
-        raise InputError("BAD_MODE", f"mode must be exact or heuristic, got {mode!r}")
-    if mode == "exact" and count > _EXACT_SIGN_CAP:
-        raise SizeCapError(
-            f"exact sign search over {count} vectors needs 2^{count - 1} patterns",
-            cost_estimate=float(2 ** (count - 1)))
-    values, signs = _sign_minima(x[None], norm, mode, [rng or RngStream(0)])
-    return SignMinimumResult(values[0], tuple(int(s) for s in signs[0]), mode)
+    values, signs, method = _sign_minima(x[None], norm, [rng or RngStream(0)])
+    return SignMinimumResult(values[0], tuple(int(s) for s in signs[0]), method)
 
 
-def _sign_minima(stack, norm, mode, rngs):
-    """Values and signs (s, count) of the sign minima of the tables in stack (s, count, d).
+def _sign_minima(stack, norm, rngs):
+    """Values, signs (s, count) and method of the sign minima of the tables in stack (s, count, d).
 
-    Exact mode searches each table alone and reads no rngs. Heuristic mode
-    searches all of them in one _heuristic_signs call, table t drawing its
-    restart orders from rngs[t]. Each value is the norm of the table's chosen signed sum
-    at its unit peak, scaled back, so the signs attain it.
+    Up to _EXACT_SIGN_CAP vectors each table is searched alone, exactly,
+    and no rngs are read. Past it all are searched in one _heuristic_signs
+    call, table t drawing its restart orders from rngs[t]. Each value is the
+    norm of the table's chosen signed sum at its unit peak, scaled back, so
+    the signs attain it.
     """
     prepared = [_sign_table(x, norm) for x in stack]
     tables = np.stack([table for _, table, _ in prepared])
-    if stack.shape[1] == 1:
-        signs = np.ones((len(stack), 1))
-    elif mode == "exact":
-        signs = np.stack([_exact_signs(table, norm) for table in tables])
+    if stack.shape[1] <= _EXACT_SIGN_CAP:
+        method, signs = "exact", np.stack([_exact_signs(table, norm) for table in tables])
     else:
+        method = "heuristic"
         signs = _heuristic_signs(tables, norm, [rng.generator() for rng in rngs])
     values = [_scale_back(e, banach_norm(sg @ unit, norm), what="the sign minimum")[0]
               for (unit, _, e), sg in zip(prepared, signs)]
-    return values, signs
+    return values, signs, method
 
 
 def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
@@ -459,13 +450,12 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         subsets_per_size: subsets sampled per grid size, at least 1.
 
     Subsets of at most _EXACT_SIGN_CAP vectors are solved by exact sign
-    enumeration, larger ones heuristically (flag HEURISTIC_MIN_SIGN).
+    enumeration, larger ones heuristically (flag HEURISTIC_MIN_SIGN). A
+    subsets_per_size whose subsets would need a substream label past
+    core._SUBSTREAM_SPAN raises SizeCapError before any work.
     """
     trials = check_count(trials, "trials", _MIN_TRIALS, "BAD_TRIALS")
     subsets_per_size = check_count(subsets_per_size, "subsets_per_size", 1)
-    if subsets_per_size > _BLOCK_SCALARS:
-        raise SizeCapError(f"{subsets_per_size} subsets per size exceed cap {_BLOCK_SCALARS}",
-                           cost_estimate=float(subsets_per_size))
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     x = as_table(vectors, "vectors")
@@ -474,6 +464,8 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     grid = [float(d) for d in delta_grid]
     if not grid or any(not (0.0 < d <= 1.0) for d in grid) or grid != sorted(grid):
         raise InputError("BAD_GRID", "delta_grid must be increasing fractions in (0, 1]")
+    # the subsets take substreams 2, 3, ..., at most subsets_per_size per size
+    check_substreams(2 + len(grid) * subsets_per_size, f"{subsets_per_size} subsets per size")
 
     # averaged at a unit peak, as in _complexity; the sign minima take their own
     unit, e = unit_peak(x)
@@ -490,19 +482,17 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     for lam in grid:
         size = max(1, int(math.floor(lam * n)))
         draws = 1 if size == n else subsets_per_size
-        mode = "exact" if size <= _EXACT_SIGN_CAP else "heuristic"
         # all subsets of a size are searched as one stack, in blocks that keep
         # the candidates of their restarts within _BLOCK_SCALARS scalars
         block = max(1, _BLOCK_SCALARS // (_SIGN_RESTARTS * size * x.shape[1]))
         for lo in range(0, draws, block):
             idx = [np.sort(gen_s.choice(n, size=size, replace=False))
                    for _ in range(min(block, draws - lo))]
-            rngs = (None if mode == "exact"
-                    else [rng.substream(sub_id + lo + k) for k in range(len(idx))])
-            values, _ = _sign_minima(x[np.array(idx)], norm, mode, rngs)
+            rngs = [rng.substream(sub_id + lo + k) for k in range(len(idx))]
+            values, _, method = _sign_minima(x[np.array(idx)], norm, rngs)
             running_m = max(running_m, max(values) / math.sqrt(size))
         sub_id += draws
-        if mode == "heuristic":
+        if method == "heuristic":
             flags.add("HEURISTIC_MIN_SIGN")
         if running_m > 0.0:
             c_emp = e_mean / (running_m * math.sqrt(n / lam))
@@ -510,7 +500,7 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
             c_emp = math.inf
             flags.add("ZERO_MIN_SIGN")
         rows.append(TypeComparisonRow(lam=lam, subset_size=size, m_emp=running_m,
-                                      c_emp=c_emp, min_sign_method=mode))
+                                      c_emp=c_emp, min_sign_method=method))
     return TypeInfratypeReport(n=n, norm=norm, gaussian_mean=e_mean,
                                gaussian_std_error=e_se, trials=trials,
                                rows=tuple(rows), flags=tuple(sorted(flags)))

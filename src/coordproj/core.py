@@ -186,6 +186,13 @@ class RngStream:
         return RngStream(self.seed, self.stream_id * _SUBSTREAM_SPAN + k + 1)
 
 
+def check_substreams(count: int, what: str) -> None:
+    """SizeCapError, raised before the work, when labels 0..count-1 do not all fit the span."""
+    if count > _SUBSTREAM_SPAN:
+        raise SizeCapError(f"{what} need substream labels up to {count - 1},"
+                           f" past the cap {_SUBSTREAM_SPAN - 1}", cost_estimate=float(count))
+
+
 @dataclass(frozen=True)
 class FunctionClass:
     """m functions on {1..n} under the uniform measure, as an m-by-n table.
@@ -217,7 +224,9 @@ def banach_norm(v, norm="sup"):
     A vector gives a float; a stack of vectors gives an array of norms,
     each with the same bits as the float of that vector alone.
     """
-    w = np.abs(np.asarray(v, dtype=float))
+    # numpy sums a contiguous row pairwise and a strided one in sequence, so
+    # every stack is laid out in C order, whatever the layout it came in
+    w = np.abs(np.asarray(v, dtype=float), order="C")
     if w.ndim == 0 or w.shape[-1] == 0:
         raise InputError("DIMENSION", "a norm needs a nonempty vector")
     if norm == "sup":

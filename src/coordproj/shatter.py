@@ -329,30 +329,31 @@ class DominationResult:
 def l1_domination(
     points,
     norm="sup",
-    mode: str = "exact",
     rng: RngStream | None = None,
     samples: int = 512,
 ) -> DominationResult:
     """Largest eps with eps * sum |a_i| <= norm(sum a_i x_i) for all a.
 
     epsilon_star = min over the l_1 sphere of the norm of the signed
-    combination.  Exact mode (sup norm only) takes one of three paths,
-    named in `method`:
+    combination.  The input picks one of four paths, named in `method`:
 
     - "exact-rank": dependent points (see _null_vector) give 0, the true
-      value, and a null vector as minimizer.  No LP runs.
-    - "exact-vertex": epsilon_star = 1 / max{|a|_1 : |x^T a| <= 1}, and a
-      convex maximum over a polytope sits at a vertex (Avis and Fukuda,
-      DCG 1992); see _vertex_domination.  Taken while C(dim, c) *
-      2^(c-1) * dim, the scalars of its feasibility test, is at most
-      _BLOCK_SCALARS, c being the point count.
-    - "exact-lp": past that, one LP per sign orthant, 2^(c-1) of them.
+      value under any norm, and a null vector as minimizer.  No LP runs.
+    - "exact-vertex": independent points under the sup norm, at most
+      _MAX_EXACT_DOMINATION of them, while _vertex_fits.  Then
+      epsilon_star = 1 / max{|a|_1 : |x^T a| <= 1}, and a convex maximum
+      over a polytope sits at a vertex (Avis and Fukuda, DCG 1992); see
+      _vertex_domination.
+    - "exact-lp": the same points past the vertex gate, one LP per sign
+      orthant, 2^(c-1) of them for c points.
+    - "sampled": every other input, that is independent points under a
+      p-norm or more than _MAX_EXACT_DOMINATION of them.  The minimum over
+      `samples` random and structured directions, which only
+      *over*-estimates epsilon_star.
 
-    Independent points are capped at _MAX_EXACT_DOMINATION.  Every exact
-    path raises CertificateError if, at the unit peak (core.unit_peak), its
-    minimizer misses the value by more than 10 * _LP_FEAS_TOL.  Sampled
-    mode: minimum over `samples` random and structured directions, which
-    only *over*-estimates epsilon_star.
+    Every exact path raises CertificateError if, at the unit peak
+    (core.unit_peak), its minimizer misses the value by more than
+    10 * _LP_FEAS_TOL.
 
     epsilon_star > 0 iff the points are linearly independent.
     """
@@ -361,49 +362,38 @@ def l1_domination(
     count, dim = x.shape
     check_in_unit_ball(x, norm, "point")
 
-    if mode == "exact":
-        if norm != "sup":
-            raise InputError("UNSUPPORTED_NORM", "exact mode supports the sup norm only")
-        # epsilon_star is homogeneous: a unit peak keeps the vertices inside the float range
-        unit, e = unit_peak(x)
-        method, value, a = "exact-rank", 0.0, _null_vector(unit)
-        if a is None:
-            method, cost, work = _exact_cost(count, dim)
-            if count > _MAX_EXACT_DOMINATION:
-                raise SizeCapError(
-                    f"{count} points exceed the exact cap {_MAX_EXACT_DOMINATION} ({work})",
-                    cost_estimate=cost,
-                )
-            solve = _vertex_domination if method == "exact-vertex" else _orthant_domination
-            value, a = solve(unit)
-        attained = float(banach_norm(a @ unit, "sup"))
-        if not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
-            raise CertificateError(f"{method} minimizer attains {math.ldexp(attained, e)!r},"
-                                   f" not {math.ldexp(value, e)!r}")
-        return DominationResult(math.ldexp(value, e), a, method)
-
-    if mode != "sampled":
-        raise InputError("BAD_INPUT", f"mode must be 'exact' or 'sampled', got {mode}")
-    # coordinate vectors, the corners of the l_1 sphere's orthants, random points
-    dirs = [np.eye(count)]
-    if count <= 12:
-        dirs.append(_corners(count) / count)
-    gen = (rng or RngStream(0)).generator()
-    g = gen.standard_normal((samples, count))
-    g /= np.abs(g).sum(axis=1, keepdims=True)
-    dirs = np.vstack(dirs + [g])
-    vals = banach_norm(dirs @ x, norm)
-    i = int(np.argmin(vals))
-    return DominationResult(float(vals[i]), dirs[i], "sampled")
+    # epsilon_star is homogeneous: a unit peak keeps the vertices inside the float range
+    unit, e = unit_peak(x)
+    a = _null_vector(unit)
+    if a is not None:
+        method, value = "exact-rank", 0.0
+    elif norm == "sup" and count <= _MAX_EXACT_DOMINATION:
+        method, solve = (("exact-vertex", _vertex_domination) if _vertex_fits(count, dim)
+                         else ("exact-lp", _orthant_domination))
+        value, a = solve(unit)
+    else:
+        # coordinate vectors, the corners of the l_1 sphere's orthants, random points
+        dirs = [np.eye(count)]
+        if count <= 12:
+            dirs.append(_corners(count) / count)
+        gen = (rng or RngStream(0)).generator()
+        g = gen.standard_normal((samples, count))
+        g /= np.abs(g).sum(axis=1, keepdims=True)
+        dirs = np.vstack(dirs + [g])
+        vals = banach_norm(dirs @ x, norm)
+        i = int(np.argmin(vals))
+        return DominationResult(float(vals[i]), dirs[i], "sampled")
+    attained = float(banach_norm(a @ unit, norm))
+    if not abs(attained - value) <= 10.0 * _LP_FEAS_TOL:
+        raise CertificateError(f"{method} minimizer attains {math.ldexp(attained, e)!r},"
+                               f" not {math.ldexp(value, e)!r}")
+    return DominationResult(math.ldexp(value, e), a, method)
 
 
-def _exact_cost(count: int, dim: int) -> tuple[str, float, str]:
-    """The exact path for independent points, its count of solves, and that count in words."""
-    lps = 1 << (count - 1)
-    systems = math.comb(dim, count) * lps
-    if systems * dim <= _BLOCK_SCALARS:
-        return "exact-vertex", float(systems), f"{systems} vertex systems"
-    return "exact-lp", float(lps) if count <= 1024 else math.inf, f"2^{count - 1} sign-orthant LPs"
+def _vertex_fits(count: int, dim: int) -> bool:
+    """The vertex gate: C(dim, count) * 2^(count-1) * dim, the scalars of the feasibility
+    test of every vertex system, is at most _BLOCK_SCALARS."""
+    return math.comb(dim, count) * (1 << (count - 1)) * dim <= _BLOCK_SCALARS
 
 
 def _half_signs(count: int) -> np.ndarray:
@@ -501,7 +491,7 @@ def vc_convex_hull(
     by the same power of two:
 
     - Closed form (_symmetric_hull), when the rows equal their negations as
-      a multiset and the blocks pass l1_domination's _exact_cost gate:
+      a multiset and the blocks pass l1_domination's vertex gate (_vertex_fits):
       level 0, and the margin is epsilon_star of one half of the rows read
       as points.  No LP runs.
     - Otherwise one joint LP (_hull_lp) over a level per point, a simplex
@@ -555,7 +545,7 @@ def _symmetric_hull(sub: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | N
     on the rows of H and its negative part on their negations, and the
     slack to 1 split over one such pair.  Dependent points have margin 0,
     met by equal weights on all rows, whose mean is 0.  None too when the
-    blocks are past the _exact_cost gate.
+    blocks are past the vertex gate.
     """
     m, k = sub.shape
     order = np.lexsort(sub.T[::-1])
@@ -568,7 +558,7 @@ def _symmetric_hull(sub: np.ndarray) -> tuple[float, np.ndarray, np.ndarray] | N
     level = np.zeros(k)
     if len(half) < k or _null_vector(x) is not None:
         return 0.0, level, np.full((1 << k, m), 1.0 / m)
-    if _exact_cost(k, len(half))[0] != "exact-vertex":
+    if not _vertex_fits(k, len(half)):
         return None
     blocks, cols = _vertex_blocks(x)
     if not len(blocks):

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from coordproj import complexity
 from coordproj.complexity import (
     entropy_integral_audit,
     min_sign_norm,
@@ -119,7 +120,7 @@ def test_hull_shattering_matches_domination():
         count = int(rng.integers(1, 5))
         dim = int(rng.integers(1, 7))
         x = rng.uniform(-1.0, 1.0, size=(count, dim))
-        eps = l1_domination(x, norm="sup", mode="exact").epsilon_star
+        eps = l1_domination(x, norm="sup").epsilon_star
         F = dual_ball_class(x)
         sigma = CoordinateSubset.full(count)
         t = float(rng.uniform(0.05, 1.0))
@@ -218,17 +219,20 @@ def test_type_comparison_desk_scale():
     assert abs(rep.gaussian_mean / math.sqrt(n) - 1.0) <= 0.02
     assert rep.rows[0].m_emp == pytest.approx(1.0, abs=1e-12)
 
-    full = min_sign_norm(np.eye(n), norm=2.0, mode="heuristic", rng=RngStream(941))
-    assert full.value == 16.0
-    exact24 = min_sign_norm(np.eye(24), norm=2.0, mode="exact")
+    full = min_sign_norm(np.eye(n), norm=2.0, rng=RngStream(941))
+    assert (full.value, full.method) == (16.0, "heuristic")
+    exact24 = min_sign_norm(np.eye(24), norm=2.0)
     assert exact24.value == pytest.approx(math.sqrt(24.0), abs=1e-12)
+    assert exact24.method == "exact"
 
     equal = 0
     for i in range(100):
         gen = RngStream(51, i).generator()
         vecs = gen.standard_normal((12, 6))
-        ex = min_sign_norm(vecs, mode="exact")
-        he = min_sign_norm(vecs, mode="heuristic", rng=RngStream(52, i))
+        ex = min_sign_norm(vecs)
+        with pytest.MonkeyPatch.context() as patch:  # an exact cap of 0 forces the heuristic
+            patch.setattr(complexity, "_EXACT_SIGN_CAP", 0)
+            he = min_sign_norm(vecs, rng=RngStream(52, i))
         assert he.value >= ex.value - 1e-9
         if abs(he.value - ex.value) <= 1e-9:
             equal += 1

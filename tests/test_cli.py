@@ -203,7 +203,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 9
+        assert report["schema"] == 10
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -287,7 +287,7 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli, "l1_domination", exhausted)
         path = write_csv(tmp_path / "points.csv", np.eye(2))
-        code = main(["hull", "--input", path, "--t", "0.5", "--mode", "sampled",
+        code = main(["hull", "--input", path, "--t", "0.5", "--norm", "2",
                      "--samples", "1000000000000"])
         assert code == 3
         captured = capsys.readouterr()
@@ -476,6 +476,23 @@ class TestProjectCommand:
         assert probs[0] == probs[1]
         assert all(0.0 < p < 1.0 for p in probs[0])
 
+    def test_rows_past_the_substream_span_exit_3(self, tmp_path, capsys, monkeypatch):
+        # row i takes substream label 2i + 1: with a span of 5 labels two rows fit, and
+        # three or four are refused before any row runs
+        calls = []
+        monkeypatch.setattr(core, "_SUBSTREAM_SPAN", 5)
+        monkeypatch.setattr(cli, "selector_experiment",
+                            lambda *a, **k: calls.append(a) or selector.selector_experiment(*a, **k))
+        for count, code in ((2, 0), (3, 3), (4, 3)):
+            path = write_csv(tmp_path / "rows.csv", np.ones((count, 4)))
+            calls.clear()
+            assert main(["project", "--input", path, "--delta", "0.5", "--trials", "100"]) == code
+            captured = capsys.readouterr()
+            assert len(calls) == (count if code == 0 else 0)
+            if code == 3:
+                assert captured.out == ""
+                assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"
+
 
 class TestJlCommand:
     def test_report_fields(self, tmp_path, capsys):
@@ -529,6 +546,15 @@ class TestShatterCommand:
 
 
 class TestHullCommand:
+    def test_mode_flag_is_rejected(self, tmp_path, capsys):
+        # the points pick the exact or sampled path; there is no switch for it
+        path = write_csv(tmp_path / "eye4.csv", np.eye(4))
+        for mode in ("exact", "sampled"):
+            with pytest.raises(SystemExit) as exc:
+                main(["hull", "--input", path, "--t", "0.2", "--mode", mode])
+            assert exc.value.code == 2
+            assert "--mode" in capsys.readouterr().err
+
     def test_agreement_both_sides(self, tmp_path, capsys):
         path = write_csv(tmp_path / "eye4.csv", np.eye(4))
         for t in ("0.2", "0.3"):
@@ -577,11 +603,11 @@ class TestHullCommand:
     def test_failed_lp_exits_with_certificate_error(self, tmp_path, capsys, monkeypatch):
         # HiGHS status 4: numerical difficulties. Two points in R^200 with 200 distinct
         # nonzero coordinate pairs are past the vertex gate, so the joint LP decides the
-        # hull; sampled domination runs no LP of its own
+        # hull; under the Euclidean norm domination is sampled and runs no LP of its own
         monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(status=4))
-        points = np.vstack([np.ones(200), np.linspace(-1.0, 1.0, 200)])
+        points = np.vstack([np.ones(200), np.linspace(-1.0, 1.0, 200)]) / 16.0
         path = write_csv(tmp_path / "two200.csv", points)
-        assert main(["hull", "--input", path, "--t", "0.4", "--mode", "sampled"]) == 5
+        assert main(["hull", "--input", path, "--t", "0.02", "--norm", "2"]) == 5
         err = json.loads(capsys.readouterr().err)
         assert err["error"]["code"] == "CERTIFICATE"
         assert "hull shattering LP failed with status 4" in err["error"]["message"]
@@ -701,12 +727,15 @@ class TestTypecmpCommand:
         assert all(r["m_emp"] == pytest.approx(1.0, abs=1e-12) for r in rows)
 
     def test_subsets_past_the_cap_exit_3(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(complexity, "_BLOCK_SCALARS", 7)
+        # with a span of 12 substream labels, labels 2..11 hold 10 subsets of one size;
+        # 11 are refused before the Gaussian average runs
+        monkeypatch.setattr(core, "_SUBSTREAM_SPAN", 12)
         path = write_csv(tmp_path / "eye6.csv", np.eye(6))
         argv = ["typecmp", "--input", path, "--delta-grid", "0.5", "--trials", "100"]
-        assert main(argv + ["--subsets", "7"]) == 0
+        assert main(argv + ["--subsets", "10"]) == 0
         capsys.readouterr()
-        assert main(argv + ["--subsets", "8"]) == 3
+        monkeypatch.setattr(complexity, "monte_carlo", None)
+        assert main(argv + ["--subsets", "11"]) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"
@@ -783,7 +812,7 @@ class TestArgumentContract:
         ["typecmp", "--subsets", "-1", "--trials", "100"],
         ["shatter", "--t", "0.5", "--max-sigma", "0"],
         ["shatter", "--t", "0.5", "--max-sigma", "-1"],
-        ["hull", "--t", "0.5", "--mode", "sampled", "--samples", "-1"],
+        ["hull", "--t", "0.5", "--samples", "-1"],
         ["hull", "--t", "0.5", "--max-sigma", "0"],
         ["hull", "--t", "0.5", "--max-sigma", "-1"],
     ])
@@ -828,7 +857,7 @@ class TestArgumentContract:
         (["shatter", "--t", "0.5"], [[1e308, 1.0, -1.0], [-1e308, -1.0, 1.0]]),
         (["jl", "--eps", "0.5"], [[1e308, 1e308, -1e308, 1e308]]),
         (["typecmp", "--trials", "100"], [[1e308, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]]),
-        (["hull", "--t", "0.1", "--norm", "2", "--mode", "sampled"], [[1e308, 1e308], [0.5, 0.1]]),
+        (["hull", "--t", "0.1", "--norm", "2"], [[1e308, 1e308], [0.5, 0.1]]),
     ], ids=["project", "project-huge-t", "shatter", "jl", "typecmp", "hull"])
     def test_weights_near_the_float_maximum_raise_no_warning(self, tmp_path, argv, rows):
         # a fresh interpreter that turns every numpy RuntimeWarning into a traceback
@@ -939,7 +968,7 @@ _FLAGS = {
     "jl": {"--eps": _real("0.5"), "--cfit": _real("0.5")},
     "shatter": {"--t": _real("0.5"), "--max-sigma": _count("2")},
     "hull": {"--t": _real("0.3"), "--norm": st.one_of(_real("sup"), st.just("euclidean")),
-             "--mode": st.sampled_from(("exact", "sampled")), "--samples": _count("4"),
+             "--samples": _count("4"),
              "--max-sigma": _count("4")},
     "entropy": {"--t-grid": _real("0.5"), "--c-assumed": _real("0.25")},
     "complexity": {"--kind": st.sampled_from(("gaussian", "rademacher", "both")),

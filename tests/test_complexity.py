@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -83,6 +84,13 @@ def sequential_min_sign(vectors, norm, rng):
     if best_signs[0] < 0:
         best_signs = -best_signs
     return math.ldexp(banach_norm(best_signs @ unit, norm), e), tuple(int(s) for s in best_signs)
+
+
+def heuristic_min_sign(vectors, norm=2.0, rng=None):
+    """min_sign_norm on its heuristic path, forced by an exact cap of 0 vectors."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(complexity, "_EXACT_SIGN_CAP", 0)
+        return min_sign_norm(vectors, norm=norm, rng=rng)
 
 
 def _sign_vectors(kind, count, dim, g):
@@ -186,18 +194,15 @@ class TestSupKernel:
         assert calls
         return repr(new), repr(old)
 
-    @given(case=sup_inputs(), k=st.integers(1, 3),
-           path=st.sampled_from(["exhaustive", "exact-signs", "greedy"]),
+    @given(case=sup_inputs(), k=st.sampled_from([1, 2, 3, 8]), greedy=st.booleans(),
            kind=st.sampled_from(["gaussian", "rademacher"]))
-    def test_ell_parameter_matches_reference(self, case, k, path, kind):
+    def test_ell_parameter_matches_reference(self, case, k, greedy, kind):
+        # at 150 trials a Rademacher ell_k enumerates its 2^k signs for k <= 3 and draws them at k = 8
         F, rng = case
-        exact = path == "exact-signs"
         with pytest.MonkeyPatch.context() as patch:
-            if path == "greedy":
+            if greedy:
                 patch.setattr(complexity, "_EXHAUSTIVE_TUPLE_CAP", 1)
-            new, old = self.both(patch, lambda: ell_parameter(
-                F, k, trials=150, rng=rng, kind="rademacher" if exact else kind,
-                exact_signs=exact))
+            new, old = self.both(patch, lambda: ell_parameter(F, k, trials=150, rng=rng, kind=kind))
         assert new == old
 
     @given(case=sup_inputs(), block=st.sampled_from([7, 2_000_000]),
@@ -332,11 +337,36 @@ class TestEllParameter:
         assert gr.mean <= ex.mean + 2.0 * (ex.std_error + gr.std_error)
 
     def test_exact_sign_enumeration(self):
-        est = ell_parameter(sign_class(3), 2, trials=200, rng=RngStream(29),
-                            kind="rademacher", exact_signs=True)
+        est = ell_parameter(sign_class(3), 2, trials=200, rng=RngStream(29), kind="rademacher")
         assert est.method == "exhaustive-exact"
         assert est.mean == 2.0
         assert est.std_error == 0.0
+
+    def test_signs_are_enumerated_exactly_when_they_fit_the_trials(self):
+        # 2^7 = 128 sign patterns: enumerated at 128 trials, drawn at 127
+        exact = ell_parameter(sign_class(2), 7, trials=128, rng=RngStream(29), kind="rademacher")
+        assert (exact.method, exact.std_error) == ("exhaustive-exact", 0.0)
+        drawn = ell_parameter(sign_class(2), 7, trials=127, rng=RngStream(29), kind="rademacher")
+        assert drawn.method == "exhaustive" and drawn.std_error > 0.0
+
+    def test_exact_rademacher_matches_a_rational_brute_force(self):
+        # integer classes: the mean over every sign pattern of every tuple, in exact arithmetic
+        gen = RngStream(24).generator()
+        for _ in range(8):
+            m, n, k = (int(v) for v in gen.integers(1, [6, 5, 5]))
+            vals = gen.integers(-9, 10, size=(m, n)).tolist()
+            est = ell_parameter(FunctionClass(vals), k, trials=100, rng=RngStream(0),
+                                kind="rademacher")
+
+            def brute(tup):
+                return sum((max(abs(sum(s * row[j] for s, j in zip(signs, tup))) for row in vals)
+                            for signs in itertools.product((1, -1), repeat=k)),
+                           Fraction(0)) / 2**k
+
+            best = max(map(brute, itertools.combinations_with_replacement(range(n), k)))
+            assert (est.method, est.std_error) == ("exhaustive-exact", 0.0)
+            assert est.mean == pytest.approx(float(best), rel=1e-12, abs=0.0)
+            assert brute(tuple(i - 1 for i in est.support)) == best
 
     def test_support_is_sorted_one_based(self):
         rng = RngStream(30).generator()
@@ -362,17 +392,12 @@ class TestEllParameter:
                 ell_parameter(F, 2, trials=200, rng=RngStream(0), kind="bogus")
             assert exc.value.code == "BAD_KIND"
 
-    def test_exact_signs_need_the_rademacher_kind(self, monkeypatch):
-        # refused before any draw, by ell_parameter and t_parameter alike
-        monkeypatch.setattr(complexity, "_draw_weights", None)
-        for kind in ("gaussian", "bogus"):
-            for run in (lambda: ell_parameter(sign_class(2), 2, trials=200, rng=RngStream(0),
-                                              kind=kind, exact_signs=True),
-                        lambda: t_parameter(sign_class(2), 0.5, 2, trials=200, rng=RngStream(0),
-                                            kind=kind, exact_signs=True)):
-                with pytest.raises(InputError) as exc:
-                    run()
-                assert exc.value.code == "BAD_KIND"
+    def test_exact_signs_need_the_rademacher_kind(self):
+        # Gaussian weights have no finite law to enumerate, so they are drawn at any k
+        est = ell_parameter(sign_class(2), 2, trials=200, rng=RngStream(0))
+        assert est.method == "exhaustive" and est.std_error > 0.0
+        for res in t_parameter(sign_class(2), 0.5, 2, trials=200, rng=RngStream(0)).per_k:
+            assert res.std_error > 0.0
 
 
 class TestFloatRange:
@@ -451,7 +476,7 @@ class TestTParameter:
             for eps in (0.4, 0.8):
                 d = vc_dimension(F, eps).dimension
                 res = t_parameter(F, eps, k_max=n, trials=200, rng=RngStream(44, i),
-                                  kind="rademacher", exact_signs=True)
+                                  kind="rademacher")
                 assert res.value >= d
 
     def test_pointwise_sign_supremum_on_witness(self):
@@ -482,19 +507,19 @@ class TestTParameter:
 
 class TestMinSignNorm:
     def test_orthonormal_basis(self):
-        res = min_sign_norm(np.eye(8), norm=2.0, mode="exact")
+        res = min_sign_norm(np.eye(8), norm=2.0)
         assert res.value == pytest.approx(math.sqrt(8.0), abs=1e-12)
         assert res.method == "exact" and res.signs[0] == 1
 
     def test_duplicated_vector_cancels(self):
         v = np.array([0.3, -0.7])
-        res = min_sign_norm([v, v], mode="exact")
+        res = min_sign_norm([v, v])
         assert res.value == 0.0
         assert res.signs == (1, -1)
 
     def test_single_vector(self):
         v = np.array([3.0, 4.0])
-        res = min_sign_norm([v], mode="exact")
+        res = min_sign_norm([v])
         assert res.value == pytest.approx(5.0, abs=1e-12)
         assert res.signs == (1,)
 
@@ -503,7 +528,7 @@ class TestMinSignNorm:
         for i in range(10):
             count = int(rng.integers(2, 9))
             vecs = rng.standard_normal((count, 4))
-            res = min_sign_norm(vecs, mode="exact")
+            res = min_sign_norm(vecs)
             brute = min(
                 float(np.linalg.norm(np.asarray(pat) @ vecs))
                 for pat in itertools.product((1.0, -1.0), repeat=count)
@@ -517,8 +542,8 @@ class TestMinSignNorm:
         for i in range(100):
             gen = RngStream(51, i).generator()
             vecs = gen.standard_normal((12, 6))
-            ex = min_sign_norm(vecs, mode="exact")
-            he = min_sign_norm(vecs, mode="heuristic", rng=RngStream(52, i))
+            ex = min_sign_norm(vecs)
+            he = heuristic_min_sign(vecs, rng=RngStream(52, i))
             assert he.value >= ex.value - 1e-9
             if abs(he.value - ex.value) <= 1e-9:
                 eq += 1
@@ -530,21 +555,21 @@ class TestMinSignNorm:
         vecs = rng.standard_normal((6, 3))
         flipped = vecs.copy()
         flipped[4] *= -1.0
-        a = min_sign_norm(vecs, mode="exact")
-        b = min_sign_norm(flipped, mode="exact")
+        a = min_sign_norm(vecs)
+        b = min_sign_norm(flipped)
         assert a.value == pytest.approx(b.value, abs=1e-12)
 
     def test_other_norms(self):
-        res_sup = min_sign_norm(np.eye(4), norm="sup", mode="exact")
+        res_sup = min_sign_norm(np.eye(4), norm="sup")
         assert res_sup.value == pytest.approx(1.0, abs=1e-12)
-        res_one = min_sign_norm(np.eye(4), norm=1.0, mode="exact")
+        res_one = min_sign_norm(np.eye(4), norm=1.0)
         assert res_one.value == pytest.approx(4.0, abs=1e-12)
 
     def test_exact_memory_does_not_grow_with_the_width(self):
         vecs = RngStream(57).generator().standard_normal((18, 400))
         tracemalloc.start()
         try:
-            min_sign_norm(vecs, mode="exact")
+            min_sign_norm(vecs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -556,25 +581,27 @@ class TestMinSignNorm:
         # minimum must survive the chunk borders: chunks of 2, 4 and 256 patterns
         gen = RngStream(58).generator()
         vecs = np.vstack([gen.standard_normal((10, 6)), np.zeros((2, 6))])
-        whole = min_sign_norm(vecs, norm=norm, mode="exact")
+        whole = min_sign_norm(vecs, norm=norm)
         for block_scalars in (22, 50, 4000):
             monkeypatch.setattr(complexity, "_BLOCK_SCALARS", block_scalars)
-            assert min_sign_norm(vecs, norm=norm, mode="exact") == whole
+            assert min_sign_norm(vecs, norm=norm) == whole
 
     def test_heuristic_reproducible(self):
         gen = RngStream(54).generator()
         vecs = gen.standard_normal((30, 5))
-        a = min_sign_norm(vecs, mode="heuristic", rng=RngStream(55))
-        b = min_sign_norm(vecs, mode="heuristic", rng=RngStream(55))
-        assert a == b
+        a = min_sign_norm(vecs, rng=RngStream(55))
+        b = min_sign_norm(vecs, rng=RngStream(55))
+        assert a == b and a.method == "heuristic"
+
+    def test_exact_up_to_the_cap_and_heuristic_past_it(self, monkeypatch):
+        # one vector past the cap falls back to the heuristic, with no SizeCapError
+        assert min_sign_norm(np.eye(25)).method == "heuristic"
+        monkeypatch.setattr(complexity, "_EXACT_SIGN_CAP", 5)
+        vecs = RngStream(59).generator().standard_normal((6, 3))
+        assert min_sign_norm(vecs[:5]).method == "exact"
+        assert min_sign_norm(vecs).method == "heuristic"
 
     def test_errors(self):
-        with pytest.raises(SizeCapError):
-            min_sign_norm(np.eye(25), mode="exact")
-        for vectors in (np.eye(3), [[1.0, 0.0]]):
-            with pytest.raises(InputError) as exc:
-                min_sign_norm(vectors, mode="annealing")
-            assert exc.value.code == "BAD_MODE"
         for vectors, code in [([], "EMPTY_INPUT"), (np.zeros((0, 3)), "EMPTY_INPUT"),
                               ([np.ones(2), np.ones(3)], "DIMENSION"),
                               (np.ones(3), "DIMENSION"), (np.ones((2, 2, 2)), "DIMENSION"),
@@ -586,15 +613,15 @@ class TestMinSignNorm:
     @given(case=sign_inputs())
     def test_batched_heuristic_matches_sequential_reference(self, case):
         x, norm, rng = case
-        res = min_sign_norm(x, norm=norm, mode="heuristic", rng=rng)
+        res = heuristic_min_sign(x, norm=norm, rng=rng)
         assert (res.value, res.signs) == sequential_min_sign(x, norm, rng)
 
     @given(case=sign_inputs(norms=("sup", 2.0, 1.0)), j=st.sampled_from([-60, -7, 9, 60]))
     def test_heuristic_is_scale_equivariant(self, case, j):
         # scaling by 2^j is exact in these norms, and the descent threshold is relative
         x, norm, rng = case
-        base = min_sign_norm(x, norm=norm, mode="heuristic", rng=rng)
-        scaled = min_sign_norm(np.ldexp(x, j), norm=norm, mode="heuristic", rng=rng)
+        base = heuristic_min_sign(x, norm=norm, rng=rng)
+        scaled = heuristic_min_sign(np.ldexp(x, j), norm=norm, rng=rng)
         assert scaled.signs == base.signs
         assert scaled.value == math.ldexp(base.value, j)
 
@@ -603,12 +630,12 @@ class TestMinSignNorm:
         # the search runs on the rows' coordinates in their span, an isometry
         # that rounds; the value is recomputed from the signs at the unit peak
         x, rot = case
-        res = min_sign_norm(x, norm=2.0, mode="exact")
+        res = min_sign_norm(x, norm=2.0)
         tol = 1e-12 * float(np.linalg.norm(x, axis=1).sum())
         brute = min(float(np.linalg.norm(np.asarray(pat) @ x))
                     for pat in itertools.product((1.0, -1.0), repeat=x.shape[0]))
         assert abs(res.value - brute) <= tol
-        assert abs(min_sign_norm(x @ rot, norm=2.0, mode="exact").value - res.value) <= tol
+        assert abs(min_sign_norm(x @ rot, norm=2.0).value - res.value) <= tol
         unit, e = core.unit_peak(x)
         assert res.value == math.ldexp(banach_norm(np.asarray(res.signs, float) @ unit, 2.0), e)
 
@@ -630,9 +657,10 @@ class TestMinSignNorm:
         expected = [sequential_min_sign(x, norm, rng) for x, rng in zip(stack, rngs)]
         for block in (None, 22, 50, 4000):
             with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(complexity, "_EXACT_SIGN_CAP", 0)
                 if block is not None:
                     patch.setattr(complexity, "_BLOCK_SCALARS", block)
-                values, signs = complexity._sign_minima(stack, norm, "heuristic", rngs)
+                values, signs, _ = complexity._sign_minima(stack, norm, rngs)
             assert [(v, tuple(int(e) for e in sg)) for v, sg in zip(values, signs)] == expected
 
     def test_heuristic_norm_calls(self, monkeypatch):
@@ -646,7 +674,7 @@ class TestMinSignNorm:
             return banach_norm(v, norm)
 
         monkeypatch.setattr(complexity, "banach_norm", counting_norm)
-        res = min_sign_norm(np.eye(51), mode="heuristic", rng=RngStream(56))
+        res = min_sign_norm(np.eye(51), rng=RngStream(56))
         assert res.value == math.sqrt(51.0)
         search, value = calls[:-1], calls[-1]
         assert len(search) == 1 + 51 + 1 + 1
@@ -726,20 +754,26 @@ class TestTypeInfratypeReport:
             assert report() == whole
 
     def test_subsets_past_the_cap(self, monkeypatch):
-        # refused before the Gaussian average or any subset search runs
+        # heuristic subsets take substreams 2, 3, ...: with a span of 12 labels, 10 subsets
+        # per size fit one grid size and 3 fit three; one more is refused before the
+        # Gaussian average or any subset search runs
         def forbidden(*args, **kwargs):
             raise AssertionError("work ran past the subset cap")
 
-        monkeypatch.setattr(complexity, "_BLOCK_SCALARS", 5)
-        rep = type_infratype_report(np.eye(8), delta_grid=(0.5,), trials=200, rng=RngStream(0),
-                                    subsets_per_size=5)
-        assert rep.rows[0].m_emp == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(core, "_SUBSTREAM_SPAN", 12)
+        monkeypatch.setattr(complexity, "_EXACT_SIGN_CAP", 2)
+        for grid, fits in (((0.5,), 10), ((0.375, 0.5, 0.625), 3)):
+            rep = type_infratype_report(0.5 * np.eye(8), delta_grid=grid, trials=200,
+                                        rng=RngStream(1), subsets_per_size=fits)
+            assert rep.rows[-1].min_sign_method == "heuristic"
         for name in ("monte_carlo", "_sign_minima"):
             monkeypatch.setattr(complexity, name, forbidden)
-        with pytest.raises(SizeCapError) as exc:
-            type_infratype_report(np.eye(8), trials=200, rng=RngStream(0), subsets_per_size=6)
-        assert exc.value.code == "SIZE_CAP"
-        assert exc.value.cost_estimate == 6.0
+        for grid, fits in (((0.5,), 10), ((0.375, 0.5, 0.625), 3)):
+            with pytest.raises(SizeCapError) as exc:
+                type_infratype_report(0.5 * np.eye(8), delta_grid=grid, trials=200,
+                                      rng=RngStream(1), subsets_per_size=fits + 1)
+            assert exc.value.code == "SIZE_CAP"
+            assert exc.value.cost_estimate == 2.0 + len(grid) * (fits + 1)
 
     def test_reproducible(self):
         vecs = np.eye(6)

@@ -167,14 +167,16 @@ def test_banach_norm_oracles():
 
 @pytest.mark.parametrize("norm", ["sup", 1.0, 2.0, 3.0, 3.5])
 def test_banach_norm_reduces_the_last_axis(norm):
-    # a vector alone and inside a stack get the same bits; 200 rows make a
-    # last-bit gap between vectorized and scalar powers show
-    rows = np.random.default_rng(3).standard_normal((4, 50, 7))
-    batch = banach_norm(rows, norm)
-    assert batch.shape == (4, 50)
-    for idx in np.ndindex(4, 50):
-        assert batch[idx] == banach_norm(rows[idx], norm)
-    assert isinstance(banach_norm(rows[0, 0], norm), float)
+    # a vector alone and inside a stack get the same bits, whatever the stack's
+    # memory layout; 200 rows make a last-bit gap between vectorized and scalar
+    # powers show, and 12 columns one between pairwise and sequential sums
+    cols = np.random.default_rng(3).standard_normal((4, 12, 50))
+    for rows in (np.random.default_rng(3).standard_normal((4, 50, 7)), cols.transpose(0, 2, 1)):
+        batch = banach_norm(rows, norm)
+        assert batch.shape == (4, 50)
+        for idx in np.ndindex(4, 50):
+            assert batch[idx] == banach_norm(rows[idx].copy(), norm)
+        assert isinstance(banach_norm(rows[0, 0], norm), float)
 
 
 @pytest.mark.parametrize("empty", [[], np.zeros((3, 0)), 1.0])

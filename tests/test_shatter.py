@@ -41,6 +41,13 @@ def full_subset(n: int) -> CoordinateSubset:
     return CoordinateSubset(tuple(range(1, n + 1)), n)
 
 
+def sampled_domination(points, **kwargs):
+    """l1_domination on its sampled path for independent points, forced by an exact cap of 0."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shatter, "_MAX_EXACT_DOMINATION", 0)
+        return l1_domination(points, **kwargs)
+
+
 def random_pm_class(rng, max_m=16, max_n=6) -> FunctionClass:
     m = int(rng.integers(2, max_m + 1))
     n = int(rng.integers(2, max_n + 1))
@@ -308,7 +315,7 @@ def failing_lp(monkeypatch):
 
 @pytest.mark.parametrize("solve", [
     # two points in R^200: C(200, 2) * 2 * 200 scalars pass the vertex gate, so LPs run
-    lambda: l1_domination(np.eye(2, 200), mode="exact"),
+    lambda: l1_domination(np.eye(2, 200)),
     # the row (0.5, 0.5) has no negation in the class, so the joint LP runs
     lambda: vc_convex_hull(FunctionClass(np.vstack([sign_class(2).values, [0.5, 0.5]])),
                            full_subset(2), 0.5),
@@ -324,7 +331,7 @@ def test_domination_minimizer_must_attain_the_lp_value(monkeypatch):
     monkeypatch.setattr(shatter, "linprog", lambda *a, **k: SimpleNamespace(
         status=0, fun=0.25, x=np.array([1.0, 0.0, 0.25])))
     with pytest.raises(CertificateError) as exc:
-        l1_domination(np.eye(2, 200), mode="exact")
+        l1_domination(np.eye(2, 200))
     assert exc.value.code == "CERTIFICATE"
     assert "exact-lp minimizer attains 1.0" in str(exc.value)
 
@@ -335,7 +342,7 @@ def test_domination_minimizer_must_attain_the_vertex_value(monkeypatch):
     monkeypatch.setattr(shatter, "_vertex_domination",
                         lambda x: (solve(x)[0], np.array([1.0, 0.0, 0.0])))
     with pytest.raises(CertificateError) as exc:
-        l1_domination(np.eye(3), mode="exact")
+        l1_domination(np.eye(3))
     assert exc.value.code == "CERTIFICATE"
     assert "exact-vertex minimizer attains 1.0" in str(exc.value)
 
@@ -657,7 +664,7 @@ class TestL1Domination:
     def check_basis_vectors(width, method):
         for n in (2, 4, 6):
             x = np.eye(n, width)
-            res = l1_domination(x, norm="sup", mode="exact")
+            res = l1_domination(x, norm="sup")
             assert res.method == method
             assert res.epsilon_star == pytest.approx(1.0 / n, abs=1e-9)
             assert np.abs(res.minimizer).sum() == pytest.approx(1.0, abs=1e-9)
@@ -669,12 +676,28 @@ class TestL1Domination:
         # C(dim, c) 2^(c-1) dim scalars against _BLOCK_SCALARS = 2,000,000
         assert l1_domination(np.eye(2, 126)).method == "exact-vertex"  # 1,984,500
         assert l1_domination(np.eye(2, 127)).method == "exact-lp"  # 2,032,254
-        with pytest.raises(SizeCapError, match="32768 vertex systems") as exc:
-            l1_domination(np.eye(16))
-        assert exc.value.cost_estimate == 32768.0
-        with pytest.raises(SizeCapError, match="2\\^15 sign-orthant LPs") as exc:
-            l1_domination(np.eye(16, 40))
-        assert exc.value.cost_estimate == 32768.0
+        # _MAX_EXACT_DOMINATION = 15 independent points, and one more
+        exact = l1_domination(np.eye(15))
+        assert exact.method == "exact-vertex"
+        assert exact.epsilon_star == pytest.approx(1.0 / 15.0, rel=1e-12)
+        for x in (np.eye(16), np.eye(16, 40)):
+            res = l1_domination(x, samples=64)
+            assert res.method == "sampled"
+            assert res.epsilon_star >= 1.0 / 16.0 - 1e-12
+
+    def test_p_norms_are_sampled_and_dependent_points_exact(self):
+        # independent points under a p-norm have no exact path; dependent ones have
+        # epsilon_star 0 under every norm
+        y = RngStream(214).generator().uniform(-0.1, 0.1, size=(3, 4))
+        z = np.vstack([y, y[0] - y[2]])
+        for norm in (1.0, 2.0, 3.5):
+            res = l1_domination(y, norm=norm, rng=RngStream(215))
+            assert res.method == "sampled"
+            assert res.epsilon_star == pytest.approx(banach_norm(res.minimizer @ y, norm), rel=1e-12)
+            dep = l1_domination(z, norm=norm)
+            assert (dep.method, dep.epsilon_star) == ("exact-rank", 0.0)
+            assert np.abs(dep.minimizer).sum() == pytest.approx(1.0, abs=1e-12)
+            assert banach_norm(dep.minimizer @ z, norm) <= 1e-15
 
     def test_dependent_points_take_the_rank_shortcut(self, monkeypatch):
         # more points than coordinates, or a repeated point: a null vector, and no LP
@@ -682,7 +705,7 @@ class TestL1Domination:
         rng = RngStream(212).generator()
         y = rng.uniform(-1.0, 1.0, size=(3, 5))
         for x in (rng.uniform(-1.0, 1.0, size=(40, 3)), np.vstack([y, y[1]]), np.zeros((2, 3))):
-            res = l1_domination(x, mode="exact")
+            res = l1_domination(x)
             assert res.method == "exact-rank"
             assert res.epsilon_star == 0.0
             assert np.abs(res.minimizer).sum() == pytest.approx(1.0, abs=1e-12)
@@ -691,7 +714,7 @@ class TestL1Domination:
     def test_tiny_points_keep_their_scale(self):
         # a unit peak keeps 1 / |a|_1 inside the float range
         for scale in (5e-324, 1e-300, 1e-150):
-            res = l1_domination(scale * np.eye(3), mode="exact")
+            res = l1_domination(scale * np.eye(3))
             assert res.method == "exact-vertex"
             assert res.epsilon_star == pytest.approx(scale / 3.0, rel=1e-12)
 
@@ -700,7 +723,7 @@ class TestL1Domination:
     def test_vertex_path_matches_orthant_lps(self, case):
         seed, x = case
         lp_value, _ = shatter._orthant_domination(x)
-        res = l1_domination(x, mode="exact")
+        res = l1_domination(x)
         if shatter._null_vector(x) is None:
             value, a = shatter._vertex_domination(x)
             assert (res.epsilon_star, res.minimizer.tolist()) == (value, a.tolist())
@@ -711,7 +734,7 @@ class TestL1Domination:
             assert max(res.epsilon_star, lp_value) <= 1e-12
         assert np.abs(res.minimizer).sum() == pytest.approx(1.0, rel=1e-12)
         assert banach_norm(res.minimizer @ x, "sup") == pytest.approx(res.epsilon_star, rel=1e-12)
-        sampled = l1_domination(x, mode="sampled", samples=64, rng=RngStream(213, seed))
+        sampled = sampled_domination(x, samples=64, rng=RngStream(213, seed))
         assert sampled.epsilon_star >= res.epsilon_star - 1e-12
 
     @given(case=domination_cases(), j=st.integers(-1000, 0))
@@ -733,17 +756,17 @@ class TestL1Domination:
         monkeypatch.setattr(shatter, "_vertex_domination",
                             lambda x: (2.0 * solve(x)[0], solve(x)[1]))
         with pytest.raises(CertificateError, match="exact-vertex minimizer attains"):
-            l1_domination(1e-8 * np.array([[1.0, 0.3], [0.2, -1.0]]), mode="exact")
+            l1_domination(1e-8 * np.array([[1.0, 0.3], [0.2, -1.0]]))
 
     def test_two_equal_points_degenerate(self):
-        res = l1_domination(np.array([[0.3, -0.7], [0.3, -0.7]]), mode="exact")
+        res = l1_domination(np.array([[0.3, -0.7], [0.3, -0.7]]))
         assert res.epsilon_star == pytest.approx(0.0, abs=1e-9)
 
     def test_hadamard_orthogonality_bound(self):
         # |Ha|_inf >= |Ha|_2 / sqrt(n) = |a|_2 >= |a|_1 / sqrt(n)
         for n in (2, 4, 8):
             H = hadamard(n).astype(float)
-            res = l1_domination(H, norm="sup", mode="exact")
+            res = l1_domination(H, norm="sup")
             assert res.epsilon_star >= 1.0 / math.sqrt(n) - 1e-9
             if n == 4:
                 assert res.epsilon_star == pytest.approx(0.5, abs=1e-9)
@@ -754,32 +777,30 @@ class TestL1Domination:
             count = int(rng.integers(2, 5))
             dim = int(rng.integers(2, 6))
             x = rng.uniform(-1.0, 1.0, size=(count, dim))
-            exact = l1_domination(x, mode="exact").epsilon_star
-            samp = l1_domination(x, mode="sampled", rng=RngStream(206, i))
-            assert samp.method == "sampled"
+            exact = l1_domination(x).epsilon_star
+            samp = sampled_domination(x, rng=RngStream(206, i))
+            assert samp.method == ("exact-rank" if count > dim else "sampled")
             assert samp.epsilon_star >= exact - 1e-12
 
     def test_sampled_takes_the_first_minimal_direction(self):
         # coordinate vectors score 1, the corner (+,+,+)/3 comes first at 1/3
-        res = l1_domination(np.eye(3), mode="sampled", rng=RngStream(208))
+        res = sampled_domination(np.eye(3), rng=RngStream(208))
         assert res.epsilon_star == 1.0 / 3.0
         assert np.array_equal(res.minimizer, np.full(3, 1.0 / 3.0))
 
     def test_minimizer_normalization_sampled(self):
-        res = l1_domination(np.eye(3), mode="sampled", rng=RngStream(207))
+        res = sampled_domination(np.eye(3), rng=RngStream(207))
         assert np.abs(res.minimizer).sum() == pytest.approx(1.0, abs=1e-9)
 
     def test_errors(self):
-        with pytest.raises(SizeCapError):
-            l1_domination(np.eye(16), mode="exact")
         with pytest.raises(InputError):
-            l1_domination(np.eye(3), norm=2.0, mode="exact")
+            l1_domination(2.0 * np.eye(3))
         with pytest.raises(InputError):
-            l1_domination(2.0 * np.eye(3), mode="exact")
+            l1_domination(np.eye(3), norm=0.5)
         with pytest.raises(InputError):
-            l1_domination(np.eye(3), mode="guess")
+            l1_domination(np.eye(3), samples=-1)
         with pytest.raises(InputError):
-            l1_domination(np.array([[np.nan, 0.0]]), mode="exact")
+            l1_domination(np.array([[np.nan, 0.0]]))
 
 
 class TestVcConvexHull:
@@ -835,7 +856,7 @@ class TestVcConvexHull:
             count = int(rng.integers(1, 5))
             dim = int(rng.integers(count, 7))
             x = rng.uniform(-1.0, 1.0, size=(count, dim))
-            eps = l1_domination(x, mode="exact").epsilon_star
+            eps = l1_domination(x).epsilon_star
             F = dual_ball_class(x)
             sigma = full_subset(count)
             if eps > 1e-6:
@@ -848,7 +869,7 @@ class TestVcConvexHull:
         # more points than dimensions forces epsilon_star = 0
         rng = RngStream(210).generator()
         x = rng.uniform(-1.0, 1.0, size=(4, 2))
-        assert l1_domination(x, mode="exact").epsilon_star == pytest.approx(0.0, abs=1e-9)
+        assert l1_domination(x).epsilon_star == pytest.approx(0.0, abs=1e-9)
         assert vc_convex_hull(dual_ball_class(x), full_subset(4), 0.05, max_sigma=4) is None
 
     def test_domination_inequality_on_random_coefficients(self):
