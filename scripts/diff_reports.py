@@ -3,10 +3,14 @@
 Writes the inputs of every experiment of the benchmark workloads for one
 seed (`bench/workloads.py` of this checkout), runs each experiment with
 `--deterministic` against the `src/` of each tree, one fresh interpreter
-per tree, and compares the reports field by field. From the root of a
-checkout, with the parent commit unpacked in OLD:
+per tree, and compares the reports field by field. The benchmark's
+shattering classes are all +-1, with one cut per point, so the set
+`multicut` adds `shatter`, `entropy` and `audit` calls on two real-valued
+classes drawn from the seed (16 x 8, uniform in [-1, 1] and rounded to two
+decimals, at scales 0.05 to 0.3), where points have several cuts. From the
+root of a checkout, with the parent commit unpacked in OLD:
 
-    python3 scripts/diff_reports.py OLD . --seed 1 [--workload exact]
+    python3 scripts/diff_reports.py OLD . --seed 1 [--workload exact] [--workload multicut]
 
 Each tree is a checkout root holding `src/coordproj`. Both trees write each
 report to the same path, so the echoed `config.output` never differs.
@@ -24,10 +28,29 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 import workloads  # noqa: E402
+
+MULTICUT = "multicut"
+
+
+def multicut_plan(seed: int, out_dir: str) -> list:
+    """(name, argv) of the `multicut` calls, with their inputs written under out_dir."""
+    plan = []
+    for k in range(2):
+        data = np.round(np.random.default_rng([seed, k]).uniform(-1.0, 1.0, (16, 8)), 2)
+        path = workloads.write_csv(os.path.join(out_dir, f"class-{k}.csv"), data)
+        plan += [(f"{MULTICUT}/shatter-{k}-t{t}", ["shatter", "--input", path, "--t", t])
+                 for t in ("0.05", "0.15", "0.3")]
+        plan.append((f"{MULTICUT}/entropy-{k}", ["entropy", "--input", path, "--t-grid",
+                                                  "0.05,0.1,0.2,0.3", "--c-assumed", "1"]))
+        plan.append((f"{MULTICUT}/audit-{k}", ["audit", "--input", path, "--trials", "200",
+                                                "--grid-points", "5", "--seed", str(seed)]))
+    return plan
 
 
 def run_plan(plan_path: str, results_path: str) -> None:
@@ -74,8 +97,8 @@ def main() -> int:
     parser.add_argument("old", nargs="?", help="checkout root of the old tree")
     parser.add_argument("new", nargs="?", help="checkout root of the new tree")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=workloads.WORKLOADS,
-                        help="repeat for several; default: every workload")
+    parser.add_argument("--workload", action="append", choices=(*workloads.WORKLOADS, MULTICUT),
+                        help=f"repeat for several; default: every workload and {MULTICUT}")
     parser.add_argument("--run-plan", nargs=2, metavar=("PLAN", "RESULTS"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run_plan:
@@ -90,11 +113,14 @@ def main() -> int:
             parser.error(f"{tree} holds no src/coordproj")
     with tempfile.TemporaryDirectory(prefix="diff_reports_") as tmp:
         plan = []
-        for workload in args.workload or workloads.WORKLOADS:
+        for workload in args.workload or (*workloads.WORKLOADS, MULTICUT):
             inputs = os.path.join(tmp, workload)
             os.mkdir(inputs)
-            plan += [(f"{workload}/{e.name}", list(e.argv))
-                     for e in workloads.build(workload, args.seed, inputs)]
+            if workload == MULTICUT:
+                plan += multicut_plan(args.seed, inputs)
+            else:
+                plan += [(f"{workload}/{e.name}", list(e.argv))
+                         for e in workloads.build(workload, args.seed, inputs)]
         plan_path = os.path.join(tmp, "plan.json")
         with open(plan_path, "w", encoding="utf-8") as fh:
             json.dump(plan, fh)

@@ -332,6 +332,7 @@ def _run_complexity(args, data, rng):
         raise InputError("BAD_INPUT", "complexity writes --csv-out only with --eps")
     F = FunctionClass(data)
     k_max = check_count(args.kmax, "k_max", 1, "BAD_K")  # checked with or without --eps
+    check_substreams(k_max + 1, f"{k_max} ell_k estimates")  # ell_k takes label k
     results: dict = {"trials": args.trials}
     flags: set = set()
     csv = None

@@ -265,10 +265,12 @@ def t_parameter(F, eps, k_max, trials=2000, rng=None, kind="gaussian"):
     standard error of slack guarding Monte-Carlo boundary flicker; an
     exact Rademacher ell_k (see ell_parameter) carries zero slack.
     Returns value 0 when no k qualifies and sets capped when k = k_max
-    itself qualifies.
+    itself qualifies. ell_k reads substream k, so a k_max whose labels pass
+    core._SUBSTREAM_SPAN raises SizeCapError before any estimate.
     """
     eps = check_positive(eps, "eps", "BAD_EPSILON")
     k_max = check_count(k_max, "k_max", 1, "BAD_K")
+    check_substreams(k_max + 1, f"{k_max} ell_k estimates")  # ell_k takes label k
     if rng is None:
         raise InputError("BAD_RNG", "an RngStream is required")
     rows = []

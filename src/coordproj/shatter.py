@@ -14,13 +14,16 @@ are injective and |F| >= 2^|sigma| is necessary.  At each x a level acts
 only through its cut: a value lo and, as hi, the smallest value v with
 v - lo >= 2t.  Functions at or below lo are low there, at or above hi
 high, in between unusable; sigma is t-shattered iff one cut per point
-leaves every pattern a function.  `is_shattered` searches the cuts.
+leaves every pattern a function.
 
-A point's cuts depend on the point and t only (`_point_cuts`), and the
-search (`_least_carriers`) reads nothing else: `vc_dimensions` builds each
-point's cuts once per scale and shares them among the subsets it decides.
-A decision keeps its first-carrier vector, and a witness is built from it
-and certified by its gaps (`_gaps_clear`) only for a subset reported.
+A point's cuts depend on the point and t only (`_scale_cuts` builds them
+for many points at once, in one padded table), and the one cut search,
+`_least_carriers`, reads nothing else. It decides a stack of same-size
+subsets at once, gathered from one table: `is_shattered` asks with a stack
+of one, and `vc_dimensions` builds every point's cuts once per scale and
+decides each round of its bisections with one stack per scale.  A decision
+keeps its first-carrier vector, and a witness is built from it and
+certified by its gaps (`_gaps_clear`) only for a subset reported.
 """
 
 from __future__ import annotations
@@ -113,88 +116,128 @@ def _clears(high, low, t: float):
         return high - low >= 2.0 * t
 
 
-def _point_cuts(F: FunctionClass, x: int, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The cuts of point x (zero-based) at scale t that can carry a pattern: a row-state
-    table, one row per cut (1 where a function is high, 0 low, -1 unusable), and each
-    cut's count of functions on its smaller side. It depends on the point and t only."""
-    v = F.values[:, x]
-    s = np.sort(v)
-    gap = _clears(s[None], s[:, None], t)  # gap[i, l]: s[l] - s[i] clears 2t
-    top = np.where(gap[:, -1], s[gap.argmax(axis=1)], np.inf)  # no hi: nothing high
-    low, high = v <= s[:, None], v >= top[:, None]  # [i, row]: the cut at lo = s[i]
-    side = np.minimum(low.sum(axis=1), high.sum(axis=1))
+def _scale_cuts(F: FunctionClass, t: float, cols) -> tuple[np.ndarray, np.ndarray]:
+    """The cuts at scale t that can carry a pattern, of the points `cols` (zero-based), in one
+    padded table: row states (points, cuts, m), 1 where a function is high, 0 low and -1
+    unusable, and each cut's count of functions on its smaller side (points, cuts), 0 past a
+    point's last cut. A point's cuts, in order of lo, depend on the point and t only."""
+    v = F.values[:, cols].T
+    s = np.sort(v, axis=1)
+    gap = _clears(s[:, None], s[:, :, None], t)  # gap[x, i, l]: s[x, l] - s[x, i] clears 2t
+    top = np.where(gap[:, :, -1], np.take_along_axis(s, gap.argmax(axis=2), 1), np.inf)
+    # [x, i, row]: the cut at lo = s[x, i]
+    low, high = v[:, None] <= s[:, :, None], v[:, None] >= top[:, :, None]
+    side = np.minimum(low.sum(axis=2), high.sum(axis=2))
     # of the values lo sharing one hi keep the largest, whose low side holds theirs
     keep = side > 0
-    keep[:-1] &= top[1:] != top[:-1]
+    keep[:, :-1] &= top[:, 1:] != top[:, :-1]
     state = np.where(high, 1, low.astype(np.int8) - 1).astype(np.int8)
-    return state[keep], side[keep]
+    kept = np.argsort(~keep, axis=1, kind="stable")[:, : keep.sum(axis=1).max(initial=0)]
+    return np.take_along_axis(state, kept[:, :, None], 1), np.take_along_axis(side * keep, kept, 1)
 
 
-def _least_carriers(cuts: list) -> list[int] | None:
-    """The least first-carrier vector over the surviving cut choices, or None.
+def _least_carriers(cuts: tuple, subsets) -> list:
+    """Each subset's least first-carrier vector over its surviving cut choices, or None.
 
-    `cuts` holds _point_cuts of each point of sigma, in order; callers may
-    share them among subsets. One cut per point gives each row a code (bit
-    x set where it is high at point x) or makes it unusable. A choice
-    survives when every code has a row; its first-carrier vector lists, for
-    each code in _pattern_table order, the first row with that code. Points
-    with one cut set their bits at once; the others extend the choices one
-    point at a time, fewest cuts first, depth first, in blocks of at most
-    _BLOCK_SCALARS codes.
+    `cuts` is a padded cut table (_scale_cuts) and `subsets` a stack of
+    same-size subsets, each a row of zero-based points of that table. One
+    cut per point gives each function a code (bit x set where it is high at
+    the subset's x-th point) or makes it unusable. A choice survives when
+    every code has a function; its first-carrier vector lists, for each code
+    in _pattern_table order, the first function with that code. The stack
+    is cut into blocks whose gathered cuts hold at most _BLOCK_SCALARS
+    scalars (at least one subset each), searched by _block_carriers.
     """
-    k = len(cuts)
-    half, m = 1 << (k - 1), cuts[0][0].shape[1]
-    # each side of a point carries half the patterns, each with its own row; a code gains
-    # bit x where its row is high at x, and is negative where unusable (-1 once clipped)
+    state, side = cuts
+    subsets = np.asarray(subsets, dtype=np.intp)
+    best = [None] * len(subsets)
+    per = max(1, _BLOCK_SCALARS // max(1, subsets.shape[1] * state.shape[1] * state.shape[2]))
+    for lo in range(0, len(subsets), per):
+        for i, first in _block_carriers(state, side, subsets[lo : lo + per]).items():
+            best[lo + i] = first
+    return best
+
+
+def _block_carriers(state: np.ndarray, side: np.ndarray, pts: np.ndarray) -> dict:
+    """{subset's place in pts: its least first-carrier vector} for the subsets that have one.
+
+    Each subset's points with one usable cut set their bits at once; then
+    every subset extends its choices one point at a time, fewest cuts first,
+    all subsets in lockstep and depth first, each row of choices carrying its
+    subset's id, in blocks of at most _BLOCK_SCALARS expanded scalars.
+    """
+    k, m = pts.shape[1], state.shape[2]
+    # each side of a point carries half the patterns, each with its own function
+    usable = side[pts] >= 1 << (k - 1)
+    live = np.flatnonzero(usable.any(axis=2).all(axis=1))
+    if not len(live):
+        return {}
+    ncut = usable[live].sum(axis=2)
+    seq = np.argsort(ncut, axis=1, kind="stable")  # a subset's points, fewest cuts first
+    ncut = np.take_along_axis(ncut, seq, 1)
+    pick = np.argsort(~usable[live], axis=2, kind="stable")[:, :, : ncut.max()]
+    pick = np.take_along_axis(pick, seq[:, :, None], 1)
+    # a code gains bit x where its function is high at x, and is negative where unusable
+    # (-1 once clipped); steps[s, j, c] is cut c of subset s's j-th point in seq
     dtype = np.min_scalar_type(-(1 << k))
-    steps = []
-    for x, (state, side) in enumerate(cuts):
-        state = state[side >= half]
-        if not len(state):
-            return None
-        steps.append(state.astype(dtype) << x)
-    seq = sorted(range(k), key=lambda x: len(steps[x]))
-    forced = sum(len(step) == 1 for step in steps)
-    rows = np.zeros((1, m), dtype)
-    for x in seq[:forced]:
-        rows |= steps[x]
-    codes, order = np.arange(1 << k), _pattern_table(k)[2]
-    best = None
-    stack = [(forced, np.maximum(rows, -1))]
-    while stack:
-        done, rows = stack.pop()
-        if done < k:
-            step = steps[seq[done]]
-            block = max(1, _BLOCK_SCALARS // (len(step) * m))
-            if len(rows) > block:
-                stack.append((done, rows[block:]))
-                rows = rows[:block]
-            rows, done = np.maximum((rows[:, None] | step).reshape(-1, m), -1), done + 1
-        # bin 0 of a code row counts its unusable rows, bin c + 1 its code c
-        width = (1 << k) + 1
+    steps = state[np.take_along_axis(pts[live], seq, 1)[:, :, None], pick].astype(dtype)
+    steps <<= seq[:, :, None, None].astype(dtype)
+    forced = (ncut == 1).sum(axis=1)
+    unset = np.zeros((len(live), k + 1), np.int64)  # [s, j]: the bits not set once j are done
+    unset[:, :k] = np.cumsum((1 << seq)[:, ::-1], axis=1)[:, ::-1]
+    codes, order, width = np.arange(1 << k), _pattern_table(k)[2], (1 << k) + 1
+    best = (np.zeros(0, np.intp), np.zeros((0, 1 << k), np.intp))  # (subset, vector) so far
+    stack = []
+
+    def settle(rows, sid, done, depth):
+        nonlocal best
+        # bin 0 of a code row counts its unusable functions, bin c + 1 its code c
         bins = rows + (1 + width * np.arange(len(rows)))[:, None]
         counts = np.bincount(bins.ravel(), minlength=width * len(rows)).reshape(-1, width)
         # a code on the points done still spreads over 2^(k - done) patterns
-        unset = sum(1 << x for x in seq[done:])
-        alive = (counts[:, 1 + codes[codes & unset == 0]] >= 1 << (k - done)).all(axis=1)
-        rows, counts = rows[alive], counts[alive]
-        if done < k and len(rows):
-            stack.append((done, np.unique(rows, axis=0) if len(rows) > 1 else rows))
-        elif len(rows):
-            # in a code row sorted stably, code c starts after the unusable rows and codes below c
-            starts = np.cumsum(counts, axis=1)[:, order]
-            first = np.argsort(rows, 1, kind="stable")[np.arange(len(rows))[:, None], starts]
-            least = min(first.tolist())
-            best = least if best is None else min(best, least)
-    return best
+        need = np.where(codes & unset[sid, done][:, None] == 0, 1 << (k - done)[:, None], 0)
+        alive = (counts[:, 1:] >= need).all(axis=1)
+        end = alive & (done == k)
+        if end.any():
+            # in a code row sorted stably, code c starts after the unusable functions and
+            # the codes below c
+            starts = np.cumsum(counts[end], axis=1)[:, order]
+            first = np.argsort(rows[end], 1, kind="stable")[np.arange(len(starts))[:, None], starts]
+            sid_all, first_all = np.concatenate((best[0], sid[end])), np.vstack((best[1], first))
+            # each subset keeps its lexicographically least vector
+            i = np.lexsort((*first_all.T[::-1], sid_all))
+            i = i[np.r_[True, sid_all[i][1:] != sid_all[i][:-1]]]
+            best = sid_all[i], first_all[i]
+        more = alive & (done < k)
+        if more.any():
+            both = np.unique(np.column_stack((sid[more], rows[more])), axis=0)
+            stack.append((depth, both[:, 1:].astype(dtype), both[:, 0]))
+
+    rows = np.where((np.arange(k) < forced[:, None])[:, :, None], steps[:, :, 0], 0)
+    settle(np.maximum(np.bitwise_or.reduce(rows, axis=1), -1), np.arange(len(live)), forced, 0)
+    while stack:
+        depth, rows, sid = stack.pop()
+        done = forced[sid] + depth
+        reps = ncut[sid, done]
+        # expand at most _BLOCK_SCALARS scalars (at least one row) and put the rest back
+        ends = np.cumsum(reps)
+        cut = max(1, int(np.searchsorted(ends, _BLOCK_SCALARS // m, side="right")))
+        if cut < len(rows):
+            stack.append((depth, rows[cut:], sid[cut:]))
+        rows, sid, done, reps, ends = rows[:cut], sid[:cut], done[:cut], reps[:cut], ends[:cut]
+        src = np.repeat(np.arange(cut), reps)
+        nth = np.arange(len(src)) - np.repeat(ends - reps, reps)
+        sid, done = sid[src], done[src]
+        settle(np.maximum(rows[src] | steps[sid, done, nth], -1), sid, done + 1, depth + 1)
+    return {int(live[s]): first for s, first in zip(best[0].tolist(), best[1].tolist())}
 
 
 def is_shattered(F: FunctionClass, sigma: CoordinateSubset, t: float) -> ShatterWitness | None:
     """Search for a t-shattering witness of sigma; None when impossible.
 
-    Exact search over the cuts of each point (see the module docstring),
-    for at most _MAX_FUNCTIONS functions; a sigma with 2^|sigma| > m is
-    refused before any search.
+    Exact search over the cuts of each point (see the module docstring), a
+    stack of one for _least_carriers, for at most _MAX_FUNCTIONS functions;
+    a sigma with 2^|sigma| > m is refused before any search.
     The witness is the lexicographically least feasible assignment, with
     patterns by descending +1 count and the level midway between the
     assigned high and low values. It is certified by its gaps (_gaps_clear),
@@ -218,7 +261,8 @@ def _search_cuts(F: FunctionClass, sigma: CoordinateSubset, t: float) -> Shatter
     """is_shattered on arguments it has checked, without its size cap."""
     if 2**sigma.size > F.m:
         return None
-    first = _least_carriers([_point_cuts(F, x, t) for x in sigma.zero_based()])
+    cuts = _scale_cuts(F, t, sigma.zero_based())
+    first = _least_carriers(cuts, [range(sigma.size)])[0]
     return None if first is None else _carrier_witness(F, sigma, t, first)
 
 
@@ -267,13 +311,18 @@ def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tup
     shattered at a prefix of the sorted scales, its height.  A subset of
     size s+1 is tried only below the least height of its size-s subsets:
     at the largest such scale, the smallest, then by bisection, never twice
-    at one scale.  Sizes stop at floor(log2 m) (assignments are injective)
-    and at max_sigma.  Each point's cuts are built once per scale and shared
-    by every subset decided there; a decision keeps its first-carrier
-    vector.  A scale's witness is that of its lexicographically least
-    largest subset, built from the kept vector and certified by its gaps,
-    the same bits as is_shattered gives; no other subset gets a witness.
-    Caps: _MAX_POINTS points, _MAX_FUNCTIONS functions.
+    at one scale.  The bisections of all candidates of one size run in
+    lockstep: each round, the candidates that query one scale are decided
+    in one _least_carriers stack.  Sizes stop at floor(log2 m) (assignments
+    are injective) and at max_sigma.  Every point's cuts are built once per
+    scale and shared by every subset decided there.  A decision keeps its
+    first-carrier vector, keyed by its points' cut tables, so a subset is
+    not searched again at a scale where its points' cuts are those of a
+    scale already decided.  A scale's witness is that of its
+    lexicographically least largest subset, built from the kept vector and
+    certified by its gaps, the same bits as is_shattered gives; no other
+    subset gets a witness.  Caps: _MAX_POINTS points, _MAX_FUNCTIONS
+    functions.
     """
     scales = [check_positive(t, "shattering scale") for t in scales]
     n, m = F.n, F.m
@@ -287,30 +336,49 @@ def vc_dimensions(F: FunctionClass, scales, max_sigma: int | None = None) -> tup
         limit = min(limit, check_count(max_sigma, "max_sigma", 1))
 
     grid = sorted(set(scales))
-    cuts = functools.cache(lambda x, i: _point_cuts(F, x, grid[i]))
-    carriers = functools.cache(lambda cand, i: _least_carriers([cuts(j - 1, i) for j in cand]))
+    tables, firsts, kept = {}, {}, {}
+
+    def decide(i, cands):
+        """The kept first-carrier vector, or None, of each candidate at scale grid[i]; those
+        with no decision under their key are decided in one stack."""
+        if i not in tables:
+            state, side = cuts = _scale_cuts(F, grid[i], np.arange(n))
+            # a point's tag: the first scale that built its cuts as they are at grid[i]
+            width = (side > 0).sum(axis=1).tolist()
+            tags = [firsts.setdefault((x, state[x, :c].tobytes(), side[x, :c].tobytes()), i)
+                    for x, c in enumerate(width)]
+            tables[i] = cuts, tags
+        cuts, tags = tables[i]
+        keys = [(cand, tuple(tags[x - 1] for x in cand)) for cand in cands]
+        new = [key for key in keys if key not in kept]
+        if new:
+            kept.update(zip(new, _least_carriers(cuts, np.array([c for c, _ in new]) - 1)))
+        return [kept[key] for key in keys]
+
     best = [()] * len(grid)  # per scale, the least subset of the largest size
     heights = {(): len(grid)}
     for size in range(1, limit + 1):
-        grown = {}
-        for base in heights:
-            for j in range(base[-1] + 1 if base else 1, n + 1):
-                cand = base + (j,)
-                cap = hi = min(heights.get(cand[:i] + cand[i + 1 :], 0) for i in range(size))
-                lo = 0
-                while lo < hi:  # shattered below lo, not from hi on
-                    i = hi - 1 if hi == cap else lo if lo == 0 else (lo + hi) // 2
-                    lo, hi = (lo, i) if carriers(cand, i) is None else (i + 1, hi)
-                if lo:
-                    grown[cand] = lo
+        cands = [base + (j,) for base in heights for j in range(base[-1] + 1 if base else 1, n + 1)]
+        cap = np.array([min(heights.get(c[:i] + c[i + 1 :], 0) for i in range(size))
+                        for c in cands], dtype=int)
+        lo, hi = np.zeros_like(cap), cap.copy()  # shattered below lo, not from hi on
+        while (open_ := np.flatnonzero(lo < hi)).size:
+            # every open bisection takes its next scale; each scale is decided in one call
+            at = np.where(hi == cap, hi - 1, np.where(lo == 0, 0, (lo + hi) // 2))[open_]
+            for i in sorted(set(at.tolist())):
+                q = open_[at == i]
+                yes = np.array([f is not None for f in decide(i, [cands[c] for c in q])])
+                lo[q], hi[q] = np.where(yes, i + 1, lo[q]), np.where(yes, hi[q], i)
+        grown = {c: h for c, h in zip(cands, lo.tolist()) if h}
         if not grown:
             break
         for cand, height in reversed(grown.items()):
             best[:height] = [cand] * height
         heights = grown
 
-    results = [VcResult(len(s), _carrier_witness(F, CoordinateSubset(s, n), grid[i], carriers(s, i))
-                        if s else None) for i, s in enumerate(best)]
+    results = [VcResult(len(s), _carrier_witness(F, CoordinateSubset(s, n), grid[i],
+                                                 decide(i, [s])[0]) if s else None)
+               for i, s in enumerate(best)]
     return tuple(results[grid.index(t)] for t in scales)
 
 

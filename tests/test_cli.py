@@ -246,7 +246,8 @@ class TestExitCodes:
         # swapped carriers fail their gaps, and a doubled domination value fails at the
         # unit peak though at the data's scale 1e-8 it is off by only 5e-9
         search, solve = shatter._least_carriers, shatter._vertex_domination
-        monkeypatch.setattr(shatter, "_least_carriers", lambda *a: search(*a)[::-1])
+        monkeypatch.setattr(shatter, "_least_carriers",
+                            lambda *a: [first[::-1] for first in search(*a)])
         monkeypatch.setattr(shatter, "_vertex_domination",
                             lambda x: (2.0 * solve(x)[0], solve(x)[1]))
         signs = write_csv(tmp_path / "signs.csv", np.array([[1.0], [-1.0]]))
@@ -702,6 +703,23 @@ class TestComplexityCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err)["error"]["code"] == "BAD_K"
+
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.5"]], ids=["alone", "with-eps"])
+    def test_kmax_past_the_substream_span_exits_3(self, sign_csv, capsys, monkeypatch, extra):
+        # ell_k reads substream label k: with a span of 5 labels --kmax 4 fits, and 5 or 6
+        # are refused before any average is drawn
+        monkeypatch.setattr(core, "_SUBSTREAM_SPAN", 5)
+        argv = ["complexity", "--input", sign_csv, "--trials", "100", *extra]
+        assert main(argv + ["--kmax", "4"]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, "gaussian_complexity", None)
+        monkeypatch.setattr(cli, "rademacher_complexity", None)
+        monkeypatch.setattr(complexity, "ell_parameter", None)
+        for kmax in ("5", "6"):
+            assert main(argv + ["--kmax", kmax]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"
 
     def test_csv_out_without_eps_exits_2(self, sign_csv, capsys, tmp_path, monkeypatch):
         # the plot-ready curve is t(F, eps): refused before any average is drawn

@@ -494,6 +494,16 @@ class TestTParameter:
                 sup = np.abs(F.values @ np.asarray(pat)).max()
                 assert sup >= 3 * eps - 1e-12
 
+    def test_k_max_past_the_substream_span(self, monkeypatch):
+        # ell_k reads substream label k: with a span of 5 labels k_max 4 fits and 5 is
+        # refused before any estimate
+        monkeypatch.setattr(core, "_SUBSTREAM_SPAN", 5)
+        assert len(t_parameter(sign_class(2), 0.5, 4, trials=100, rng=RngStream(0)).per_k) == 4
+        monkeypatch.setattr(complexity, "ell_parameter", None)
+        with pytest.raises(SizeCapError) as exc:
+            t_parameter(sign_class(2), 0.5, 5, trials=100, rng=RngStream(0))
+        assert exc.value.code == "SIZE_CAP"
+
     def test_validation(self):
         F = sign_class(2)
         with pytest.raises(InputError):

@@ -274,6 +274,35 @@ def vc_grid_cases(draw):
     return FunctionClass(values), scales, max_sigma
 
 
+@st.composite
+def carrier_stacks(draw):
+    """(F, t, stack): m <= 24 functions on 6 points and a stack of 1 to 8 subsets of one size,
+    some repeated and in any point order.
+
+    Each column is +-1, uniform rounded to two decimals, on the quarter grid
+    in [-1, 1], or skewed: -1 but on one function, so that the side filter
+    drops it from every subset of two or more points. Columns of one class
+    mix these kinds, so the points of one subset have different cut counts.
+    """
+    m = draw(st.integers(2, 24))
+    g = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = []
+    for kind in draw(st.lists(st.sampled_from(["sign", "decimal", "quarter", "skewed"]),
+                              min_size=6, max_size=6)):
+        if kind == "sign":
+            cols.append(g.choice([-1.0, 1.0], size=m))
+        elif kind == "decimal":
+            cols.append(np.round(g.uniform(-1.0, 1.0, size=m), 2))
+        elif kind == "quarter":
+            cols.append(0.25 * g.integers(-4, 5, size=m))
+        else:
+            cols.append(np.where(np.arange(m) == g.integers(m), 1.0, -1.0))
+    k = draw(st.integers(1, min(4, int(math.log2(m)))))
+    subset = st.sampled_from(list(itertools.combinations(range(6), k))).flatmap(st.permutations)
+    stack = draw(st.lists(subset, min_size=1, max_size=8))
+    return FunctionClass(np.column_stack(cols)), draw(st.floats(0.01, 0.6)), stack
+
+
 def assert_same_result(res, ref):
     """The same dimension and the same witness bits."""
     assert res.dimension == ref.dimension
@@ -287,22 +316,22 @@ def assert_same_result(res, ref):
 
 
 def counting_oracle(mp):
-    """Patch the cut search's decision, shatter._least_carriers, to record the (sigma, t) of
-    each call; returns the record. Its per-point cut tables are named by the (point, t)
-    that a patched shatter._point_cuts built them for."""
-    calls, built, cuts, search = [], {}, shatter._point_cuts, shatter._least_carriers
+    """Patch the cut search, shatter._least_carriers, to record the (sigma, t) of each subset
+    of each stack it decides; returns the record. Its cut tables are named by the points and
+    t that a patched shatter._scale_cuts built them for."""
+    calls, built, cuts, search = [], {}, shatter._scale_cuts, shatter._least_carriers
 
-    def traced(F, x, t):
-        table = cuts(F, x, t)
-        built[id(table)] = (int(x) + 1, t)
+    def traced(F, t, cols):
+        table = cuts(F, t, cols)
+        built[id(table[0])] = (np.asarray(cols) + 1, t)
         return table
 
-    def counted(tables):
-        points, scales = zip(*(built[id(table)] for table in tables))
-        calls.append((points, scales[0]))
-        return search(tables)
+    def counted(table, subsets):
+        points, t = built[id(table[0])]
+        calls.extend((tuple(points[s].tolist()), t) for s in np.asarray(subsets))
+        return search(table, subsets)
 
-    mp.setattr(shatter, "_point_cuts", traced)
+    mp.setattr(shatter, "_scale_cuts", traced)
     mp.setattr(shatter, "_least_carriers", counted)
     return calls
 
@@ -427,9 +456,10 @@ class TestIsShattered:
         search = shatter._least_carriers
 
         def swapped(*args):
-            first = search(*args)
-            first[0], first[1] = first[1], first[0]
-            return first
+            found = search(*args)
+            for first in found:
+                first[0], first[1] = first[1], first[0]
+            return found
 
         monkeypatch.setattr(shatter, "_least_carriers", swapped)
         with pytest.raises(CertificateError, match="gap falls short of 2t"):
@@ -603,9 +633,10 @@ class TestVcDimensions:
     @given(case=vc_grid_cases())
     def test_point_cuts_are_built_once_per_point_and_scale(self, case):
         F, scales, max_sigma = case
-        built, cuts = [], shatter._point_cuts
+        built, cuts = [], shatter._scale_cuts
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(shatter, "_point_cuts", lambda F, x, t: built.append((x, t)) or cuts(F, x, t))
+            mp.setattr(shatter, "_scale_cuts",
+                       lambda F, t, cols: built.extend((x, t) for x in cols) or cuts(F, t, cols))
             vc_dimensions(F, scales, max_sigma)
         assert len(built) == len(set(built))
 
@@ -613,6 +644,33 @@ class TestVcDimensions:
         F = sign_class(3)
         for t in (0.5, 1.0, 1.5):
             assert_same_result(vc_dimension(F, t, 2), vc_dimensions(F, [t], 2)[0])
+
+    def test_equal_cut_tables_share_their_decisions(self):
+        # on a +-1 class every t <= 1 gives every point the one cut lo = -1, hi = 1, so three
+        # such scales make exactly the decisions of one, and the same results
+        F = FunctionClass(np.random.default_rng(0).choice([-1.0, 1.0], size=(16, 8)))
+        with pytest.MonkeyPatch.context() as mp:
+            calls = counting_oracle(mp)
+            grid = vc_dimensions(F, (0.3, 0.75, 0.95))
+            decided = sorted(points for points, _ in calls)
+            calls.clear()
+            one = vc_dimension(F, 0.95)
+            assert decided == sorted(points for points, _ in calls)
+        assert one.dimension == 3
+        assert [res.dimension for res in grid] == [3, 3, 3]
+        assert all(res.witness.assignment == one.witness.assignment for res in grid)
+
+    @given(case=carrier_stacks(), block=st.sampled_from([None, 1, 64, 700]))
+    def test_a_stack_decides_each_subset_as_a_stack_of_one(self, case, block):
+        # the same vector, or None, for every subset of the stack; small blocks cut both the
+        # stack and the expansions into many pieces
+        F, t, stack = case
+        cuts = shatter._scale_cuts(F, t, np.arange(F.n))
+        alone = [shatter._least_carriers(cuts, [subset])[0] for subset in stack]
+        with pytest.MonkeyPatch.context() as mp:
+            if block is not None:
+                mp.setattr(shatter, "_BLOCK_SCALARS", block)
+            assert shatter._least_carriers(cuts, stack) == alone
 
     def test_grid_order_and_repeats(self):
         # results follow the grid as given; a repeated scale is searched once
