@@ -7,7 +7,12 @@ per tree, and compares the reports field by field. The benchmark's
 shattering classes are all +-1, with one cut per point, so the set
 `multicut` adds `shatter`, `entropy` and `audit` calls on two real-valued
 classes drawn from the seed (16 x 8, uniform in [-1, 1] and rounded to two
-decimals, at scales 0.05 to 0.3), where points have several cuts. From the
+decimals, at scales 0.05 to 0.3), where points have several cuts. The
+benchmark's `typecmp` vectors are orthonormal, so every signing ties, and its
+`complexity` calls all give `--eps`, so the set `typecmp-ell` adds `typecmp`
+on 120 unit Gaussian rows in R^12 at subset sizes 30 and 60, past the exact
+sign cap of 24, under norm 2 and `sup`, and `complexity` calls on a 16 x 8
+class with `--k` at most `--kmax`, above it, and without `--eps`. From the
 root of a checkout, with the parent commit unpacked in OLD:
 
     python3 scripts/diff_reports.py OLD . --seed 1 [--workload exact] [--workload multicut]
@@ -36,6 +41,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 import workloads  # noqa: E402
 
 MULTICUT = "multicut"
+TYPECMP_ELL = "typecmp-ell"
 
 
 def multicut_plan(seed: int, out_dir: str) -> list:
@@ -51,6 +57,30 @@ def multicut_plan(seed: int, out_dir: str) -> list:
         plan.append((f"{MULTICUT}/audit-{k}", ["audit", "--input", path, "--trials", "200",
                                                 "--grid-points", "5", "--seed", str(seed)]))
     return plan
+
+
+def typecmp_ell_plan(seed: int, out_dir: str) -> list:
+    """(name, argv) of the `typecmp-ell` calls, with their inputs written under out_dir."""
+    g = np.random.default_rng([seed, 2])
+    rows = g.standard_normal((120, 12))
+    unit = workloads.write_csv(os.path.join(out_dir, "unit-rows.csv"),
+                               rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    plan = [(f"{TYPECMP_ELL}/typecmp-{norm}", ["typecmp", "--input", unit, "--norm", norm,
+                                               "--delta-grid", "0.25,0.5", "--trials", "200",
+                                               "--seed", str(seed)])
+            for norm in ("2", "sup")]
+    bounded = workloads.write_csv(os.path.join(out_dir, "class.csv"),
+                                  np.round(g.uniform(-1.0, 1.0, (16, 8)), 6))
+    for name, extra in (("k-within-kmax", ["--k", "2", "--eps", "0.5", "--kmax", "3"]),
+                        ("k-above-kmax", ["--k", "3", "--eps", "0.5", "--kmax", "2"]),
+                        ("k-alone", ["--k", "3"])):
+        plan.append((f"{TYPECMP_ELL}/complexity-{name}",
+                     ["complexity", "--input", bounded, "--kind", "both", "--trials", "500",
+                      "--seed", str(seed), *extra]))
+    return plan
+
+
+EXTRA_SETS = {MULTICUT: multicut_plan, TYPECMP_ELL: typecmp_ell_plan}
 
 
 def run_plan(plan_path: str, results_path: str) -> None:
@@ -97,8 +127,9 @@ def main() -> int:
     parser.add_argument("old", nargs="?", help="checkout root of the old tree")
     parser.add_argument("new", nargs="?", help="checkout root of the new tree")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workload", action="append", choices=(*workloads.WORKLOADS, MULTICUT),
-                        help=f"repeat for several; default: every workload and {MULTICUT}")
+    parser.add_argument("--workload", action="append", choices=(*workloads.WORKLOADS, *EXTRA_SETS),
+                        help="repeat for several; default: every workload and "
+                             f"{' and '.join(EXTRA_SETS)}")
     parser.add_argument("--run-plan", nargs=2, metavar=("PLAN", "RESULTS"), help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.run_plan:
@@ -113,11 +144,11 @@ def main() -> int:
             parser.error(f"{tree} holds no src/coordproj")
     with tempfile.TemporaryDirectory(prefix="diff_reports_") as tmp:
         plan = []
-        for workload in args.workload or (*workloads.WORKLOADS, MULTICUT):
+        for workload in args.workload or (*workloads.WORKLOADS, *EXTRA_SETS):
             inputs = os.path.join(tmp, workload)
             os.mkdir(inputs)
-            if workload == MULTICUT:
-                plan += multicut_plan(args.seed, inputs)
+            if workload in EXTRA_SETS:
+                plan += EXTRA_SETS[workload](args.seed, inputs)
             else:
                 plan += [(f"{workload}/{e.name}", list(e.argv))
                          for e in workloads.build(workload, args.seed, inputs)]

@@ -332,7 +332,8 @@ def _run_complexity(args, data, rng):
         raise InputError("BAD_INPUT", "complexity writes --csv-out only with --eps")
     F = FunctionClass(data)
     k_max = check_count(args.kmax, "k_max", 1, "BAD_K")  # checked with or without --eps
-    check_substreams(k_max + 1, f"{k_max} ell_k estimates")  # ell_k takes label k
+    k = None if args.k is None else check_count(args.k, "k", 1, "BAD_K")
+    check_substreams(max(k or 0, k_max) + 1, "ell_k estimates")  # ell_k: label k of substream 3
     results: dict = {"trials": args.trials}
     flags: set = set()
     csv = None
@@ -343,12 +344,13 @@ def _run_complexity(args, data, rng):
         results["rademacher"] = _estimate_json(
             rademacher_complexity(F, trials=args.trials, rng=rng.substream(1)))
     kind = "rademacher" if args.kind == "rademacher" else "gaussian"
-    if args.k is not None:
+    tres = None if args.eps is None else t_parameter(F, args.eps, k_max, trials=args.trials,
+                                                     rng=rng.substream(3), kind=kind)
+    if k is not None:  # t_parameter has estimated ell_k already when k <= k_max
         results["ell"] = _estimate_json(
-            ell_parameter(F, args.k, trials=args.trials, rng=rng.substream(2), kind=kind))
-    if args.eps is not None:
-        tres = t_parameter(F, args.eps, k_max, trials=args.trials,
-                           rng=rng.substream(3), kind=kind)
+            tres.per_k[k - 1] if tres is not None and k <= k_max else
+            ell_parameter(F, k, trials=args.trials, rng=rng.substream(3).substream(k), kind=kind))
+    if tres is not None:
         results["t_parameter"] = {
             "value": tres.value,
             "capped": tres.capped,
@@ -531,7 +533,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 10,
+        "schema": 11,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

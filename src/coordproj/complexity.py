@@ -327,12 +327,11 @@ def _heuristic_signs(tables, norm, gens):
     run in lockstep, in blocks of at most _BLOCK_SCALARS candidate scalars
     (restarts * count * d). Greedy: at step j every restart signs its j-th
     vector, and the plus and minus candidates of all restarts are scored in
-    one norm call. Descent: each restart keeps its own sweep position and
-    improved flag; each step scores every flip of every live restart in one
-    call, masks the flips before each restart's position, and takes its
-    first flip that improves by more than 1e-15 relative. That is the order
-    of a one-flip-at-a-time sweep, and banach_norm gives a row the same
-    bits alone or in a stack, so no table's signs depend on the others.
+    one norm call. Steepest descent: each step scores every single flip of
+    every live restart in one call, and each restart takes its best flip
+    (the first of equal ones) while that lowers its value by more than
+    1e-15 of it. banach_norm gives a row the same bits alone or in a stack,
+    so no table's signs depend on the others or on the blocks.
     """
     s, count, d = tables.shape
     orders = np.empty((s, _SIGN_RESTARTS, count), dtype=np.intp)
@@ -354,11 +353,11 @@ def _heuristic_signs(tables, norm, gens):
 
 
 def _lockstep_search(tables, owner, orders, signs, norm):
-    """Greedy signing then single-flip descent for restarts of tables[owner] in orders.
+    """Greedy signing then steepest single-flip descent for restarts of tables[owner] in orders.
 
     Writes each restart's signs into signs in place and returns their values.
     """
-    restarts, count = orders.shape
+    restarts = orders.shape[0]
     rows = np.arange(restarts)
     totals = np.zeros((restarts, tables.shape[2]))
     for idx in orders.T:
@@ -368,28 +367,18 @@ def _lockstep_search(tables, owner, orders, signs, norm):
         signs[rows, idx] = s
         totals = totals + s[:, None] * vecs
     vals = banach_norm(totals, norm)
-    pos = np.zeros(restarts, dtype=np.intp)
-    improved = np.zeros(restarts, dtype=bool)
-    index = np.arange(count)
-    while True:
-        # a sweep that improved something starts over from index 0
-        wrap = (pos == count) & improved
-        pos[wrap], improved[wrap] = 0, False
-        live = np.flatnonzero(pos < count)
-        if live.size == 0:
-            return vals
+    live = rows
+    while live.size:
         cands = totals[live, None] - 2.0 * signs[live, :, None] * tables[owner[live]]
         cvals = banach_norm(cands, norm)
-        val = vals[live, None]
-        hits = (cvals < val - 1e-15 * val) & (index >= pos[live, None])
-        found = hits.any(axis=1)
-        pos[live[~found]] = count
-        r, k = live[found], np.argmax(hits[found], axis=1)
-        totals[r] = cands[found, k]
-        vals[r] = cvals[found, k]
-        signs[r, k] = -signs[r, k]
-        pos[r] = k + 1
-        improved[r] = True
+        k = np.argmin(cvals, axis=1)  # the first of equal flips
+        best = cvals[np.arange(live.size), k]
+        found = best < vals[live] - 1e-15 * vals[live]
+        live, k = live[found], k[found]
+        totals[live] = cands[found, k]
+        vals[live] = best[found]
+        signs[live, k] = -signs[live, k]
+    return vals
 
 
 def min_sign_norm(vectors, norm=2.0, rng=None):
@@ -398,9 +387,10 @@ def min_sign_norm(vectors, norm=2.0, rng=None):
     Up to _EXACT_SIGN_CAP vectors it enumerates the 2^(count-1) patterns,
     the global sign flip being free, and certifies the minimum (method
     "exact"). Past the cap it signs vectors greedily in descending norm
-    order, runs single-flip descent, and restarts from random orders drawn
-    from rng, _SIGN_RESTARTS starts in all, so its value is an upper bound
-    on the minimum (method "heuristic"). Both search the table of
+    order, then takes the best single flip while one lowers the norm
+    (steepest descent), and restarts from random orders drawn from rng,
+    _SIGN_RESTARTS starts in all, so its value is an upper bound on the
+    minimum (method "heuristic"). Both search the table of
     _sign_table; the value is the norm of the chosen signed sum of the
     vectors themselves, at the unit peak, so the signs attain it.
 

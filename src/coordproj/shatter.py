@@ -210,7 +210,10 @@ def _block_carriers(state: np.ndarray, side: np.ndarray, pts: np.ndarray) -> dic
             best = sid_all[i], first_all[i]
         more = alive & (done < k)
         if more.any():
-            both = np.unique(np.column_stack((sid[more], rows[more])), axis=0)
+            # each distinct (subset, code row) once, in lexicographic order
+            both = np.column_stack((sid[more], rows[more]))
+            both = both[np.lexsort(both.T[::-1])]
+            both = both[np.r_[True, (both[1:] != both[:-1]).any(axis=1)]]
             stack.append((depth, both[:, 1:].astype(dtype), both[:, 0]))
 
     rows = np.where((np.arange(k) < forced[:, None])[:, :, None], steps[:, :, 0], 0)

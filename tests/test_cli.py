@@ -203,7 +203,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 10
+        assert report["schema"] == 11
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):
@@ -717,6 +717,43 @@ class TestComplexityCommand:
         monkeypatch.setattr(complexity, "ell_parameter", None)
         for kmax in ("5", "6"):
             assert main(argv + ["--kmax", kmax]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"
+
+    @pytest.mark.parametrize("k", ["1", "2", "3"])
+    def test_ell_is_the_t_parameters_estimate(self, tmp_path, capsys, k):
+        # with --eps, an ell_k with k <= --kmax is read off t_parameter, bit for bit
+        path = write_csv(tmp_path / "class.csv", np.random.default_rng(7).uniform(-1, 1, (6, 5)))
+        assert main(["complexity", "--input", path, "--kind", "gaussian", "--trials", "200",
+                     "--k", k, "--eps", "0.5", "--kmax", "3", "--seed", "4"]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        assert res["ell"] == res["t_parameter"]["per_k"][int(k) - 1]
+
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.5"]], ids=["alone", "with-eps"])
+    def test_ell_past_kmax_reads_label_k_of_substream_3(self, tmp_path, capsys, extra):
+        data = np.random.default_rng(8).uniform(-1, 1, (6, 5))
+        path = write_csv(tmp_path / "class.csv", data)
+        assert main(["complexity", "--input", path, "--kind", "gaussian", "--trials", "200",
+                     "--k", "3", "--kmax", "2", "--seed", "4", *extra]) == 0
+        res = json.loads(capsys.readouterr().out)["results"]
+        direct = complexity.ell_parameter(FunctionClass(data), 3, trials=200,
+                                          rng=core.RngStream(4).substream(3).substream(3))
+        assert res["ell"] == cli._estimate_json(direct)
+        assert ("t_parameter" in res) == bool(extra)
+
+    @pytest.mark.parametrize("extra", [[], ["--eps", "0.5"]], ids=["alone", "with-eps"])
+    def test_k_past_the_substream_span_exits_3(self, sign_csv, capsys, monkeypatch, extra):
+        # ell_k reads label k of substream 3: with a span of 5 labels --k 4 fits, and 5
+        # or 6 are refused before any average is drawn, whatever --kmax
+        monkeypatch.setattr(core, "_SUBSTREAM_SPAN", 5)
+        argv = ["complexity", "--input", sign_csv, "--trials", "100", "--kmax", "2", *extra]
+        assert main(argv + ["--k", "4"]) == 0
+        capsys.readouterr()
+        for name in ("gaussian_complexity", "rademacher_complexity", "ell_parameter", "t_parameter"):
+            monkeypatch.setattr(cli, name, None)
+        for k in ("5", "6"):
+            assert main(argv + ["--k", k]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert json.loads(captured.err)["error"]["code"] == "SIZE_CAP"

@@ -44,12 +44,14 @@ def chi_mean(n: int) -> float:
 
 
 def sequential_min_sign(vectors, norm, rng):
-    """Reference heuristic: each restart signed greedily, then swept one flip per norm call.
+    """Reference heuristic: each restart signed greedily, then steepest descent, one flip per norm call.
 
     It searches the table of complexity._sign_table, as min_sign_norm does;
     restart orders, tie rule and the relative 1e-15 descent threshold are
-    also min_sign_norm's. The value is recomputed from the signs at the unit
-    peak and scaled back. Returns (value, signs) with signs[0] = +1.
+    also min_sign_norm's: each step scores every single flip and takes the
+    first best one while it lowers the value by more than 1e-15 of it. The
+    value is recomputed from the signs at the unit peak and scaled back.
+    Returns (value, signs) with signs[0] = +1.
     """
     unit, x, e = complexity._sign_table(vectors, norm)
     count = x.shape[0]
@@ -68,17 +70,17 @@ def sequential_min_sign(vectors, norm, rng):
             signs[i] = s
             total = total + s * x[i]
         val = banach_norm(total, norm)
-        improved = True
-        while improved:
-            improved = False
+        while True:
+            best_i, best_cand, best_cval = None, None, math.inf
             for i in range(count):
                 cand = total - 2.0 * signs[i] * x[i]
                 cval = banach_norm(cand, norm)
-                if cval < val - 1e-15 * val:
-                    total = cand
-                    signs[i] = -signs[i]
-                    val = cval
-                    improved = True
+                if cval < best_cval:
+                    best_i, best_cand, best_cval = i, cand, cval
+            if not best_cval < val - 1e-15 * val:
+                break
+            total, val = best_cand, best_cval
+            signs[best_i] = -signs[best_i]
         if val < best_val:
             best_val, best_signs = val, signs.copy()
     if best_signs[0] < 0:
@@ -557,8 +559,8 @@ class TestMinSignNorm:
             assert he.value >= ex.value - 1e-9
             if abs(he.value - ex.value) <= 1e-9:
                 eq += 1
-        # the balancing heuristic lands on the optimum most of the time
-        assert eq >= 50
+        # steepest descent from 16 restarts lands on the optimum 79 times in 100
+        assert eq >= 79
 
     def test_sign_flip_symmetry(self):
         rng = RngStream(53).generator()

@@ -3,6 +3,9 @@ import importlib
 import inspect
 import itertools
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -319,6 +322,27 @@ def test_sources_import_scipy_only_inside_functions():
                 continue
             assert all(name.split(".")[0] != "scipy" for name in names), \
                 f"{path.name}:{node.lineno} imports scipy at module level"
+
+
+def test_shattering_on_a_real_valued_class_leaves_numpy_ma_unimported(tmp_path):
+    # np.unique(..., axis=0) imports numpy.ma on its first call; the cut search
+    # dedupes without it. Points of this class have several cuts each.
+    data = np.round(np.random.default_rng(5).uniform(-1.0, 1.0, (16, 8)), 2)
+    path = tmp_path / "class.csv"
+    np.savetxt(path, data, delimiter=",")
+    script = (
+        "import sys\n"
+        "from coordproj.cli import main\n"
+        f"args = ['--input', {str(path)!r}, '--output', {str(tmp_path / 'report.json')!r}]\n"
+        "for argv in (['shatter', '--t', '0.05'],\n"
+        "             ['entropy', '--t-grid', '0.05,0.1,0.2,0.3', '--c-assumed', '1'],\n"
+        "             ['audit', '--trials', '200', '--grid-points', '5']):\n"
+        "    assert main(argv + args) == 0\n"
+        "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(core.__file__).parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
 
 
 # size caps, tolerances and restart counts with one value in use are module
