@@ -12,10 +12,15 @@ benchmark's `typecmp` vectors are orthonormal, so every signing ties, and its
 `complexity` calls all give `--eps`, so the set `typecmp-ell` adds `typecmp`
 on 120 unit Gaussian rows in R^12 at subset sizes 30 and 60, past the exact
 sign cap of 24, under norm 2 and `sup`, and `complexity` calls on a 16 x 8
-class with `--k` at most `--kmax`, above it, and without `--eps`. From the
-root of a checkout, with the parent commit unpacked in OLD:
+class with `--k` at most `--kmax`, above it, and without `--eps`. The set
+`typecmp-gram` adds norm-2 `typecmp` on 24 unit rows in R^64, and on 30 unit
+rows of rank 3 in R^30 under norm 2 and `sup`, whose Gram matrices are not
+multiples of the identity. The set `wide` adds inputs whose Monte-Carlo
+trials are wide: `complexity` on a 2 x 5000 class and `typecmp --norm sup`
+on 5000 unit rows in R^2. From the root of a checkout, with the parent
+commit unpacked in OLD:
 
-    python3 scripts/diff_reports.py OLD . --seed 1 [--workload exact] [--workload multicut]
+    python3 scripts/diff_reports.py OLD . --seed 1 [--workload exact] [--workload wide]
 
 Each tree is a checkout root holding `src/coordproj`. Both trees write each
 report to the same path, so the echoed `config.output` never differs.
@@ -42,6 +47,8 @@ import workloads  # noqa: E402
 
 MULTICUT = "multicut"
 TYPECMP_ELL = "typecmp-ell"
+TYPECMP_GRAM = "typecmp-gram"
+WIDE = "wide"
 
 
 def multicut_plan(seed: int, out_dir: str) -> list:
@@ -80,7 +87,37 @@ def typecmp_ell_plan(seed: int, out_dir: str) -> list:
     return plan
 
 
-EXTRA_SETS = {MULTICUT: multicut_plan, TYPECMP_ELL: typecmp_ell_plan}
+def typecmp_gram_plan(seed: int, out_dir: str) -> list:
+    """(name, argv) of the `typecmp-gram` calls, with their inputs written under out_dir."""
+    g = np.random.default_rng([seed, 3])
+    few = g.standard_normal((24, 64))
+    low = g.standard_normal((30, 3)) @ g.standard_normal((3, 30))
+    paths = {name: workloads.write_csv(os.path.join(out_dir, f"{name}.csv"),
+                                       rows / np.linalg.norm(rows, axis=1, keepdims=True))
+             for name, rows in (("24x64", few), ("rank3", low))}
+    return [(f"{TYPECMP_GRAM}/typecmp-{name}-{norm}",
+             ["typecmp", "--input", paths[name], "--norm", norm, "--trials", "500",
+              "--seed", str(seed)])
+            for name, norm in (("24x64", "2"), ("rank3", "2"), ("rank3", "sup"))]
+
+
+def wide_plan(seed: int, out_dir: str) -> list:
+    """(name, argv) of the `wide` calls, with their inputs written under out_dir."""
+    g = np.random.default_rng([seed, 4])
+    wide = workloads.write_csv(os.path.join(out_dir, "class-2x5000.csv"),
+                               np.round(g.uniform(-1.0, 1.0, (2, 5000)), 6))
+    rows = g.standard_normal((5000, 2))
+    tall = workloads.write_csv(os.path.join(out_dir, "rows-5000x2.csv"),
+                               rows / np.linalg.norm(rows, axis=1, keepdims=True))
+    return [(f"{WIDE}/complexity-2x5000", ["complexity", "--input", wide, "--kind", "both",
+                                           "--trials", "2000", "--seed", str(seed)]),
+            (f"{WIDE}/typecmp-5000x2-sup", ["typecmp", "--input", tall, "--norm", "sup",
+                                            "--delta-grid", "0.001", "--trials", "2000",
+                                            "--seed", str(seed)])]
+
+
+EXTRA_SETS = {MULTICUT: multicut_plan, TYPECMP_ELL: typecmp_ell_plan,
+              TYPECMP_GRAM: typecmp_gram_plan, WIDE: wide_plan}
 
 
 def run_plan(plan_path: str, results_path: str) -> None:

@@ -533,7 +533,7 @@ def run(args) -> dict:
     results, constants, flags, csv = _RUNNERS[args.command](args, data, rng)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     report = {
-        "schema": 11,
+        "schema": 12,
         "version": __version__,
         "command": args.command,
         "config": _config_echo(args),

@@ -132,8 +132,9 @@ def _sups(cols, wt):
 def _sup_average(values, trials, gen, kind):
     """Mean and standard error of sup_f |sum_i w_i f(i)| over random weights."""
     m, k = values.shape
+    # a trial holds its k weights and its m products
     total, total_sq = monte_carlo(
-        trials, m, lambda rows: _sups(values, _draw_weights(gen, rows, k, kind).T))
+        trials, m + k, lambda rows: _sups(values, _draw_weights(gen, rows, k, kind).T))
     return mean_and_se(total, total_sq, trials)
 
 
@@ -369,7 +370,11 @@ def _lockstep_search(tables, owner, orders, signs, norm):
     vals = banach_norm(totals, norm)
     live = rows
     while live.size:
-        cands = totals[live, None] - 2.0 * signs[live, :, None] * tables[owner[live]]
+        # one (live, count, d) buffer: the gather, then the same products and
+        # differences as totals - 2 * signs * tables, in place
+        cands = tables[owner[live]]
+        cands *= 2.0 * signs[live, :, None]
+        np.subtract(totals[live, None], cands, out=cands)
         cvals = banach_norm(cands, norm)
         k = np.argmin(cvals, axis=1)  # the first of equal flips
         best = cvals[np.arange(live.size), k]
@@ -423,6 +428,27 @@ def _sign_minima(stack, norm, rngs):
     return values, signs, method
 
 
+def _gram_gaussian_block(unit, gen):
+    """(width, block): a Monte-Carlo block of ||sum_i g_i v_i||_2 over the rows v_i of unit.
+
+    With lambda_j the eigenvalues of the smaller Gram matrix of unit (n x n
+    or d x d, clipped at 0), ||sum_i g_i v_i||_2^2 has the law of
+    sum_j lambda_j z_j^2 for r = min(n, d) standard normals z_j. So a trial
+    draws r normals, squares them in place and needs no (trials x d) product.
+    """
+    n, d = unit.shape
+    gram = unit @ unit.T if n <= d else unit.T @ unit
+    lam = np.clip(np.linalg.eigvalsh(gram), 0.0, None)
+
+    def block(rows):
+        z = gen.standard_normal((rows, lam.size))
+        np.square(z, out=z)
+        s = z @ lam
+        return np.sqrt(s, out=s)
+
+    return lam.size, block
+
+
 def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
                           trials=2000, rng=None, subsets_per_size=8):
     """Compares the Gaussian norm average against subset sign minima.
@@ -441,6 +467,8 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
         rng: RngStream; substream 0 drives the weights, substream 1 the subsets.
         subsets_per_size: subsets sampled per grid size, at least 1.
 
+    Under norm 2, E is sampled from the spectrum of the Gram matrix of the
+    vectors (see _gram_gaussian_block); other norms draw sum_i g_i v_i.
     Subsets of at most _EXACT_SIGN_CAP vectors are solved by exact sign
     enumeration, larger ones heuristically (flag HEURISTIC_MIN_SIGN). A
     subsets_per_size whose subsets would need a substream label past
@@ -462,8 +490,11 @@ def type_infratype_report(vectors, norm=2.0, delta_grid=(0.05, 0.1, 0.2),
     # averaged at a unit peak, as in _complexity; the sign minima take their own
     unit, e = unit_peak(x)
     gen_w = rng.substream(0).generator()
-    total, total_sq = monte_carlo(
-        trials, x.shape[1], lambda rows: banach_norm(gen_w.standard_normal((rows, n)) @ unit, norm))
+    if norm == 2:
+        total, total_sq = monte_carlo(trials, *_gram_gaussian_block(unit, gen_w))
+    else:  # a trial holds its n normals and its d-coordinate sum
+        total, total_sq = monte_carlo(trials, n + x.shape[1], lambda rows: banach_norm(
+            gen_w.standard_normal((rows, n)) @ unit, norm))
     e_mean, e_se = _scale_back(e, *mean_and_se(total, total_sq, trials))
 
     gen_s = rng.substream(1).generator()

@@ -235,9 +235,11 @@ def banach_norm(v, norm="sup"):
         p = float(norm)
         if not 1.0 <= p < math.inf:  # also rejects nan; inf would collapse every norm to 1
             raise InputError("BAD_EXPONENT", f"exponent must be finite and >= 1, got {p}")
-        # the root is always taken on an array: numpy's vectorized power can
-        # differ from its scalar power in the last bit
-        out = (np.sum(w**p, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
+        # w is this call's own copy, so it takes the power in place, by the
+        # ufunc w**p calls; the root is always taken on an array: numpy's
+        # vectorized power can differ from its scalar power in the last bit
+        w **= p
+        out = (np.sum(w, axis=-1, keepdims=True) ** (1.0 / p))[..., 0]
     return float(out) if np.ndim(out) == 0 else out
 
 

@@ -203,7 +203,7 @@ class TestExitCodes:
     def test_success(self, vec_csv, capsys):
         assert main(["psi", "--input", vec_csv, "--p", "2"]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report["schema"] == 11
+        assert report["schema"] == 12
         assert report["command"] == "psi"
 
     def test_validation_error(self, vec_csv, capsys):

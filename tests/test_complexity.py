@@ -157,6 +157,26 @@ def euclidean_inputs(draw):
     return x, np.linalg.qr(g.standard_normal((dim, dim)))[0]
 
 
+def traced_peak(call) -> int:
+    """The peak bytes tracemalloc sees while call() runs."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def unit_rows(x):
+    return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+
+def direct_gaussian_mean(x, trials, rng):
+    """Mean and standard error of ||sum_i g_i v_i||_2, the sum formed from n normals in R^d."""
+    norms = np.linalg.norm(rng.generator().standard_normal((trials, x.shape[0])) @ x, axis=1)
+    return float(norms.mean()), float(norms.std(ddof=1)) / math.sqrt(trials)
+
+
 def reference_sups(cols, wt):
     """The sup kernel in its earlier form: trials outermost, the sup over the inner class axis."""
     return np.abs(wt.T @ cols.T).max(axis=1)
@@ -579,13 +599,27 @@ class TestMinSignNorm:
 
     def test_exact_memory_does_not_grow_with_the_width(self):
         vecs = RngStream(57).generator().standard_normal((18, 400))
-        tracemalloc.start()
-        try:
-            min_sign_norm(vecs)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 64e6
+        assert traced_peak(lambda: min_sign_norm(vecs)) < 64e6
+
+    def test_monte_carlo_blocks_count_every_scalar_of_a_trial(self):
+        # a trial of the sup average holds m + k scalars, and one of the sup-norm
+        # Gaussian side n + d, so blocks stay near the 16 MB of _BLOCK_SCALARS
+        # (both peaked at 80 MB when the blocks counted m and d)
+        gen = RngStream(571).generator()
+        F = FunctionClass(gen.uniform(-1.0, 1.0, size=(2, 5000)))
+        assert traced_peak(lambda: gaussian_complexity(F, trials=2000, rng=RngStream(1))) < 24e6
+        rows = unit_rows(gen.standard_normal((5000, 2)))
+        assert traced_peak(lambda: type_infratype_report(
+            rows, norm="sup", delta_grid=(0.001,), trials=2000, rng=RngStream(1))) < 24e6
+
+    def test_descent_candidates_take_one_buffer(self):
+        # one stack of 8 subsets of 51, searched in their 51-d span: 128 restarts'
+        # candidates are 2.7 MB, built in place and copied once by banach_norm
+        # (9.4 MB peak when the gather, product and difference were three buffers)
+        gen = RngStream(572).generator()
+        stack = unit_rows(gen.standard_normal((8 * 51, 256))).reshape(8, 51, 256)
+        rngs = [RngStream(573, i) for i in range(8)]
+        assert traced_peak(lambda: complexity._sign_minima(stack, 2.0, rngs)) < 8e6
 
     @pytest.mark.parametrize("norm", ["sup", 1.0, 2.0])
     def test_exact_chunks_keep_value_and_signs(self, monkeypatch, norm):
@@ -721,6 +755,44 @@ class TestTypeInfratypeReport:
         # the singleton subset contributes 0.8 and survives as the maximum
         assert rep.rows[0].m_emp == pytest.approx(0.8, abs=1e-12)
         assert rep.rows[1].m_emp == pytest.approx(0.8, abs=1e-12)
+
+    @given(case=euclidean_inputs(), seed=st.integers(0, 2**32 - 1))
+    def test_gaussian_mean_is_invariant_under_isometries(self, case, seed):
+        # an orthogonal change of coordinates and a signed permutation of the
+        # vectors keep the Gram spectrum, and the same r = min(n, d) normals are drawn
+        x, rot = case
+        x = x / max(1.0, float(np.linalg.norm(x, axis=1).max()))
+        g = np.random.default_rng(seed)
+        moved = g.choice([-1.0, 1.0], size=(x.shape[0], 1)) * x[g.permutation(x.shape[0])]
+
+        def mean(vecs):
+            return type_infratype_report(vecs, delta_grid=(1.0,), trials=200,
+                                         rng=RngStream(seed)).gaussian_mean
+
+        base = mean(x)
+        for other in (x @ rot, moved):
+            assert abs(mean(other) - base) <= 1e-12 * base
+
+    @pytest.mark.parametrize("shape", ["6x20", "40x5", "rank2"])
+    def test_gaussian_mean_agrees_with_the_direct_sum(self, shape):
+        # the spectral draw has the law of ||sum_i g_i v_i||_2 drawn directly
+        gen = RngStream(74).generator()
+        if shape == "rank2":
+            x = gen.standard_normal((12, 2)) @ gen.standard_normal((2, 12))
+        else:
+            x = gen.standard_normal(tuple(int(k) for k in shape.split("x")))
+        x = unit_rows(x)
+        rep = type_infratype_report(x, delta_grid=(0.1,), trials=20000, rng=RngStream(75))
+        ref, ref_se = direct_gaussian_mean(x, 20000, RngStream(76))
+        assert abs(rep.gaussian_mean - ref) <= 5.0 * math.hypot(rep.gaussian_std_error, ref_se)
+
+    def test_euclidean_gaussian_side_needs_no_trials_by_d_product(self):
+        # the benchmark's 256 x 256 signed permutation at 2000 trials; its
+        # (2000 x 256) product and two norm copies peaked at 12.8 MB
+        gen = RngStream(77).generator()
+        perm = np.eye(256)[gen.permutation(256)] * gen.choice([-1.0, 1.0], size=(256, 1))
+        assert traced_peak(lambda: type_infratype_report(perm, trials=2000,
+                                                         rng=RngStream(78))) < 10e6
 
     def test_single_vector(self):
         v = np.array([0.6, 0.3])

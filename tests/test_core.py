@@ -182,6 +182,20 @@ def test_banach_norm_reduces_the_last_axis(norm):
         assert isinstance(banach_norm(rows[0, 0], norm), float)
 
 
+@pytest.mark.parametrize("norm", ["sup", 1.0, 2.0, 3.0, 3.5])
+def test_banach_norm_leaves_its_argument_unchanged(norm):
+    # the power is taken in place on the norm's own copy, with the bits of |v|**p
+    gen = np.random.default_rng(4)
+    for v in (gen.standard_normal((30, 9)), np.asfortranarray(gen.standard_normal((30, 9))),
+              gen.integers(-5, 6, size=(30, 9))):
+        before = v.tobytes()
+        got = banach_norm(v, norm)
+        assert v.tobytes() == before
+        if norm != "sup":
+            want = np.sum(np.abs(v, dtype=float, order="C") ** norm, axis=-1, keepdims=True)
+            assert got.tobytes() == (want ** (1.0 / norm))[..., 0].tobytes()
+
+
 @pytest.mark.parametrize("empty", [[], np.zeros((3, 0)), 1.0])
 def test_banach_norm_needs_a_nonempty_vector(empty):
     for norm in ("sup", 2.0):
